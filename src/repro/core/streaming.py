@@ -25,7 +25,9 @@ property the test suite checks on both synthetic and simulated traces.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from repro.net.addr import IPv4Address
@@ -41,6 +43,9 @@ from repro.core.replica import (
 )
 
 _MIN_CAPTURE = 20
+
+#: Bisection key of a ``(timestamp, index)`` step-2 history entry.
+_TIME = itemgetter(0)
 
 LoopCallback = Callable[[RoutingLoop], None]
 
@@ -141,6 +146,8 @@ class StreamingLoopDetector:
         self._deadline_seq = 0
 
         # Step 2 state: per-/24 sliding history and member indices.
+        # Each history list is appended in time order (and record
+        # indices rise with time), so windows and pruning bisect it.
         self._history: dict[int, list[tuple[float, int]]] = {}
         self._members: dict[int, set[int]] = {}
         self._open_stream_count: dict[int, int] = {}
@@ -178,10 +185,9 @@ class StreamingLoopDetector:
         self._expire(timestamp)
         if self.stats.records % 20_000 == 0:
             # Global history pruning so quiet prefixes cannot accumulate
-            # unbounded state on long-running feeds.
-            for prefix_net in list(self._history):
-                if prefix_net not in self._open_loops:
-                    self._prune_history(prefix_net, timestamp)
+            # unbounded state on long-running feeds.  The tick costs one
+            # bisect per tracked prefix plus the entries actually dropped.
+            self._prune_all(timestamp)
 
         if len(data) < _MIN_CAPTURE:
             self.stats.skipped_short += 1
@@ -389,7 +395,6 @@ class StreamingLoopDetector:
         history = self._history
         stream_deadlines = self._stream_deadlines
         loop_deadlines = self._loop_deadlines
-        searchsorted = np.searchsorted
         # Bulk singletons inserted so far this chunk (positions below
         # _chunk_scan_upto) are visible to mid-chunk merge-window scans
         # through these columns before the batch object exists.
@@ -415,9 +420,7 @@ class StreamingLoopDetector:
                                    or loop_deadlines[0][0] < bound):
                 bound = loop_deadlines[0][0]
             if bound is not None:
-                stop = int(searchsorted(ts_np, bound, side="left"))
-                if stop < pos:
-                    stop = pos
+                stop = bisect_left(ts_list, bound, pos)
             if next_prune < stop:
                 stop = next_prune
             if replay_positions[rpi] < stop:
@@ -462,9 +465,7 @@ class StreamingLoopDetector:
             self._chunk_scan_upto = pos
             self._expire(timestamp)
             if pos == next_prune:
-                for prefix_net in list(history):
-                    if prefix_net not in self._open_loops:
-                        self._prune_history(prefix_net, timestamp)
+                self._prune_all(timestamp)
                 next_prune += 20_000
             prefix_net = pf_list[pos]
             bucket = history.get(prefix_net)
@@ -909,9 +910,12 @@ class StreamingLoopDetector:
 
     def _window_has_non_member(self, prefix_net: int, start: float,
                                end: float) -> bool:
+        history = self._history.get(prefix_net, ())
         members = self._members.get(prefix_net, ())
-        for timestamp, index in self._history.get(prefix_net, ()):
-            if start <= timestamp <= end and index not in members:
+        lo = bisect_left(history, start, key=_TIME)
+        hi = bisect_right(history, end, lo, key=_TIME)
+        for k in range(lo, hi):
+            if history[k][1] not in members:
                 return True
         return False
 
@@ -954,25 +958,43 @@ class StreamingLoopDetector:
         if self.on_loop is not None:
             self.on_loop(routing_loop)
 
+    def _prune_all(self, now: float) -> None:
+        """The periodic sweep: prune every prefix without an open loop."""
+        open_loops = self._open_loops
+        for prefix_net in list(self._history):
+            if prefix_net not in open_loops:
+                self._prune_history(prefix_net, now)
+
     def _prune_history(self, prefix_net: int, now: float) -> None:
-        """Drop per-prefix history/members no loop can reference anymore."""
+        """Drop per-prefix history/members no loop can reference anymore.
+
+        History is time-ordered, so the entries older than the horizon
+        are a prefix of the list, and — indices rising with time — the
+        members they drop are exactly the indices below the first kept
+        one.  Members only ever name records of this prefix's history.
+        """
         if now == float("inf"):
             self._history.pop(prefix_net, None)
             self._members.pop(prefix_net, None)
             return
-        horizon = now - (self.config.merge_gap
-                         + self.config.max_replica_gap)
         history = self._history.get(prefix_net)
         if not history:
             return
-        kept = [(t, i) for t, i in history if t >= horizon]
-        dropped = {i for t, i in history if t < horizon}
-        if kept:
-            self._history[prefix_net] = kept
-        else:
+        horizon = now - (self.config.merge_gap
+                         + self.config.max_replica_gap)
+        cut = bisect_left(history, horizon, key=_TIME)
+        if not cut:
+            return
+        if cut == len(history):
             del self._history[prefix_net]
+            self._members.pop(prefix_net, None)
+            return
+        first_kept = history[cut][1]
+        del history[:cut]
         members = self._members.get(prefix_net)
         if members:
-            members -= dropped
+            members.difference_update(
+                [i for i in members if i < first_kept]
+            )
             if not members:
-                self._members.pop(prefix_net, None)
+                del self._members[prefix_net]

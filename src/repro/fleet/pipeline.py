@@ -272,9 +272,11 @@ class LinkPipeline:
         state = current.monitor.state()
         state["id"] = self.config.id
         state["source"] = self.config.source.describe()
-        # The streaming chain itself is per-record (tier-independent
-        # output); the kernel knob is surfaced so operators can see what
-        # any batch re-analysis of this link would run.
+        # The streaming chain ignores the kernel knob: columnar batches
+        # take the detector's batched chunk tier when numpy imports and
+        # the per-record feed otherwise, with identical output.  The
+        # knob is surfaced so operators can see what any batch
+        # re-analysis of this link would run.
         detector_state = state.setdefault("detector", {})
         detector_state["kernel"] = self.config.detector.kernel
         detector_state["resolved_kernel"] = resolve_kernel(

@@ -153,12 +153,38 @@ class TestStreamingBehaviour:
         """After quiet time passes, per-prefix state is pruned."""
         builder = SyntheticTraceBuilder(rng=random.Random(4))
         builder.add_background(60_000, 0.0, 6000.0, prefixes=[OTHER])
+        for start in (20.0, 300.0):
+            builder.add_loop(start, PREFIX, n_packets=3,
+                             replicas_per_packet=6, spacing=0.01,
+                             packet_gap=0.012, entry_ttl=40)
+        # Two-replica streams on the busy prefix: rejected as too small,
+        # but their records still become step-2 members.
+        for i in range(20):
+            builder.add_loop(100.0 + i * 250.0, OTHER, n_packets=1,
+                             replicas_per_packet=2, spacing=0.01,
+                             packet_gap=0.012, entry_ttl=40)
         trace = builder.build()
         streaming = StreamingLoopDetector()
-        streaming.process_trace(trace)
+        members_seen = set()
+        for record in trace:
+            streaming.process(record.timestamp, record.data)
+            for members in streaming._members.values():
+                members_seen |= members
+        assert streaming.stats.loops_emitted == 2
+        assert streaming.stats.streams_rejected_small == 20
         # History is pruned to the sliding horizon at worst every
         # 20k records, so retained state stays far below the feed size.
         total_history = sum(
             len(entries) for entries in streaming._history.values()
         )
         assert total_history < 21_000
+        # Members are pruned with their history: the loops' prefix is
+        # gone entirely, and every surviving member is a record still in
+        # its prefix's history.
+        assert PREFIX.network >> 8 not in streaming._members
+        retained = set()
+        for prefix_net, members in streaming._members.items():
+            indices = {index for _, index in streaming._history[prefix_net]}
+            assert members <= indices
+            retained |= members
+        assert len(retained) <= 2 < len(members_seen)

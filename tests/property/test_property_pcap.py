@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorize
 from repro.core.detector import LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -12,6 +14,12 @@ from repro.net.anonymize import PrefixPreservingAnonymizer
 from repro.net.pcap import read_pcap, write_pcap
 from repro.net.trace import Trace, TraceRecord
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.net.test_pcap import (
+    MAGIC,
+    MAGIC_NS,
+    assert_decoders_agree,
+    write_raw_pcap,
+)
 
 records = st.lists(
     st.tuples(
@@ -39,6 +47,44 @@ class TestPcapRoundTripProperty:
             assert reloaded.data == original.data
             assert reloaded.wire_length == original.wire_length
             assert abs(reloaded.timestamp - original.timestamp) < 1e-5
+
+
+@st.composite
+def raw_pcaps(draw):
+    """Record headers dominated by one captured length, with irregular
+    lengths, zero lengths, and a truncated tail mixed in."""
+    common = draw(st.sampled_from([0, 14, 20, 40, 64]))
+    captured = st.one_of(st.just(common), st.just(common),
+                         st.just(common), st.integers(0, 70))
+    headers = draw(st.lists(
+        st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1),
+                  captured, st.integers(0, 2 ** 32 - 1)),
+        max_size=120,
+    ))
+    tail = draw(st.sampled_from([b"", b"\x01" * 7, b"\x01" * 20]))
+    return {
+        "headers": headers,
+        "endian": draw(st.sampled_from("<>")),
+        "magic": draw(st.sampled_from([MAGIC, MAGIC_NS])),
+        "linktype": draw(st.sampled_from([101, 1])),
+        "tail": tail,
+        "chunk_records": draw(st.integers(1, 80)),
+    }
+
+
+@pytest.mark.skipif(not vectorize.HAVE_NUMPY,
+                    reason="vectorized decode requires numpy")
+class TestColumnarDecodeProperty:
+    @given(pcap=raw_pcaps())
+    @settings(max_examples=150, deadline=None)
+    def test_vectorized_matches_per_record(self, pcap, tmp_path_factory):
+        """Chunk boundaries, base indices, strides, every column, and
+        truncation warnings match the per-record decoder."""
+        path = tmp_path_factory.mktemp("raw") / "r.pcap"
+        write_raw_pcap(path, pcap["headers"], endian=pcap["endian"],
+                       magic=pcap["magic"], linktype=pcap["linktype"],
+                       tail=pcap["tail"])
+        assert_decoders_agree(path, pcap["chunk_records"])
 
 
 scenario = st.fixed_dictionaries({
