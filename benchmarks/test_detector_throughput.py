@@ -25,6 +25,7 @@ from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import PipelineProfile
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import reference_replicas
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +94,15 @@ def _stream_fp(stream):
 
 
 def test_columnar_step1_throughput(big_trace, tmp_path_factory, emit):
-    """The three step-1 kernel tiers vs the reference path.
+    """The two step-1 kernel tiers vs the reference path.
 
     Measures the three legs of step 1 on the same on-disk pcap: ingest
     (pcap to records in memory), the detection kernel over pre-ingested
     records — at the pure-python columnar tier AND the numpy vectorized
     tier — and the end-to-end step-1 path (pcap to candidate streams).
-    Exactness is asserted before any timing matters."""
+    The reference path is ``read_pcap`` plus the oracle kernel of
+    ``tests/oracles.py`` over the materialized trace.  Exactness is
+    asserted before any timing matters."""
     path = tmp_path_factory.mktemp("columnar_bench") / "big.pcap"
     write_pcap(big_trace, path)
     rounds = 5
@@ -111,7 +114,7 @@ def test_columnar_step1_throughput(big_trace, tmp_path_factory, emit):
 
     ((kernel_ref, kernel_col, kernel_vec),
      (reference, columnar, vectorized)) = _best_many(rounds, [
-        lambda: detect_replicas(trace),
+        lambda: reference_replicas(trace),
         lambda: detect_replicas_columnar(ctrace.chunks),
         lambda: detect_replicas_vectorized(ctrace.chunks),
     ])
@@ -123,7 +126,7 @@ def test_columnar_step1_throughput(big_trace, tmp_path_factory, emit):
     assert len(reference) == 80
 
     (step1_ref, step1_col, step1_vec), _ = _best_many(rounds, [
-        lambda: detect_replicas(read_pcap(path)),
+        lambda: reference_replicas(read_pcap(path)),
         lambda: detect_replicas_columnar(read_pcap_columnar(path).chunks),
         lambda: detect_replicas_vectorized(read_pcap_columnar(path).chunks),
     ])

@@ -24,7 +24,7 @@ from repro.core.report import format_table
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.parallel import ParallelLoopDetector
-from repro.parallel.shard import ColumnarShardPartition, ShardPartition
+from repro.parallel.shard import ColumnarShardPartition
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 JOBS = (1, 2, 4)
@@ -107,33 +107,34 @@ def test_parallel_scaling(big_trace, emit):
 def test_fanout_payload_size(big_trace, emit):
     """Parent -> worker serialization: tuples vs slabs vs shared memory.
 
-    Measures ``pickle.dumps`` of exactly what each engine ships per
-    shard — the tuple path's ``(shard_id, [(index, timestamp, bytes),
-    ...], config)`` jobs, the columnar path's ``(shard_id, slab,
-    timestamps, lengths, config)`` payloads, and the shared-memory
-    path's ``(name, *descriptor)`` control payloads (offsets into the
-    one segment the parent writes; the slab bytes themselves never
-    touch pickle) — and commits the byte counts alongside the segment
-    size."""
+    Measures ``pickle.dumps`` per shard of three encodings of the same
+    partition: per-record ``(shard_id, [(index, timestamp, bytes), ...],
+    config)`` tuple lists (built from the partition's global index
+    column), the ``(shard_id, slab, timestamps, lengths, config)`` slab
+    payloads, and the shared-memory fan-out's ``(name, *descriptor)``
+    control payloads (offsets into the one segment the parent writes;
+    the slab bytes themselves never touch pickle) — and commits the
+    byte counts alongside the segment size."""
     config = DetectorConfig()
     ctrace = ColumnarTrace.from_trace(big_trace)
     rows = []
     reductions = {}
     shm_reductions = {}
+    records = big_trace.records
     for shards in (2, 4, 8):
-        tuple_partition = ShardPartition(num_shards=shards)
-        for i, record in enumerate(big_trace.records):
-            tuple_partition.add(i, record.timestamp, record.data)
-        tuple_bytes = sum(
-            len(pickle.dumps((shard_id, shard, config),
-                             protocol=pickle.HIGHEST_PROTOCOL))
-            for shard_id, shard in enumerate(tuple_partition.shards)
-            if shard
-        )
-
         columnar_partition = ColumnarShardPartition(num_shards=shards)
         for chunk in ctrace.chunks:
             columnar_partition.add_chunk(chunk)
+        tuple_bytes = 0
+        for shard_id in range(shards):
+            shard = [(i, records[i].timestamp, records[i].data)
+                     for i in columnar_partition.shard_global_indices(
+                         shard_id)]
+            if shard:
+                tuple_bytes += len(pickle.dumps(
+                    (shard_id, shard, config),
+                    protocol=pickle.HIGHEST_PROTOCOL))
+
         columnar_bytes = sum(
             len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
             for payload in columnar_partition.payloads(config)

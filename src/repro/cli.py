@@ -43,7 +43,6 @@ from repro.core.analysis import (
 )
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.impact import escape_analysis
-from repro.core.replica import KERNEL_TIERS
 from repro.core.report import (
     render_cdf,
     render_destination_classes,
@@ -51,6 +50,7 @@ from repro.core.report import (
     render_summary,
     render_traffic_types,
 )
+from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -242,21 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", parents=[obs],
                             help="detect loops in a pcap trace")
     detect.add_argument("trace", help="pcap file to analyze")
-    detect.add_argument("--columnar", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="read via the zero-copy mmap columnar "
-                             "pipeline (default; --no-columnar selects "
-                             "the per-record reference path, identical "
-                             "output)")
-    detect.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
-                        help="step-1 kernel tier (default: auto — "
-                             "vectorized when numpy is available — "
-                             "under columnar ingest, reference under "
-                             "--no-columnar); an explicit tier also "
-                             "picks the matching ingest path")
-    detect.add_argument("--profile", default=None, metavar="OUT",
-                        help="profile the run with cProfile and write "
-                             "pstats data to OUT")
     detect.add_argument("--merge-gap", type=float, default=60.0,
                         help="stream merge gap in seconds (default 60)")
     detect.add_argument("--min-stream-size", type=int, default=3,
@@ -293,17 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stream merge gap in seconds (default 60)")
     batch.add_argument("--min-stream-size", type=int, default=3,
                        help="minimum replicas per stream (default 3)")
-    batch.add_argument("--columnar", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="analyze pcap targets via the zero-copy "
-                            "columnar pipeline (default; scenario "
-                            "targets are unaffected)")
-    batch.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
-                       help="step-1 kernel tier for pcap targets "
-                            "(default: auto under columnar ingest)")
-    batch.add_argument("--profile", default=None, metavar="OUT",
-                       help="profile the run with cProfile and write "
-                            "pstats data to OUT")
 
     simulate = sub.add_parser(
         "simulate", parents=[obs],
@@ -354,16 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "ends (with --serve; default 0)")
     monitor.add_argument("--no-dashboard", action="store_true",
                          help="skip the ASCII dashboard on stdout")
-    monitor.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
-                         help="step-1 kernel tier recorded in the "
-                             "detector config (streaming chains per "
-                             "record, so this only switches the ingest "
-                             "path: reference reads a materialized "
-                             "trace)")
-    monitor.add_argument("--columnar", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="stream from the zero-copy mmap columnar "
-                              "reader (default; identical output)")
     monitor.set_defaults(force_monitor=True)
 
     fleet = sub.add_parser(
@@ -424,21 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_from_args(args: argparse.Namespace) -> str:
-    """Resolve the step-1 kernel tier from ``--kernel``/``--columnar``.
-
-    An explicit ``--kernel`` wins and implies its ingest path
-    (``reference`` reads a materialized trace, every other tier reads
-    columnar); without it, the ingest flag picks the matching default —
-    ``auto`` under columnar ingest, ``reference`` under
-    ``--no-columnar``.  The caller applies the implied ingest by
-    re-deriving ``args.columnar`` from the returned tier."""
-    kernel = getattr(args, "kernel", None)
-    if kernel is None:
-        return "auto" if args.columnar else "reference"
-    return kernel
-
-
 def _detector_from_args(args: argparse.Namespace,
                         tracer=NULL_TRACER) -> LoopDetector:
     config = DetectorConfig(
@@ -447,20 +396,11 @@ def _detector_from_args(args: argparse.Namespace,
         prefix_length=args.prefix_length,
         check_prefix_consistency=not args.no_validate,
         check_gap_consistency=not args.no_validate,
-        kernel=_kernel_from_args(args),
     )
     return LoopDetector(config, tracer=tracer)
 
 
 def _read_trace_file(path: str, obs: _Obs, link_name: str = ""):
-    heartbeat = obs.heartbeat(f"read {path}")
-    trace = read_pcap(path, link_name=link_name, progress=heartbeat)
-    if heartbeat is not None:
-        heartbeat.done()
-    return trace
-
-
-def _read_trace_file_columnar(path: str, obs: _Obs, link_name: str = ""):
     heartbeat = obs.heartbeat(f"read {path}")
     trace = read_pcap_columnar(path, link_name=link_name,
                                progress=heartbeat)
@@ -536,34 +476,21 @@ def _publish_result_metrics(obs: _Obs, result) -> None:
                      ).set(result.looped_packet_count)
 
 
-def _trace_pairs(trace):
-    """``(timestamp, data)`` pairs from either trace representation.
-
-    Columnar traces yield zero-copy memoryviews (the streaming detector
-    materializes bytes only when a stream forms); materialized traces
-    yield their record bytes."""
-    if hasattr(trace, "iter_views"):
-        return trace.iter_views()
-    return ((record.timestamp, record.data) for record in trace)
-
-
 def _stream_with_monitor(streaming, trace, monitor):
     """Drive the streaming detector with the live monitor attached,
-    feeding it as loops close and sampling its windows on second
-    boundaries — identical output to :meth:`process_trace`, observable
-    while it runs (the fleet daemon's per-link pipelines run the same
-    helpers batch by batch).  Columnar traces go chunk by chunk so the
-    detector's batched tier stays engaged under monitoring; anything
-    else falls back to the per-record feed."""
-    from repro.obs.live import attach_detector, feed_chunk, feed_pairs
+    feeding it chunk by chunk as loops close and sampling its windows on
+    second boundaries — identical output to :meth:`process_trace`,
+    observable while it runs (the fleet daemon's per-link pipelines run
+    the same helpers batch by batch).  A materialized trace is converted
+    with :meth:`~repro.net.columnar.ColumnarTrace.from_trace` first."""
+    from repro.obs.live import attach_detector, feed_chunk
 
+    if not isinstance(trace, ColumnarTrace):
+        trace = ColumnarTrace.from_trace(trace)
     attach_detector(monitor, streaming)
-    if hasattr(trace, "chunks"):
-        loops = []
-        for chunk in trace.chunks:
-            loops.extend(feed_chunk(streaming, monitor, chunk))
-    else:
-        loops = feed_pairs(streaming, monitor, _trace_pairs(trace))
+    loops = []
+    for chunk in trace.chunks:
+        loops.extend(feed_chunk(streaming, monitor, chunk))
     loops.extend(streaming.flush())
     monitor.finish()
     return loops
@@ -573,7 +500,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.streaming and args.jobs > 1:
         _logger.error("--streaming and --jobs are mutually exclusive")
         return 1
-    args.columnar = _kernel_from_args(args) != "reference"
     obs = _Obs(args)
     try:
         detector = _detector_from_args(args, tracer=obs.tracer)
@@ -583,15 +509,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             streaming = StreamingLoopDetector(detector.config,
                                               tracer=obs.tracer)
             streaming.register_metrics(obs.registry)
-            if args.columnar:
-                trace = _read_trace_file_columnar(args.trace, obs)
-            else:
-                trace = _read_trace_file(args.trace, obs)
+            trace = _read_trace_file(args.trace, obs)
             if obs.monitor is not None:
                 loops = _stream_with_monitor(streaming, trace,
                                              obs.monitor)
-            elif args.columnar:
-                loops = streaming.process_trace_columnar(trace)
             else:
                 loops = streaming.process_trace(trace)
             print(f"records: {streaming.stats.records}")
@@ -607,22 +528,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
             engine = ParallelLoopDetector(
                 detector.config, jobs=args.jobs, shards=args.shards,
-                tracer=obs.tracer, columnar=args.columnar,
+                tracer=obs.tracer,
             )
             engine.register_metrics(obs.registry)
             if args.figures or args.json:
                 # Figure statistics and JSON need the full trace in memory.
-                if args.columnar:
-                    ctrace = _read_trace_file_columnar(
-                        args.trace, obs, link_name=args.trace
-                    )
-                    result = engine.detect_columnar(ctrace)
-                    result.trace = ctrace.to_trace()
-                else:
-                    result = engine.detect(
-                        _read_trace_file(args.trace, obs,
-                                         link_name=args.trace)
-                    )
+                ctrace = _read_trace_file(args.trace, obs,
+                                          link_name=args.trace)
+                result = engine.detect_columnar(ctrace)
+                result.trace = ctrace.to_trace()
             else:
                 heartbeat = obs.heartbeat(f"detect {args.trace}")
                 result = engine.detect_file(args.trace,
@@ -651,14 +565,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             if args.figures:
                 _print_figures(result)
             return 0
-        if args.columnar:
-            trace = _read_trace_file_columnar(args.trace, obs)
-            result = detector.detect_columnar(trace)
-            if args.figures or args.json:
-                result.trace = trace.to_trace()
-        else:
-            trace = _read_trace_file(args.trace, obs)
-            result = detector.detect(trace)
+        trace = _read_trace_file(args.trace, obs)
+        result = detector.detect_columnar(trace)
+        if args.figures or args.json:
+            result.trace = trace.to_trace()
         _publish_result_metrics(obs, result)
         obs.feed_monitor(trace, result.loops)
         if args.json:
@@ -694,14 +604,11 @@ def _batch_progress():
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.parallel import run_batch
 
-    kernel = _kernel_from_args(args)
-    args.columnar = kernel != "reference"
     obs = _Obs(args)
     try:
         config = DetectorConfig(
             merge_gap=args.merge_gap,
             min_stream_size=args.min_stream_size,
-            kernel=kernel,
         )
         result = run_batch(
             targets=args.targets or None,
@@ -709,7 +616,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             config=config,
             duration=args.duration,
             progress=_batch_progress() if obs.progress else None,
-            columnar=args.columnar,
         )
         print(result.render())
         return 1 if result.failed else 0
@@ -846,8 +752,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.streaming import StreamingLoopDetector
 
-    kernel = _kernel_from_args(args)
-    args.columnar = kernel != "reference"
     obs = _Obs(args)
     try:
         config = DetectorConfig(
@@ -856,17 +760,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             prefix_length=args.prefix_length,
             check_prefix_consistency=not args.no_validate,
             check_gap_consistency=not args.no_validate,
-            kernel=kernel,
         )
         streaming = StreamingLoopDetector(config, tracer=obs.tracer)
         streaming.register_metrics(obs.registry)
         if obs.server is not None:
             print(f"monitoring endpoints at {obs.server.url}",
                   flush=True)
-        if args.columnar:
-            trace = read_pcap_columnar(args.trace)
-        else:
-            trace = _read_trace_file(args.trace, obs)
+        trace = read_pcap_columnar(args.trace)
         loops = _stream_with_monitor(streaming, trace, obs.monitor)
         obs.write_dashboard()
         if not args.no_dashboard:
@@ -989,17 +889,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "anonymize": _cmd_anonymize,
     }
     handler = handlers[args.command]
-    profile_out = getattr(args, "profile", None)
     try:
-        if profile_out:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            try:
-                return profiler.runcall(handler, args)
-            finally:
-                profiler.dump_stats(profile_out)
-                _logger.info("profile written to %s", profile_out)
         return handler(args)
     except (FileNotFoundError, KeyError, ValueError, OSError) as error:
         _logger.error("%s", error)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.net.columnar import ColumnarTrace
 from repro.net.trace import Trace
 from repro.obs.perf import NULL_PROFILE
 from repro.obs.tracing import NULL_TRACER
 from repro.core.merge import RoutingLoop, merge_streams
-from repro.core.replica import (
-    KERNEL_TIERS,
+# ``detect_replicas`` is not called here, but the tracing benchmark
+# (``perfbench/spans.py``) wraps every step-1 entry point it finds bound
+# on this module, so the name stays importable from it.
+from repro.core.replica import (  # noqa: F401
     ReplicaScanStats,
     ReplicaStream,
     detect_replicas,
@@ -46,22 +49,10 @@ class DetectorConfig:
     merge_gap: float = 60.0
     check_gap_consistency: bool = True
     eviction_interval: int = 100_000
-    #: Step-1 kernel tier for columnar inputs (:meth:`LoopDetector.
-    #: detect_columnar` and the parallel slab workers): ``auto``
-    #: resolves to ``vectorized`` when numpy is available, else
-    #: ``columnar``.  All tiers are byte-identical; this knob only
-    #: picks the implementation.  Materialized-trace entry points
-    #: (:meth:`LoopDetector.detect`) always run the reference kernel.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.min_ttl_delta < 1:
             raise DetectorError("min_ttl_delta must be >= 1")
-        if self.kernel not in KERNEL_TIERS:
-            raise DetectorError(
-                f"kernel must be one of {', '.join(KERNEL_TIERS)}: "
-                f"{self.kernel!r}"
-            )
         if self.min_stream_size < 2:
             raise DetectorError("min_stream_size must be >= 2")
         if not 8 <= self.prefix_length <= 32:
@@ -116,8 +107,8 @@ class LoopDetector:
     they coexist in one trace file with sim-time control-plane records.
     ``profile`` (default: the shared null profile) accumulates the same
     stages as :class:`~repro.obs.perf.PipelineProfile` spans — plus the
-    per-tier ``step1.kernel.<tier>`` span on the columnar path — for the
-    ``/perf`` endpoints and benchmark provenance.  Neither changes
+    per-tier ``step1.kernel.<tier>`` span — for the ``/perf`` endpoints
+    and benchmark provenance.  Neither changes
     anything about the result: they wrap the exact same calls.
     """
 
@@ -128,73 +119,22 @@ class LoopDetector:
         self.profile = profile
 
     def detect(self, trace: Trace) -> DetectionResult:
-        """Run the full pipeline on ``trace``."""
-        config = self.config
-        tracer = self.tracer
-        profile = self.profile
-        scan_stats = ReplicaScanStats()
-        with tracer.phase("detect.replicas", clock="wall") as phase, \
-                profile.stage("detect.replicas",
-                              records=len(trace.records)):
-            candidates = detect_replicas(
-                trace,
-                min_ttl_delta=config.min_ttl_delta,
-                max_replica_gap=config.max_replica_gap,
-                eviction_interval=config.eviction_interval,
-                stats=scan_stats,
-            )
-            phase.note(records=len(trace.records),
-                       candidates=len(candidates))
-        needs_index = config.check_prefix_consistency or config.check_gap_consistency
-        prefix_index = (
-            PrefixIndex(trace, config.prefix_length) if needs_index else None
-        )
-        with tracer.phase("detect.validate", clock="wall") as phase, \
-                profile.stage("detect.validate"):
-            validation = validate_streams(
-                candidates,
-                trace,
-                min_stream_size=config.min_stream_size,
-                prefix_length=config.prefix_length,
-                check_prefix_consistency=config.check_prefix_consistency,
-                prefix_index=prefix_index,
-            )
-            phase.note(valid=len(validation.valid))
-        with tracer.phase("detect.merge", clock="wall") as phase, \
-                profile.stage("detect.merge"):
-            loops = merge_streams(
-                validation.valid,
-                trace,
-                merge_gap=config.merge_gap,
-                prefix_length=config.prefix_length,
-                check_gap_consistency=config.check_gap_consistency,
-                prefix_index=prefix_index,
-                candidates=candidates,
-            )
-            phase.note(loops=len(loops))
-        # Loop intervals live in *trace* time (simulation time for
-        # simulated traces) — the lifecycle correlator joins them with
-        # the control plane's sim-time events.
-        for loop in loops:
-            tracer.span("loop", loop.start, loop.end,
-                        prefix=str(loop.prefix), streams=loop.stream_count)
-        return DetectionResult(
-            trace=trace,
-            config=config,
-            candidate_streams=candidates,
-            validation=validation,
-            loops=loops,
-            scan_stats=scan_stats,
-        )
+        """Run the full pipeline on a materialized ``trace``.
+
+        The trace enters the columnar pipeline through
+        :meth:`~repro.net.columnar.ColumnarTrace.from_trace`;
+        ``result.trace`` is ``trace`` itself.
+        """
+        result = self.detect_columnar(ColumnarTrace.from_trace(trace))
+        result.trace = trace
+        return result
 
     def detect_columnar(self, ctrace) -> DetectionResult:
         """Run the full pipeline over a columnar trace.
 
-        Same three steps, same output as :meth:`detect` on the
-        materialized equivalent of ``ctrace`` (the equivalence suite
-        asserts this stream for stream), but step 1 runs the batched
-        columnar kernel and the prefix index is built straight off the
-        data slabs.  ``result.trace`` is the
+        Step 1 runs the vectorized kernel when numpy imports and the
+        pure-python columnar kernel otherwise; the prefix index is built
+        straight off the data slabs.  ``result.trace`` is the
         :class:`~repro.net.columnar.ColumnarTrace` itself, which carries
         the summary surface (record count, duration, bandwidth) the
         reports need.
@@ -207,7 +147,6 @@ class LoopDetector:
                 profile.stage("detect.replicas"):
             candidates = detect_replicas_with_kernel(
                 ctrace,
-                kernel=config.kernel,
                 min_ttl_delta=config.min_ttl_delta,
                 max_replica_gap=config.max_replica_gap,
                 eviction_interval=config.eviction_interval,

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mode
-from typing import Iterable
 
 from repro.net.addr import IPv4Address, IPv4Prefix
+from repro.net.columnar import ColumnarTrace
 from repro.net.trace import Trace
 
 #: Wire offsets of the fields a loop legitimately changes.
@@ -173,11 +173,12 @@ def detect_replicas(
     ``min_ttl_delta`` is the paper's "TTL values differ by at least two";
     ``max_replica_gap`` bounds the time between consecutive replicas of
     one stream so that identical packets hours apart never chain (loop
-    round-trips are milliseconds).
+    round-trips are milliseconds).  The trace is converted with
+    :meth:`~repro.net.columnar.ColumnarTrace.from_trace` and scanned by
+    the same kernel every other entry point runs.
     """
-    return detect_replicas_indexed(
-        ((index, record.timestamp, record.data)
-         for index, record in enumerate(trace.records)),
+    return detect_replicas_with_kernel(
+        ColumnarTrace.from_trace(trace),
         min_ttl_delta=min_ttl_delta,
         max_replica_gap=max_replica_gap,
         eviction_interval=eviction_interval,
@@ -185,117 +186,12 @@ def detect_replicas(
     )
 
 
-def detect_replicas_indexed(
-    records: Iterable[tuple[int, float, bytes]],
-    min_ttl_delta: int = 2,
-    max_replica_gap: float = 5.0,
-    eviction_interval: int = 100_000,
-    stats: ReplicaScanStats | None = None,
-) -> list[ReplicaStream]:
-    """Replica detection over ``(index, timestamp, data)`` triples.
-
-    The indices are carried through to the resulting streams untouched, so
-    a caller may feed a *subset* of a trace's records (with their original
-    global indices) and get streams whose ``member_indices`` line up with
-    the full trace.  This is what makes exact sharding possible: all
-    chaining state is keyed by the masked-packet key, so any partition
-    that keeps each key's records together — in time order — produces the
-    same streams as one pass over everything.
-
-    Eviction runs on the local scan position, not the carried index; it
-    only discards state that could never chain again (older than the
-    chaining gap), so its cadence never changes the result.
-    """
-    if min_ttl_delta < 1:
-        raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
-    if max_replica_gap <= 0:
-        raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
-
-    stats = stats if stats is not None else ReplicaScanStats()
-    # key -> most recent singleton observation (index, timestamp, ttl, data)
-    singletons: dict[bytes, tuple[int, float, int, bytes]] = {}
-    # key -> open multi-replica streams for that key (usually one)
-    open_streams: dict[bytes, list[_OpenStream]] = {}
-    finished: list[ReplicaStream] = []
-
-    def close_stream(stream: _OpenStream) -> None:
-        finished.append(_finalize(stream))
-
-    for position, (index, timestamp, data) in enumerate(records):
-        stats.records_scanned += 1
-        if len(data) < _MIN_CAPTURE:
-            stats.records_skipped_short += 1
-            continue
-        key = mask_mutable_fields(data)
-        ttl = data[_TTL_OFFSET]
-
-        streams = open_streams.get(key)
-        if streams is not None:
-            attached = False
-            for stream in reversed(streams):
-                last = stream.last
-                if (last.ttl - ttl >= min_ttl_delta
-                        and timestamp - last.timestamp <= max_replica_gap):
-                    stream.replicas.append(
-                        Replica(index=index, timestamp=timestamp, ttl=ttl)
-                    )
-                    attached = True
-                    break
-            if attached:
-                continue
-
-        previous = singletons.get(key)
-        if previous is not None:
-            prev_index, prev_time, prev_ttl, prev_data = previous
-            if (prev_ttl - ttl >= min_ttl_delta
-                    and timestamp - prev_time <= max_replica_gap):
-                stream = _OpenStream(
-                    key=key,
-                    first_data=prev_data,
-                    replicas=[
-                        Replica(index=prev_index, timestamp=prev_time,
-                                ttl=prev_ttl),
-                        Replica(index=index, timestamp=timestamp, ttl=ttl),
-                    ],
-                )
-                open_streams.setdefault(key, []).append(stream)
-                del singletons[key]
-                continue
-        singletons[key] = (index, timestamp, ttl, data)
-
-        if eviction_interval and position and position % eviction_interval == 0:
-            horizon = timestamp - max_replica_gap
-            stale = [k for k, (_, t, _, _) in singletons.items() if t < horizon]
-            for k in stale:
-                del singletons[k]
-            stats.singletons_evicted += len(stale)
-            for k in list(open_streams):
-                remaining = []
-                for stream in open_streams[k]:
-                    if stream.last.timestamp < horizon:
-                        close_stream(stream)
-                    else:
-                        remaining.append(stream)
-                if remaining:
-                    open_streams[k] = remaining
-                else:
-                    del open_streams[k]
-
-    for streams in open_streams.values():
-        for stream in streams:
-            close_stream(stream)
-
-    finished.sort(key=stream_sort_key)
-    stats.candidate_streams = len(finished)
-    return finished
-
-
 def _evict_stale(singletons, open_streams, horizon, finished) -> int:
-    """Reference eviction semantics, shared by both kernel paths.
+    """The eviction pass, shared by both kernel tiers.
 
     Drops singletons last seen before ``horizon`` and closes open
     streams whose newest replica predates it.  Returns the number of
-    singletons evicted (the reference's ``singletons_evicted`` delta).
+    singletons evicted (the pass's ``singletons_evicted`` delta).
     """
     stale = [k for k, entry in singletons.items() if entry[1] < horizon]
     for k in stale:
@@ -403,9 +299,10 @@ def _scan_boundary_record(
 ) -> int:
     """One record sitting exactly on an eviction boundary.
 
-    Same record logic as the tight segment loop, plus the reference's
-    eviction pass — which fires only when the record falls through to
-    the singleton store, exactly as in :func:`detect_replicas_indexed`.
+    Same record logic as the tight segment loop, plus the eviction
+    pass — which fires only when the record falls through to the
+    singleton store, as in the per-record loop of
+    :func:`detect_replicas_columnar`.
     Returns the number of singletons evicted.
     """
     key = masked[local:local + length]
@@ -447,14 +344,15 @@ def detect_replicas_columnar(
 ) -> list[ReplicaStream]:
     """The batched step-1 kernel over columnar chunks.
 
-    Behaviourally identical to :func:`detect_replicas_indexed` fed the
-    same records (the equivalence suite asserts byte-identical streams),
-    but batched: for a chunk whose producer declared a uniform record
-    ``stride``, the whole region is copied once into a ``bytearray``,
-    every record's TTL column is pulled out with one strided slice, and
-    all TTL/checksum bytes are zeroed with three C-speed strided slice
-    assignments — so the per-record cost collapses to one ``bytes``
-    slice for the masked key plus the dictionary probes.  Eviction
+    Behaviourally identical to a plain per-record scan of the same
+    records (the equivalence suites compare it against the reference
+    oracle in ``tests/oracles.py``), but batched: for a chunk whose
+    producer declared a uniform record ``stride``, the whole region is
+    copied once into a ``bytearray``, every record's TTL column is
+    pulled out with one strided slice, and all TTL/checksum bytes are
+    zeroed with three C-speed strided slice assignments — so the
+    per-record cost collapses to one ``bytes`` slice for the masked key
+    plus the dictionary probes.  Eviction
     boundaries are computed up front and the runs between them scan in
     a loop with no position arithmetic at all.
 
@@ -464,8 +362,9 @@ def detect_replicas_columnar(
 
     ``chunks`` is an iterable of :class:`~repro.net.columnar.
     ColumnarChunk` (or a :class:`~repro.net.columnar.ColumnarTrace`).
-    Eviction runs on the local scan position with the same cadence as
-    the reference, so its timing never changes the result.
+    Eviction runs every ``eviction_interval`` scanned records and only
+    discards state that could never chain again (older than the
+    chaining gap), so its cadence never changes the result.
     """
     if min_ttl_delta < 1:
         raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
@@ -654,10 +553,10 @@ def detect_replicas_columnar(
     return finished
 
 
-#: The selectable step-1 implementations.  ``auto`` resolves to the
-#: fastest tier available at runtime: ``vectorized`` with numpy
-#: installed, ``columnar`` without.
-KERNEL_TIERS = ("auto", "reference", "columnar", "vectorized")
+#: The step-1 implementations.  ``auto`` — what every product entry
+#: point runs — resolves to ``vectorized`` when numpy imports and to
+#: its pure-python fallback ``columnar`` otherwise.
+KERNEL_TIERS = ("auto", "columnar", "vectorized")
 
 #: numpy dtype per column itemsize, for viewing ``array``/``memoryview``
 #: length columns without copying.
@@ -687,12 +586,10 @@ def detect_replicas_with_kernel(
     stats: ReplicaScanStats | None = None,
     profile=None,
 ) -> list[ReplicaStream]:
-    """Run step 1 over columnar chunks with an explicit kernel tier.
+    """Run step 1 over columnar chunks.
 
-    All tiers produce byte-identical streams and stats; ``kernel``
-    selects only the implementation.  ``reference`` materializes
-    per-record triples and runs :func:`detect_replicas_indexed` — the
-    oracle the other tiers are tested against.
+    Both tiers produce byte-identical streams and stats; ``kernel``
+    selects only the implementation and defaults to ``auto``.
 
     ``profile`` (a :class:`~repro.obs.perf.PipelineProfile`) records one
     ``step1.kernel.<tier>`` span per call, labeled with the *resolved*
@@ -704,32 +601,16 @@ def detect_replicas_with_kernel(
 
         profile = NULL_PROFILE
     before = stats.records_scanned if stats is not None else 0
+    implementation = (detect_replicas_columnar if resolved == "columnar"
+                      else detect_replicas_vectorized)
     with profile.stage(f"step1.kernel.{resolved}") as span:
-        if resolved == "reference":
-            if hasattr(chunks, "chunks"):
-                chunks = chunks.chunks
-            triples = (
-                triple for chunk in chunks
-                for triple in chunk.iter_triples()
-            )
-            streams = detect_replicas_indexed(
-                triples,
-                min_ttl_delta=min_ttl_delta,
-                max_replica_gap=max_replica_gap,
-                eviction_interval=eviction_interval,
-                stats=stats,
-            )
-        else:
-            implementation = (detect_replicas_columnar
-                              if resolved == "columnar"
-                              else detect_replicas_vectorized)
-            streams = implementation(
-                chunks,
-                min_ttl_delta=min_ttl_delta,
-                max_replica_gap=max_replica_gap,
-                eviction_interval=eviction_interval,
-                stats=stats,
-            )
+        streams = implementation(
+            chunks,
+            min_ttl_delta=min_ttl_delta,
+            max_replica_gap=max_replica_gap,
+            eviction_interval=eviction_interval,
+            stats=stats,
+        )
         if stats is not None:
             span.add(records=stats.records_scanned - before)
     return streams
@@ -742,11 +623,11 @@ def detect_replicas_vectorized(
     eviction_interval: int = 100_000,
     stats: ReplicaScanStats | None = None,
 ) -> list[ReplicaStream]:
-    """The numpy-vectorized step-1 kernel — the third tier.
+    """The numpy-vectorized step-1 kernel.
 
-    Byte-identical to :func:`detect_replicas_indexed` and
-    :func:`detect_replicas_columnar` on the same records (streams *and*
-    stats), but the per-record Python work collapses to two passes:
+    Byte-identical to :func:`detect_replicas_columnar` (and to the
+    reference oracle) on the same records (streams *and* stats), but
+    the per-record Python work collapses to two passes:
 
     **Pass 1 (vectorized).**  Each regular chunk's slab is viewed as an
     ``(n, length)`` uint8 matrix via the declared stride, copied
@@ -763,20 +644,20 @@ def detect_replicas_vectorized(
 
     A hash collision can only create a *false* survivor (pass 2 uses
     exact byte keys), never lose a real one: equal keys always hash
-    equal.  False survivors behave exactly as they would in the
-    reference — they just cost a dictionary probe each.
+    equal.  False survivors behave exactly as they would in a
+    per-record scan — they just cost a dictionary probe each.
 
-    **Pass 2 (exact).**  The reference chaining logic replays over the
+    **Pass 2 (exact).**  The per-record chaining logic replays over the
     survivors alone, interleaved — in global scan order — with the
-    eviction boundaries the reference would have hit: a non-survivor
+    eviction boundaries a per-record scan would have hit: a non-survivor
     landing on a ``position % eviction_interval == 0`` boundary always
     takes the singleton-insert path (its key is globally unique), so
     its boundary always fires; a survivor's boundary fires only when
     its replayed disposition is singleton-insert, exactly like the
-    reference's ``continue`` structure.  Evictions of the (unmaterial)
-    non-survivor singletons are counted vectorially afterwards from the
+    per-record loop's ``continue`` structure.  Evictions of the
+    (unmaterial) non-survivor singletons are counted vectorially afterwards from the
     fired ``(position, horizon)`` events, so ``singletons_evicted``
-    matches the reference exactly.
+    matches a per-record scan exactly.
 
     Falls back wholesale to :func:`detect_replicas_columnar` when numpy
     is absent or no chunk has a regular layout (the pure-python kernel

@@ -31,6 +31,7 @@ from operator import itemgetter
 from typing import Callable
 
 from repro.net.addr import IPv4Address
+from repro.net.columnar import ColumnarTrace
 from repro.obs.tracing import NULL_TRACER
 from repro.core import vectorize
 from repro.core.detector import DetectorConfig
@@ -202,13 +203,18 @@ class StreamingLoopDetector:
         return self._emitted
 
     def process_trace(self, trace) -> list[RoutingLoop]:
-        """Feed a whole :class:`~repro.net.trace.Trace`; returns all loops
-        (including those closed by the final flush)."""
+        """Feed a whole :class:`~repro.net.trace.Trace` or
+        :class:`~repro.net.columnar.ColumnarTrace` chunk by chunk;
+        returns all loops (including those closed by the final flush).
+        A materialized trace is converted with
+        :meth:`~repro.net.columnar.ColumnarTrace.from_trace` first."""
+        if not isinstance(trace, ColumnarTrace):
+            trace = ColumnarTrace.from_trace(trace)
         loops: list[RoutingLoop] = []
         with self.tracer.phase("streaming.process_trace",
                                clock="wall") as phase:
-            for record in trace:
-                loops.extend(self.process(record.timestamp, record.data))
+            for chunk in trace.chunks:
+                loops.extend(self.process_chunk(chunk))
             loops.extend(self.flush())
             phase.note(records=self.stats.records, loops=len(loops))
         return loops
@@ -609,18 +615,6 @@ class StreamingLoopDetector:
                          & (ts_np[:upto] < horizon)).any()):
                     return True
         return False
-
-    def process_trace_columnar(self, ctrace) -> list[RoutingLoop]:
-        """Feed a whole :class:`~repro.net.columnar.ColumnarTrace`;
-        returns all loops (including those closed by the final flush)."""
-        loops: list[RoutingLoop] = []
-        with self.tracer.phase("streaming.process_trace",
-                               clock="wall") as phase:
-            for chunk in ctrace.chunks:
-                loops.extend(self.process_chunk(chunk))
-            loops.extend(self.flush())
-            phase.note(records=self.stats.records, loops=len(loops))
-        return loops
 
     def flush(self) -> list[RoutingLoop]:
         """End of input: complete every open stream and close every loop."""

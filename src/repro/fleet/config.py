@@ -183,7 +183,7 @@ def _detector_config(data: Mapping[str, Any],
                      context: str) -> DetectorConfig:
     data = _take(data, f"{context}.detector",
                  ("merge_gap", "min_stream_size", "prefix_length",
-                  "validate", "kernel"))
+                  "validate"))
     validate = bool(data.pop("validate", True))
     try:
         return DetectorConfig(

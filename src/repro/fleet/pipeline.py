@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.replica import resolve_kernel
 from repro.core.streaming import StreamingLoopDetector
 from repro.fleet.config import LinkConfig
 from repro.fleet.sources import build_source, prefetch_batches
@@ -272,16 +271,6 @@ class LinkPipeline:
         state = current.monitor.state()
         state["id"] = self.config.id
         state["source"] = self.config.source.describe()
-        # The streaming chain ignores the kernel knob: columnar batches
-        # take the detector's batched chunk tier when numpy imports and
-        # the per-record feed otherwise, with identical output.  The
-        # knob is surfaced so operators can see what any batch
-        # re-analysis of this link would run.
-        detector_state = state.setdefault("detector", {})
-        detector_state["kernel"] = self.config.detector.kernel
-        detector_state["resolved_kernel"] = resolve_kernel(
-            self.config.detector.kernel
-        )
         state["run"] = {
             "started_at": current.started_at,
             "finished": current.finished,

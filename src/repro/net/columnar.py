@@ -144,12 +144,11 @@ class ColumnarChunk:
             yield timestamps[i], view[offset:offset + length]
 
     def iter_triples(self) -> Iterator[tuple[int, float, bytes]]:
-        """Yield reference-detector ``(index, timestamp, data)`` triples.
+        """Yield ``(index, timestamp, data)`` triples.
 
-        This is the bridge to :func:`~repro.core.replica.
-        detect_replicas_indexed` — it materializes one ``bytes`` object
-        per record, exactly what the columnar kernel avoids, and exists
-        for equivalence tests and fallbacks.
+        The input shape of the reference oracle the kernel equivalence
+        tests compare against — it materializes one ``bytes`` object per
+        record, exactly what the columnar kernel avoids.
         """
         view = memoryview(self.data)
         offsets = self.offsets

@@ -8,9 +8,9 @@ packet).  This makes the detector usable on real captures converted with
 Three reading modes:
 
 * :func:`read_pcap` materializes the whole file as a :class:`Trace`;
-* :func:`iter_pcap` / :func:`iter_pcap_chunks` stream records with bounded
-  memory, which is what the sharded parallel engine feeds on for traces
-  too large to hold at once;
+* :func:`iter_pcap` / :func:`iter_pcap_chunks` stream materialized
+  records with bounded memory (part of the public API; the detector
+  itself reads columnar);
 * :func:`read_pcap_columnar` / :func:`iter_pcap_columnar` map the file
   with ``mmap`` and decode record headers in place — runs of equal
   captured length through one strided numpy view each, anything else

@@ -7,10 +7,10 @@ keeps steps 2–3 (validation, merging) global, producing results identical
 to the offline :class:`~repro.core.detector.LoopDetector`:
 
 * :mod:`repro.parallel.shard` — deterministic masked-key → shard
-  assignment (exact, because all chaining state is keyed by the masked
-  packet bytes);
+  assignment into columnar slabs (exact, because all chaining state is
+  keyed by the masked packet bytes);
 * :mod:`repro.parallel.engine` — :class:`ParallelLoopDetector`, the
-  process-pool driver plus the cross-shard merge;
+  shared-memory process-pool runner plus the cross-shard merge;
 * :mod:`repro.parallel.batch` — concurrent multi-trace runs (all four
   Table I scenarios at once).
 """
@@ -21,25 +21,15 @@ from repro.parallel.engine import (
     ParallelLoopDetector,
     ParallelStats,
     ShardRunStats,
-    TraceSummary,
 )
-from repro.parallel.shard import (
-    ColumnarShardPartition,
-    ShardPartition,
-    assign_shard,
-    shard_key,
-)
+from repro.parallel.shard import ColumnarShardPartition
 
 __all__ = [
     "ParallelLoopDetector",
     "ParallelDetectionResult",
     "ParallelStats",
     "ShardRunStats",
-    "TraceSummary",
-    "ShardPartition",
     "ColumnarShardPartition",
-    "assign_shard",
-    "shard_key",
     "BatchItemResult",
     "BatchResult",
     "run_batch",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.report import format_table
-from repro.net.pcap import read_pcap, read_pcap_columnar
+from repro.net.pcap import read_pcap_columnar
 
 
 class BatchError(ValueError):
@@ -103,18 +103,16 @@ class BatchResult:
 
 
 def _run_batch_target(
-    spec: tuple[str, str, DetectorConfig, float | None, bool],
+    spec: tuple[str, str, DetectorConfig, float | None],
 ) -> BatchItemResult:
     """Worker entry point: produce one trace and detect loops on it.
 
     Returns compact counters, not the full result — a worker's
     DetectionResult drags the whole trace through pickling, and the batch
-    report only needs Table I/II numbers.  With ``columnar``, pcap
-    targets go through the mmap columnar reader and the batched kernel
-    (identical counters); scenario traces are born in memory, so the
-    flag does not apply to them.
+    report only needs Table I/II numbers.  Pcap targets are read with the
+    mmap columnar reader; scenario traces are born in memory.
     """
-    kind, name, config, duration, columnar = spec
+    kind, name, config, duration = spec
     item = BatchItemResult(name=name, kind=kind)
     started = time.perf_counter()
     try:
@@ -124,12 +122,9 @@ def _run_batch_target(
             overrides = {} if duration is None else {"duration": duration}
             trace = table1_scenario(name, **overrides).run().trace
             result = LoopDetector(config).detect(trace)
-        elif columnar:
+        else:
             trace = read_pcap_columnar(name, link_name=name)
             result = LoopDetector(config).detect_columnar(trace)
-        else:
-            trace = read_pcap(name, link_name=name)
-            result = LoopDetector(config).detect(trace)
     except Exception as error:  # surface per-trace failures, don't abort
         item.error = f"{type(error).__name__}: {error}"
         item.wall_seconds = time.perf_counter() - started
@@ -165,7 +160,6 @@ def run_batch(
     config: DetectorConfig | None = None,
     duration: float | None = None,
     progress=None,
-    columnar: bool = False,
 ) -> BatchResult:
     """Run detection over several traces concurrently.
 
@@ -173,7 +167,6 @@ def run_batch(
     overrides scenario length (ignored for pcap targets).  ``progress``
     is called as ``progress(item)`` with each finished
     :class:`BatchItemResult`, in target order, as results stream in.
-    ``columnar`` routes pcap targets through the mmap columnar pipeline.
     """
     if jobs < 1:
         raise BatchError(f"jobs must be >= 1: {jobs}")
@@ -183,7 +176,7 @@ def run_batch(
         targets = list(TABLE1_SCENARIOS)
     config = config or DetectorConfig()
     specs = [
-        (*classify_target(target), config, duration, columnar)
+        (*classify_target(target), config, duration)
         for target in targets
     ]
     started = time.perf_counter()

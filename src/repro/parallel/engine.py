@@ -2,14 +2,19 @@
 
 :class:`ParallelLoopDetector` reproduces the offline
 :class:`~repro.core.detector.LoopDetector` result exactly, with step 1
-(replica chaining — the bulk of the work) fanned out over a process pool:
+(replica chaining — the bulk of the work) split over shards:
 
-1. **Partition** — records are routed to N shards by the masked-packet
-   key (:mod:`repro.parallel.shard`).  All replicas of one packet share a
-   key, so no candidate stream is split across shards.
-2. **Chain** — each worker runs
-   :func:`~repro.core.replica.detect_replicas_indexed` over its shard,
-   carrying the records' *global* trace indices so stream membership
+1. **Partition** — every entry point hands the engine columnar chunks
+   (a materialized :class:`~repro.net.trace.Trace` is converted with
+   :meth:`~repro.net.columnar.ColumnarTrace.from_trace`; a pcap file is
+   read with the mmap columnar reader).  Records are routed to N shard
+   slabs by the masked-packet key (:mod:`repro.parallel.shard`).  All
+   replicas of one packet share a key, so no candidate stream is split
+   across shards.
+2. **Chain** — each shard runs the same step-1 kernel as the offline
+   detector (vectorized when numpy imports, the pure-python columnar
+   kernel otherwise) over its slab; the parent maps the streams' local
+   shard positions back to *global* trace indices so stream membership
    lines up with the full trace.
 3. **Validate + merge (global)** — the parent concatenates the shard
    streams, restores the offline candidate order, and runs
@@ -19,20 +24,16 @@
    global: validation compares a stream against *every* packet to its
    prefix, not just those in its shard.
 
-:meth:`ParallelLoopDetector.detect_file` feeds the partition from the
-bounded-memory :func:`~repro.net.pcap.iter_pcap_chunks` reader, building
-the prefix index incrementally instead of materializing a whole
-:class:`~repro.net.trace.Trace`.
-
-Columnar fan-out crosses the process boundary through ONE
-``multiprocessing.shared_memory`` segment when a pool actually runs:
-the parent lays out every shard's slab and columns back to back
-(:meth:`~repro.parallel.shard.ColumnarShardPartition.shm_layout`),
+With ``jobs > 1`` and at least two non-empty shards, the shards cross
+the process boundary through ONE ``multiprocessing.shared_memory``
+segment: the parent lays out every shard's slab and columns back to
+back (:meth:`~repro.parallel.shard.ColumnarShardPartition.shm_layout`),
 writes the segment once, and ships only per-shard offset descriptors —
 a few dozen pickled bytes per worker instead of megabytes of slab.
 Workers attach read-only and chain straight off the mapping; the parent
 unlinks the segment in a ``finally`` so it cannot outlive the run, even
-on a worker crash or ``KeyboardInterrupt``.
+on a worker crash or ``KeyboardInterrupt``.  Otherwise every shard runs
+in-process.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.core.replica import (
     Replica,
     ReplicaScanStats,
     ReplicaStream,
-    detect_replicas_indexed,
     detect_replicas_with_kernel,
     stream_sort_key,
 )
@@ -59,18 +59,9 @@ from repro.obs.metrics import Timer
 from repro.obs.perf import PipelineProfile
 from repro.obs.tracing import NULL_TRACER
 from repro.net.columnar import ColumnarTrace
-from repro.net.pcap import (
-    DEFAULT_CHUNK_RECORDS,
-    iter_pcap_chunks,
-    read_pcap_columnar,
-)
-from repro.net.trace import SNAPLEN_40, Trace
-from repro.parallel.shard import (
-    ColumnarShardPartition,
-    ShardError,
-    ShardPartition,
-    rebuild_shard_chunk,
-)
+from repro.net.pcap import DEFAULT_CHUNK_RECORDS, read_pcap_columnar
+from repro.net.trace import Trace
+from repro.parallel.shard import ColumnarShardPartition, rebuild_shard_chunk
 
 
 class ParallelError(ValueError):
@@ -104,8 +95,8 @@ class ParallelStats:
     wall_seconds: float = 0.0
     shard_skew: float = 1.0
     fanout_bytes: int = 0
-    #: Bytes handed to workers through the shared-memory segment (0 when
-    #: the run pickled its payloads: in-process runs, tuple-list shards).
+    #: Bytes handed to workers through the shared-memory segment (0 for
+    #: in-process runs).
     shm_bytes: int = 0
     per_shard: list[ShardRunStats] = field(default_factory=list)
 
@@ -142,83 +133,24 @@ class ParallelStats:
 
 
 @dataclass(slots=True)
-class TraceSummary:
-    """Trace metadata stand-in for streamed (never-materialized) traces.
-
-    Quacks enough like :class:`~repro.net.trace.Trace` for
-    :func:`~repro.core.report.render_summary` and the Table I columns —
-    record count, duration, bandwidth — without holding any records.
-    """
-
-    link_name: str = ""
-    snaplen: int = SNAPLEN_40
-    record_count: int = 0
-    start_time: float = 0.0
-    end_time: float = 0.0
-    total_bytes: int = 0
-
-    def __len__(self) -> int:
-        return self.record_count
-
-    @property
-    def empty(self) -> bool:
-        return self.record_count == 0
-
-    @property
-    def duration(self) -> float:
-        if self.record_count < 2:
-            return 0.0
-        return self.end_time - self.start_time
-
-    def average_bandwidth_bps(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes * 8 / self.duration
-
-
-@dataclass(slots=True)
 class ParallelDetectionResult(DetectionResult):
     """A :class:`~repro.core.detector.DetectionResult` plus parallel
-    instrumentation.  For streamed files, ``trace`` is a
-    :class:`TraceSummary` rather than a full trace."""
+    instrumentation."""
 
     parallel: ParallelStats
 
 
-def _detect_shard(
-    payload: tuple[int, list[tuple[int, float, bytes]], DetectorConfig],
+def _chain_shard(
+    shard_id: int, slab, timestamps, lengths, config: DetectorConfig,
 ) -> tuple[int, list[ReplicaStream], ReplicaScanStats, float]:
-    """Worker entry point: chain one shard's records (module-level so it
-    pickles into pool workers)."""
-    shard_id, records, config = payload
-    stats = ReplicaScanStats()
-    with Timer() as timer:
-        streams = detect_replicas_indexed(
-            records,
-            min_ttl_delta=config.min_ttl_delta,
-            max_replica_gap=config.max_replica_gap,
-            eviction_interval=config.eviction_interval,
-            stats=stats,
-        )
-    return shard_id, streams, stats, timer.seconds
-
-
-def _detect_shard_columnar(
-    payload: tuple[int, bytes, object, object, DetectorConfig],
-) -> tuple[int, list[ReplicaStream], ReplicaScanStats, float]:
-    """Columnar worker entry point: chain one shard's slab with the
-    kernel tier ``config.kernel`` selects.  The payload crossed the
-    process boundary as three pickled buffers (slab, timestamps,
-    lengths), not per-record tuples; the returned streams carry *local*
-    shard positions as replica indices, remapped to trace-global numbers
-    by the parent."""
-    shard_id, slab, timestamps, lengths, config = payload
+    """Chain one shard's slab with the step-1 kernel.  The returned
+    streams carry *local* shard positions as replica indices, remapped
+    to trace-global numbers by the parent."""
     stats = ReplicaScanStats()
     with Timer() as timer:
         chunk = rebuild_shard_chunk(slab, timestamps, lengths)
         streams = detect_replicas_with_kernel(
             [chunk],
-            kernel=config.kernel,
             min_ttl_delta=config.min_ttl_delta,
             max_replica_gap=config.max_replica_gap,
             eviction_interval=config.eviction_interval,
@@ -266,22 +198,14 @@ def _chain_shm_shard(buf, payload):
     keys and first-replica bytes are copies by kernel contract."""
     (_, shard_id, slab_off, slab_len, ts_off, count, len_off,
      typecode, config) = payload
-    stats = ReplicaScanStats()
-    with Timer() as timer:
-        slab = buf[slab_off:slab_off + slab_len]
-        timestamps = buf[ts_off:ts_off + 8 * count].cast("d")
-        itemsize = 2 if typecode == "H" else 4
-        lengths = buf[len_off:len_off + itemsize * count].cast(typecode)
-        chunk = rebuild_shard_chunk(slab, timestamps, lengths)
-        streams = detect_replicas_with_kernel(
-            [chunk],
-            kernel=config.kernel,
-            min_ttl_delta=config.min_ttl_delta,
-            max_replica_gap=config.max_replica_gap,
-            eviction_interval=config.eviction_interval,
-            stats=stats,
-        )
-    return shard_id, streams, stats, timer.seconds
+    itemsize = 2 if typecode == "H" else 4
+    return _chain_shard(
+        shard_id,
+        buf[slab_off:slab_off + slab_len],
+        buf[ts_off:ts_off + 8 * count].cast("d"),
+        buf[len_off:len_off + itemsize * count].cast(typecode),
+        config,
+    )
 
 
 def _detect_shard_columnar_shm(
@@ -302,7 +226,7 @@ def _detect_shard_columnar_shm(
 
 
 class ParallelLoopDetector:
-    """Multi-process detect → validate → merge, identical to offline.
+    """Sharded detect → validate → merge, identical to offline.
 
     ``jobs`` is the worker-process count; ``shards`` (default: ``jobs``)
     is the partition count.  With ``jobs=1`` everything runs in-process —
@@ -315,8 +239,6 @@ class ParallelLoopDetector:
         jobs: int = 1,
         shards: int | None = None,
         tracer=NULL_TRACER,
-        columnar: bool = False,
-        shared_memory: bool = True,
         profile: PipelineProfile | None = None,
     ) -> None:
         if jobs < 1:
@@ -332,14 +254,6 @@ class ParallelLoopDetector:
         #: timings back.  Histograms flow out only once a registry is
         #: attached (pass one here, or via :meth:`register_metrics`).
         self.profile = profile if profile is not None else PipelineProfile()
-        #: When True, :meth:`detect_file` reads via the mmap columnar
-        #: reader and fans out slab payloads (:class:`~repro.parallel.
-        #: shard.ColumnarShardPartition`) instead of tuple lists.
-        self.columnar = columnar
-        #: Escape hatch: when False, columnar fan-out always pickles its
-        #: payloads even when a pool runs (e.g. on a /dev/shm-less
-        #: platform).  Results are identical either way.
-        self.shared_memory = shared_memory
         #: Name of the most recent run's shared segment (None until a
         #: shared-memory fan-out has run).  The segment itself is
         #: unlinked before the run returns; the name exists so tests can
@@ -352,31 +266,50 @@ class ParallelLoopDetector:
     # -- entry points ---------------------------------------------------------
 
     def detect(self, trace: Trace) -> ParallelDetectionResult:
-        """Run the sharded pipeline over an in-memory trace."""
-        started = time.perf_counter()
-        with self.profile.stage("parallel.partition") as span:
-            partition = ShardPartition(num_shards=self.shards)
-            needs_index = (self.config.check_prefix_consistency
-                           or self.config.check_gap_consistency)
-            prefix_index = (
-                PrefixIndex(prefix_length=self.config.prefix_length)
-                if needs_index else None
-            )
-            for index, record in enumerate(trace.records):
-                partition.add(index, record.timestamp, record.data)
-                if prefix_index is not None:
-                    prefix_index.add_record(
-                        index, record.timestamp, record.data
-                    )
-            span.add(records=partition.records_total)
-        return self._finish(
-            partition, prefix_index, trace, started, span.seconds
-        )
+        """Run the sharded pipeline over an in-memory trace; it enters
+        through :meth:`~repro.net.columnar.ColumnarTrace.from_trace` and
+        ``result.trace`` is ``trace`` itself."""
+        result = self.detect_columnar(ColumnarTrace.from_trace(trace))
+        result.trace = trace
+        return result
 
     def detect_columnar(self, ctrace: ColumnarTrace) -> ParallelDetectionResult:
-        """Run the sharded pipeline over a columnar trace: slab fan-out,
-        batched kernel in each worker, identical streams and loops."""
+        """Run the sharded pipeline over a columnar trace."""
+        return self._detect_chunks(ctrace, time.perf_counter(), 0.0)
+
+    def detect_file(
+        self,
+        path: str | Path,
+        link_name: str = "",
+        chunk_records: int = DEFAULT_CHUNK_RECORDS,
+        progress=None,
+    ) -> ParallelDetectionResult:
+        """Run the sharded pipeline over a pcap file read with the mmap
+        columnar reader; ``result.trace`` is the
+        :class:`~repro.net.columnar.ColumnarTrace`, whose record bodies
+        are zero-copy views of the page cache rather than heap copies.
+
+        ``progress`` is called as ``progress(records_partitioned)`` once
+        per chunk — hand it a rate-limited
+        :class:`~repro.obs.progress.Heartbeat` for long files.
+        """
         started = time.perf_counter()
+        with self.profile.stage("ingest.columnar") as ingest:
+            ctrace = read_pcap_columnar(
+                path, link_name=link_name or str(path),
+                chunk_records=chunk_records,
+            )
+            ingest.add(records=len(ctrace), bytes=ctrace.total_bytes)
+        # Partition time includes the ingest read; the profile's
+        # ingest.columnar stage has the split.
+        return self._detect_chunks(ctrace, started, ingest.seconds,
+                                   progress)
+
+    # -- pipeline internals ---------------------------------------------------
+
+    def _detect_chunks(self, ctrace: ColumnarTrace, started: float,
+                       ingest_seconds: float,
+                       progress=None) -> ParallelDetectionResult:
         with self.profile.stage("parallel.partition") as span:
             partition = ColumnarShardPartition(num_shards=self.shards)
             needs_index = (self.config.check_prefix_consistency
@@ -389,102 +322,17 @@ class ParallelLoopDetector:
                 partition.add_chunk(chunk)
                 if prefix_index is not None:
                     prefix_index.add_chunk(chunk)
-            span.add(records=partition.records_total)
-        return self._finish(
-            partition, prefix_index, ctrace, started, span.seconds
-        )
-
-    def detect_file(
-        self,
-        path: str | Path,
-        link_name: str = "",
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
-        progress=None,
-        columnar: bool | None = None,
-    ) -> ParallelDetectionResult:
-        """Run the sharded pipeline over a pcap file via the chunked
-        reader — the whole trace is never materialized; ``result.trace``
-        is a :class:`TraceSummary`.
-
-        ``progress`` is called as ``progress(records_partitioned)`` once
-        per chunk — hand it a rate-limited
-        :class:`~repro.obs.progress.Heartbeat` for long files.
-
-        ``columnar`` (default: the engine's ``columnar`` flag) switches
-        to the mmap columnar reader and slab fan-out; ``result.trace`` is
-        then the :class:`~repro.net.columnar.ColumnarTrace`, whose record
-        bodies are zero-copy views of the page cache rather than heap
-        copies.
-        """
-        use_columnar = self.columnar if columnar is None else columnar
-        if use_columnar:
-            started = time.perf_counter()
-            with self.profile.stage("ingest.columnar") as ingest:
-                ctrace = read_pcap_columnar(
-                    path, link_name=link_name or str(path),
-                    chunk_records=chunk_records,
-                )
-                ingest.add(records=len(ctrace), bytes=ctrace.total_bytes)
-            with self.profile.stage("parallel.partition") as span:
-                partition = ColumnarShardPartition(num_shards=self.shards)
-                needs_index = (self.config.check_prefix_consistency
-                               or self.config.check_gap_consistency)
-                prefix_index = (
-                    PrefixIndex(prefix_length=self.config.prefix_length)
-                    if needs_index else None
-                )
-                for chunk in ctrace.chunks:
-                    partition.add_chunk(chunk)
-                    if prefix_index is not None:
-                        prefix_index.add_chunk(chunk)
-                    if progress is not None:
-                        progress(len(chunk))
-                span.add(records=partition.records_total)
-            # Partition time includes the ingest read for stats-compat
-            # with the row-by-row branch (both measure "time to fan
-            # out"); the profile's ingest.columnar stage has the split.
-            return self._finish(
-                partition, prefix_index, ctrace, started,
-                ingest.seconds + span.seconds,
-            )
-        started = time.perf_counter()
-        with self.profile.stage("parallel.partition") as span:
-            partition = ShardPartition(num_shards=self.shards)
-            needs_index = (self.config.check_prefix_consistency
-                           or self.config.check_gap_consistency)
-            prefix_index = (
-                PrefixIndex(prefix_length=self.config.prefix_length)
-                if needs_index else None
-            )
-            summary = TraceSummary(link_name=link_name or str(path))
-            index = 0
-            for chunk in iter_pcap_chunks(path, chunk_records=chunk_records):
-                summary.snaplen = chunk.snaplen
-                for record in chunk.records:
-                    partition.add(index, record.timestamp, record.data)
-                    if prefix_index is not None:
-                        prefix_index.add_record(
-                            index, record.timestamp, record.data
-                        )
-                    if summary.record_count == 0:
-                        summary.start_time = record.timestamp
-                    summary.end_time = record.timestamp
-                    summary.record_count += 1
-                    summary.total_bytes += record.wire_length
-                    index += 1
                 if progress is not None:
-                    progress(len(chunk.records))
-            span.add(records=summary.record_count,
-                     bytes=summary.total_bytes)
-        return self._finish(
-            partition, prefix_index, summary, started, span.seconds
-        )
+                    progress(len(chunk))
+            span.add(records=partition.records_total)
+        return self._finish(partition, prefix_index, ctrace, started,
+                            ingest_seconds + span.seconds)
 
     # -- pipeline internals ---------------------------------------------------
 
     def _finish(
         self,
-        partition: ShardPartition | ColumnarShardPartition,
+        partition: ColumnarShardPartition,
         prefix_index: PrefixIndex | None,
         trace,
         started: float,
@@ -521,10 +369,12 @@ class ParallelLoopDetector:
             scan_stats.candidate_streams = len(candidates)
 
             config = self.config
-            validation_trace = trace if isinstance(trace, Trace) else Trace()
+            # The prefix index already holds every record; the trace
+            # argument is only a fallback for building one.
+            empty = Trace()
             validation = validate_streams(
                 candidates,
-                validation_trace,
+                empty,
                 min_stream_size=config.min_stream_size,
                 prefix_length=config.prefix_length,
                 check_prefix_consistency=config.check_prefix_consistency,
@@ -532,7 +382,7 @@ class ParallelLoopDetector:
             )
             loops = merge_streams(
                 validation.valid,
-                validation_trace,
+                empty,
                 merge_gap=config.merge_gap,
                 prefix_length=config.prefix_length,
                 check_gap_consistency=config.check_gap_consistency,
@@ -676,38 +526,20 @@ class ParallelLoopDetector:
             ).set(seconds)
 
     def _run_shards(
-        self, partition: ShardPartition | ColumnarShardPartition
+        self, partition: ColumnarShardPartition
     ) -> list[tuple[int, list[ReplicaStream], ReplicaScanStats, float]]:
         self._last_shm_bytes = 0
-        columnar = isinstance(partition, ColumnarShardPartition)
-        if columnar:
-            if self.shared_memory and self.jobs > 1:
-                total_bytes, descriptors = partition.shm_layout(self.config)
-                if len(descriptors) > 1:
-                    outputs = self._run_shards_shm(
-                        partition, total_bytes, descriptors
-                    )
-                    self._remap_columnar(partition, outputs)
-                    return outputs
-            payloads = partition.payloads(self.config)
-            worker = _detect_shard_columnar
-        else:
-            payloads = [
-                (shard_id, records, self.config)
-                for shard_id, records in enumerate(partition.shards)
-                if records
-            ]
-            worker = _detect_shard
-        if not payloads:
-            return []
-        if self.jobs == 1 or len(payloads) == 1:
-            outputs = [worker(payload) for payload in payloads]
-        else:
-            workers = min(self.jobs, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outputs = list(pool.map(worker, payloads))
-        if columnar:
-            self._remap_columnar(partition, outputs)
+        if self.jobs > 1:
+            total_bytes, descriptors = partition.shm_layout(self.config)
+            if len(descriptors) > 1:
+                outputs = self._run_shards_shm(
+                    partition, total_bytes, descriptors
+                )
+                self._remap_global_indices(partition, outputs)
+                return outputs
+        outputs = [_chain_shard(*payload)
+                   for payload in partition.payloads(self.config)]
+        self._remap_global_indices(partition, outputs)
         return outputs
 
     def _run_shards_shm(
@@ -737,7 +569,7 @@ class ParallelLoopDetector:
                 pass
 
     @staticmethod
-    def _remap_columnar(partition: ColumnarShardPartition, outputs) -> None:
+    def _remap_global_indices(partition: ColumnarShardPartition, outputs) -> None:
         # Workers chained by local shard position; restore the
         # trace-global record numbers from the kept index column.
         # Only stream members (rare) are touched.

@@ -8,9 +8,7 @@ interact.  Records can therefore be hashed to N shards by key and chained
 per shard without losing (or double-counting) a single candidate stream,
 as long as each shard sees its records in global time order.
 
-:func:`shard_key` drops the mutable bytes instead of zeroing them; two
-records have equal masks exactly when they have equal shard keys, which
-is all the assignment needs.  The hash is CRC-32, so the placement is
+The hash is CRC-32 of the masked bytes, so the placement is
 deterministic across processes and runs (unlike ``hash(bytes)``, which is
 salted per interpreter).
 """
@@ -37,122 +35,19 @@ class ShardError(ValueError):
     """Raised for invalid sharding parameters."""
 
 
-def shard_key(data: bytes) -> bytes:
-    """The replica-invariant bytes of a captured packet.
-
-    Equivalent to :func:`~repro.core.replica.mask_mutable_fields` for
-    grouping purposes: the TTL and checksum bytes are removed rather than
-    zeroed, so all replicas of one packet share a shard key.
-    """
-    return (
-        data[:_TTL_OFFSET]
-        + data[_TTL_OFFSET + 1:_CHECKSUM_OFFSET]
-        + data[_CHECKSUM_OFFSET + 2:]
-    )
-
-
-def assign_shard(data: bytes, num_shards: int) -> int:
-    """Deterministic shard id in ``[0, num_shards)`` for a record."""
-    if num_shards < 1:
-        raise ShardError(f"num_shards must be >= 1: {num_shards}")
-    if num_shards == 1:
-        return 0
-    return crc32(shard_key(data)) % num_shards
-
-
-@dataclass(slots=True)
-class ShardPartition:
-    """Per-shard record partitions of one trace.
-
-    Each shard holds ``(global_index, timestamp, data)`` triples in
-    original trace order, ready to feed
-    :func:`~repro.core.replica.detect_replicas_indexed`.  Records shorter
-    than a full IP header never reach a shard (the detector would skip
-    them anyway) but are counted so aggregated scan stats match the
-    offline pass.
-    """
-
-    num_shards: int
-    shards: list[list[tuple[int, float, bytes]]] = field(default_factory=list)
-    records_total: int = 0
-    records_short: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ShardError(f"num_shards must be >= 1: {self.num_shards}")
-        if not self.shards:
-            self.shards = [[] for _ in range(self.num_shards)]
-
-    def add(self, index: int, timestamp: float, data: bytes) -> None:
-        """Route one record to its shard (call in trace order)."""
-        self.records_total += 1
-        if len(data) < MIN_CAPTURE:
-            self.records_short += 1
-            return
-        self.shards[assign_shard(data, self.num_shards)].append(
-            (index, timestamp, data)
-        )
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        return [len(shard) for shard in self.shards]
-
-    @property
-    def fanout_bytes(self) -> int:
-        """Nominal fan-out payload size: record bytes plus the index and
-        timestamp scalars of every triple, excluding per-object pickle
-        framing (which the tuple form pays on top — see the parallel
-        throughput benchmark for measured ``pickle.dumps`` sizes)."""
-        return sum(
-            len(data) + 16
-            for shard in self.shards
-            for _, _, data in shard
-        )
-
-    @property
-    def skew(self) -> float:
-        """Largest shard over the mean shard size (1.0 = perfectly even).
-
-        High skew means one hot key dominates and caps the parallel
-        speedup; it is reported in the engine's instrumentation.  An
-        empty partition reports 0.0 — "no skew observed" — rather than
-        pretending to be perfectly balanced.
-        """
-        sizes = self.shard_sizes
-        total = sum(sizes)
-        if not total:
-            return 0.0
-        return max(sizes) / (total / len(sizes))
-
-
-def partition_records(
-    records, num_shards: int
-) -> ShardPartition:
-    """Partition an iterable of ``(index, timestamp, data)`` triples."""
-    partition = ShardPartition(num_shards=num_shards)
-    for index, timestamp, data in records:
-        partition.add(index, timestamp, data)
-    return partition
-
-
 @dataclass(slots=True)
 class ColumnarShardPartition:
     """Per-shard *columnar slabs* of one trace.
 
-    The tuple-list partition above ships one pickled Python object per
-    record to each worker.  This partition instead accumulates, per
-    shard, one contiguous ``bytearray`` slab of record bodies plus
-    ``array`` columns (global indices, timestamps, captured lengths) that
-    pickle as single buffers — the fan-out payload for a shard of a
-    million 40-byte records is four buffers instead of a million tuples.
+    Accumulates, per shard, one contiguous ``bytearray`` slab of record
+    bodies plus ``array`` columns (global indices, timestamps, captured
+    lengths) — the payload for a shard of a million 40-byte records is
+    four buffers instead of a million per-record objects.
 
-    Shard assignment hashes the *zeroed* mask (CRC-32 of the scratch key
-    the columnar kernel computes anyway) rather than :func:`shard_key`'s
-    byte-removal form.  Two records have equal zeroed masks exactly when
-    they have equal shard keys, so both assignments group replicas
-    identically; the shard *ids* differ between the two partitions, but
-    the global candidate sort makes the final output independent of
-    which shard chained which key.
+    Shard assignment hashes the zeroed mask (CRC-32 of the scratch key
+    the columnar kernel computes anyway), so all replicas of one packet
+    land on one shard; the global candidate sort makes the final output
+    independent of which shard chained which key.
 
     Global record indices never cross the process boundary: workers
     chain by *local* shard position and the parent remaps the (rare)
@@ -303,12 +198,13 @@ class ColumnarShardPartition:
     def payloads(
         self, config
     ) -> list[tuple[int, bytes, array, array, object]]:
-        """Worker payloads: one ``(shard_id, slab, timestamps, lengths,
-        config)`` per non-empty shard — four pickled buffers, no
-        per-record objects.  The slab is frozen to ``bytes``; lengths are
+        """In-process shard inputs: one ``(shard_id, slab, timestamps,
+        lengths, config)`` per non-empty shard — four buffers, no
+        per-record objects, the same shape a shared-memory descriptor
+        resolves to.  The slab is frozen to ``bytes``; lengths are
         narrowed to ``'H'`` when every record fits in 16 bits (always,
-        for snaplen-capped traces).  Use :func:`rebuild_shard_chunk` on
-        the worker side and :meth:`shard_global_indices` to map the
+        for snaplen-capped traces).  Use :func:`rebuild_shard_chunk` to
+        chain a shard and :meth:`shard_global_indices` to map the
         resulting local stream-member positions back to trace-global
         record numbers."""
         payloads = []
@@ -386,9 +282,8 @@ class ColumnarShardPartition:
     @property
     def fanout_bytes(self) -> int:
         """Fan-out payload size: slab bytes plus the per-record column
-        scalars that actually cross the process boundary, excluding
-        pickle framing (a constant few dozen bytes per shard).  Exact
-        once :meth:`payloads` has run; the nominal 12-bytes-per-record
+        scalars handed to the shard runs.  Exact once :meth:`payloads`
+        or :meth:`write_shm` has run; the nominal 12-bytes-per-record
         estimate before."""
         if self._payload_bytes is not None:
             return self._payload_bytes
@@ -404,9 +299,13 @@ class ColumnarShardPartition:
 
     @property
     def skew(self) -> float:
-        """Largest shard over the mean shard size (1.0 = perfectly even),
-        same definition (including 0.0 on an empty partition) as
-        :attr:`ShardPartition.skew`."""
+        """Largest shard over the mean shard size (1.0 = perfectly even).
+
+        High skew means one hot key dominates and caps the parallel
+        speedup; it is reported in the engine's instrumentation.  An
+        empty partition reports 0.0 — "no skew observed" — rather than
+        pretending to be perfectly balanced.
+        """
         sizes = self.shard_sizes
         total = sum(sizes)
         if not total:

@@ -115,3 +115,66 @@ class TestPipeline:
         assert per24.loop_count == 2
         per16 = LoopDetector(DetectorConfig(prefix_length=16)).detect(trace)
         assert per16.loop_count == 1
+
+
+class TestOracleEquivalence:
+    """The product pipeline, serial and sharded, against the reference
+    pipeline of ``tests/oracles.py`` on captures of mixed lengths."""
+
+    @staticmethod
+    def _mixed_capture_trace():
+        from zlib import crc32
+
+        from repro.core.replica import mask_mutable_fields
+        from repro.net.trace import Trace, TraceRecord
+
+        trace = _trace(seed=5, loops=3, background=400)
+        records = []
+        for record in trace.records:
+            # All replicas of one packet share a mask, so they share a
+            # capture length and can still chain.
+            snap = (40, 28, 20, 12, 40)[
+                crc32(mask_mutable_fields(record.data)) % 5]
+            records.append(TraceRecord(timestamp=record.timestamp,
+                                       data=record.data[:snap],
+                                       wire_length=record.wire_length))
+        return Trace(records=records)
+
+    @staticmethod
+    def _fingerprint(result):
+        def stream(s):
+            return (s.key, s.first_data,
+                    tuple((r.index, r.timestamp, r.ttl) for r in s.replicas))
+
+        stats = result.scan_stats
+        return (
+            [stream(s) for s in result.candidate_streams],
+            [stream(s) for s in result.streams],
+            [(str(l.prefix), l.start, l.end,
+              tuple(stream(s) for s in l.streams)) for l in result.loops],
+            (stats.records_scanned, stats.records_skipped_short,
+             stats.candidate_streams),
+            (result.validation.rejected_too_small,
+             result.validation.rejected_prefix_conflict),
+        )
+
+    def test_detect_and_parallel_match_reference(self):
+        from repro.parallel import ParallelLoopDetector
+        from tests.oracles import reference_detect
+
+        trace = self._mixed_capture_trace()
+        lengths = {len(record.data) for record in trace.records}
+        assert lengths == {12, 20, 28, 40}
+        config = DetectorConfig(eviction_interval=7)
+        expected = reference_detect(trace, config)
+        assert expected.loop_count >= 1
+        assert expected.scan_stats.records_skipped_short > 0
+        assert expected.scan_stats.singletons_evicted > 0
+        serial = LoopDetector(config).detect(trace)
+        assert serial.scan_stats == expected.scan_stats
+        # Shards evict on their own scan positions, so only the serial
+        # run shares the oracle's eviction count.
+        sharded = ParallelLoopDetector(config, jobs=2).detect(trace)
+        for result in (serial, sharded):
+            assert result.trace is trace
+            assert self._fingerprint(result) == self._fingerprint(expected)

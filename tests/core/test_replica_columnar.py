@@ -1,9 +1,10 @@
-"""Equivalence tests: batched columnar step-1 kernel vs the reference.
+"""Equivalence tests: batched columnar step-1 kernel vs the oracle.
 
-The columnar kernel must be *behaviourally indistinguishable* from
-``detect_replicas_indexed`` fed the same records — same streams, same
-replica indices, same keys, same first_data bytes — on synthetic loop
-traces, pcap round trips, and through the full three-step pipeline.
+The columnar kernel must be *behaviourally indistinguishable* from the
+reference oracle ``detect_replicas_indexed`` (``tests/oracles.py``) fed
+the same records — same streams, same replica indices, same keys, same
+first_data bytes — on synthetic loop traces, pcap round trips, and
+through the full three-step pipeline.
 """
 
 import random
@@ -11,18 +12,18 @@ import random
 import pytest
 
 from repro.core.detector import DetectorConfig, LoopDetector
-from repro.core.replica import (
-    ReplicaScanStats,
-    detect_replicas,
-    detect_replicas_columnar,
-    detect_replicas_indexed,
-)
+from repro.core.replica import ReplicaScanStats, detect_replicas_columnar
 from repro.core.streaming import StreamingLoopDetector
 from repro.core.streams import PrefixIndex
 from repro.net.addr import IPv4Prefix
-from repro.net.columnar import ColumnarTrace
+from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import (
+    detect_replicas_indexed,
+    reference_detect,
+    reference_replicas,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +54,11 @@ class TestColumnarKernelEquivalence:
         ctrace = ColumnarTrace.from_trace(loop_trace)
         _assert_streams_equal(
             detect_replicas_columnar(ctrace.chunks),
-            detect_replicas(loop_trace),
+            reference_replicas(loop_trace),
         )
 
     def test_matches_across_chunk_boundaries(self, loop_trace):
-        reference = detect_replicas(loop_trace)
+        reference = reference_replicas(loop_trace)
         for chunk_records in (1, 7, 100, 65_536):
             ctrace = ColumnarTrace.from_trace(loop_trace,
                                               chunk_records=chunk_records)
@@ -72,7 +73,7 @@ class TestColumnarKernelEquivalence:
         trace = read_pcap(path)
         _assert_streams_equal(
             detect_replicas_columnar(ctrace.chunks),
-            detect_replicas(trace),
+            reference_replicas(trace),
         )
 
     def test_matches_on_loop_free_trace(self):
@@ -81,7 +82,7 @@ class TestColumnarKernelEquivalence:
         trace = builder.build()
         ctrace = ColumnarTrace.from_trace(trace)
         streams = detect_replicas_columnar(ctrace.chunks)
-        assert streams == detect_replicas(trace) == []
+        assert streams == reference_replicas(trace) == []
 
     def test_accepts_columnar_trace_directly(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
@@ -95,14 +96,14 @@ class TestColumnarKernelEquivalence:
         for kwargs in ({"min_ttl_delta": 3}, {"max_replica_gap": 0.005}):
             _assert_streams_equal(
                 detect_replicas_columnar(ctrace.chunks, **kwargs),
-                detect_replicas(loop_trace, **kwargs),
+                reference_replicas(loop_trace, **kwargs),
             )
 
     def test_scan_stats_match(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
         ref_stats = ReplicaScanStats()
         col_stats = ReplicaScanStats()
-        detect_replicas(loop_trace, stats=ref_stats)
+        reference_replicas(loop_trace, stats=ref_stats)
         detect_replicas_columnar(ctrace.chunks, stats=col_stats)
         assert col_stats.records_scanned == ref_stats.records_scanned
         assert col_stats.records_skipped_short == \
@@ -118,7 +119,7 @@ class TestColumnarKernelEquivalence:
                 detect_replicas_columnar(ctrace.chunks,
                                          eviction_interval=interval,
                                          stats=col_stats),
-                detect_replicas(loop_trace, eviction_interval=interval,
+                reference_replicas(loop_trace, eviction_interval=interval,
                                 stats=ref_stats),
             )
             assert col_stats.singletons_evicted == \
@@ -131,7 +132,7 @@ class TestColumnarKernelEquivalence:
         # promotable by the other.
         import dataclasses
 
-        reference = detect_replicas(loop_trace)
+        reference = reference_replicas(loop_trace)
         for chunk_records in (5, 37):
             ctrace = ColumnarTrace.from_trace(loop_trace,
                                               chunk_records=chunk_records)
@@ -142,20 +143,29 @@ class TestColumnarKernelEquivalence:
             _assert_streams_equal(detect_replicas_columnar(mixed), reference)
 
     def test_sharded_subset_carries_global_indices(self, loop_trace):
-        # Feeding only a subset (with original indices) must produce
-        # streams whose member indices line up with the full trace — the
-        # property the parallel engine depends on.
-        reference = detect_replicas(loop_trace)
-        keep = {i for stream in reference for i in stream.member_indices()}
-        subset = [(i, r.timestamp, r.data)
-                  for i, r in enumerate(loop_trace.records) if i in keep]
+        # Feeding only a subset (with an explicit global index column)
+        # must produce streams whose member indices line up with the
+        # full trace — the property the parallel engine depends on.
+        import dataclasses
+        from array import array
+
+        reference = reference_replicas(loop_trace)
+        keep = sorted({i for stream in reference
+                       for i in stream.member_indices()})
+        chunk = ColumnarChunk.from_records(
+            [loop_trace.records[i] for i in keep]
+        )
+        chunk = dataclasses.replace(chunk, indices=array("Q", keep))
+        _assert_streams_equal(detect_replicas_columnar([chunk]), reference)
+        subset = [(i, loop_trace.records[i].timestamp,
+                   loop_trace.records[i].data) for i in keep]
         _assert_streams_equal(detect_replicas_indexed(subset), reference)
 
 
 class TestFullPipelineEquivalence:
     def test_detect_columnar_matches_detect(self, loop_trace):
         detector = LoopDetector()
-        reference = detector.detect(loop_trace)
+        reference = reference_detect(loop_trace)
         columnar = detector.detect_columnar(
             ColumnarTrace.from_trace(loop_trace)
         )
@@ -170,7 +180,7 @@ class TestFullPipelineEquivalence:
     def test_detect_columnar_with_custom_config(self, loop_trace):
         config = DetectorConfig(min_stream_size=3, prefix_length=16)
         detector = LoopDetector(config)
-        reference = detector.detect(loop_trace)
+        reference = reference_detect(loop_trace, config)
         columnar = detector.detect_columnar(
             ColumnarTrace.from_trace(loop_trace)
         )
@@ -178,9 +188,14 @@ class TestFullPipelineEquivalence:
 
 
 class TestStreamingColumnarEquivalence:
-    def test_process_trace_columnar_matches_process_trace(self, loop_trace):
-        reference = StreamingLoopDetector().process_trace(loop_trace)
-        columnar = StreamingLoopDetector().process_trace_columnar(
+    def test_chunks_match_record_feed(self, loop_trace):
+        per_record = StreamingLoopDetector()
+        reference = []
+        for record in loop_trace:
+            reference.extend(per_record.process(record.timestamp,
+                                                record.data))
+        reference.extend(per_record.flush())
+        columnar = StreamingLoopDetector().process_trace(
             ColumnarTrace.from_trace(loop_trace, chunk_records=53)
         )
         assert len(columnar) == len(reference)
@@ -201,7 +216,7 @@ class TestPrefixIndexChunked:
         for chunk in ctrace.chunks:
             by_chunk.add_chunk(chunk)
         assert by_chunk._by_prefix == by_record._by_prefix
-        for stream in detect_replicas(loop_trace):
+        for stream in reference_replicas(loop_trace):
             prefix = stream.dst_prefix(24)
             assert (by_chunk.records_in_window(prefix, 0.0, 120.0)
                     == by_record.records_in_window(prefix, 0.0, 120.0))

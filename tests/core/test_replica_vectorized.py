@@ -6,12 +6,11 @@ Three contracts:
   (``crc32_rows`` vs ``zlib.crc32``; the hash weight table is
   prefix-stable as it grows);
 * ``detect_replicas_vectorized`` returns byte-identical streams AND
-  scan stats to the reference and pure-python columnar kernels on
-  every layout — regular, padded strides, irregular, mixed, heavy
-  eviction;
+  scan stats to the reference oracle (``tests/oracles.py``) and the
+  pure-python columnar kernel on every layout — regular, padded
+  strides, irregular, mixed, heavy eviction;
 * tier dispatch: ``resolve_kernel`` / ``detect_replicas_with_kernel``
-  route correctly, ``auto`` degrades to ``columnar`` without numpy, and
-  ``DetectorConfig`` rejects unknown tiers.
+  route correctly and ``auto`` degrades to ``columnar`` without numpy.
 """
 
 import random
@@ -23,12 +22,9 @@ import pytest
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core import vectorize
-from repro.core.detector import DetectorConfig, DetectorError
 from repro.core.replica import (
-    KERNEL_TIERS,
     ReplicaError,
     ReplicaScanStats,
-    detect_replicas,
     detect_replicas_columnar,
     detect_replicas_vectorized,
     detect_replicas_with_kernel,
@@ -37,6 +33,7 @@ from repro.core.replica import (
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import detect_replicas_indexed, reference_replicas
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
 BACKGROUND = IPv4Prefix.parse("198.51.100.0/24")
@@ -87,17 +84,20 @@ def _chunks_from_bodies(bodies, chunk_records=7, spacing=0.01):
     return chunks
 
 
+def _oracle(chunks, **kwargs):
+    return detect_replicas_indexed(
+        (t for chunk in chunks for t in chunk.iter_triples()), **kwargs
+    )
+
+
 def _all_tiers(chunks, **kwargs):
-    """Run all three tiers with fresh stats; return [(fps, stats)]."""
+    """Run the oracle and both kernel tiers with fresh stats; return
+    [(fps, stats)]."""
     out = []
-    for impl in (None, detect_replicas_columnar, detect_replicas_vectorized):
+    for impl in (_oracle, detect_replicas_columnar,
+                 detect_replicas_vectorized):
         stats = ReplicaScanStats()
-        if impl is None:
-            streams = detect_replicas_with_kernel(
-                chunks, kernel="reference", stats=stats, **kwargs
-            )
-        else:
-            streams = impl(chunks, stats=stats, **kwargs)
+        streams = impl(chunks, stats=stats, **kwargs)
         out.append((_fps(streams), (stats.records_scanned,
                                     stats.records_skipped_short,
                                     stats.singletons_evicted,
@@ -139,9 +139,9 @@ class TestVectorizedKernelEquivalence:
         trace = _loop_trace()
         ctrace = ColumnarTrace.from_trace(trace, chunk_records=100)
         _assert_tiers_identical(ctrace.chunks)
-        # and the reference detector agrees stream for stream
+        # and the oracle over the materialized trace agrees
         vec = detect_replicas_vectorized(ctrace.chunks)
-        assert _fps(vec) == _fps(detect_replicas(trace))
+        assert _fps(vec) == _fps(reference_replicas(trace))
 
     def test_padded_stride(self):
         # stride > record length: rows are strided slices, not packed.
@@ -223,7 +223,7 @@ class TestVectorizedKernelEquivalence:
 class TestTierDispatch:
     def test_resolve_auto_prefers_vectorized(self):
         assert resolve_kernel("auto") == "vectorized"
-        for tier in ("reference", "columnar", "vectorized"):
+        for tier in ("columnar", "vectorized"):
             assert resolve_kernel(tier) == tier
 
     def test_resolve_rejects_unknown(self):
@@ -249,9 +249,3 @@ class TestTierDispatch:
         by_trace = detect_replicas_with_kernel(ctrace, kernel="vectorized")
         by_list = detect_replicas_with_kernel(ctrace.chunks, kernel="auto")
         assert _fps(by_trace) == _fps(by_list)
-
-    def test_config_validates_kernel(self):
-        for tier in KERNEL_TIERS:
-            assert DetectorConfig(kernel=tier).kernel == tier
-        with pytest.raises(DetectorError):
-            DetectorConfig(kernel="simd")

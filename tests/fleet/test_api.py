@@ -107,9 +107,6 @@ class TestEndpoints:
         assert state["task"]["state"] == "stopped"
         assert state["run"]["loops"] == state["detector"]["stats"][
             "loops_emitted"]
-        assert state["detector"]["kernel"] == "auto"
-        assert state["detector"]["resolved_kernel"] in (
-            "columnar", "vectorized")
 
     def test_per_link_dashboard_and_metrics(self, fleet):
         _, server = fleet
@@ -212,7 +209,7 @@ class TestParity:
         supervisor, _ = fleet
         for link_id, path in traces.items():
             independent = StreamingLoopDetector(DetectorConfig())
-            expected = independent.process_trace_columnar(
+            expected = independent.process_trace(
                 read_pcap_columnar(path)
             )
             pipeline = supervisor.pipelines[link_id]

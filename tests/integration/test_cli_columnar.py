@@ -1,19 +1,29 @@
-"""CLI-level parity: --columnar and --no-columnar print the same thing.
+"""CLI-level parity: every command prints what the reference oracle
+computes.
 
-The flag selects an execution path, never an answer — every command and
-output mode must produce byte-identical stdout either way.  Plus the
---profile satellite: a pstats-loadable profile lands where asked.
+The CLI reads pcaps through the zero-copy columnar pipeline; the
+expected output here is rendered from a materialized trace run through
+``tests/oracles.py`` (offline commands) or through the per-record
+streaming feed (streaming and monitor commands).  Every output mode
+must match byte for byte.  Runs with and without numpy, so both
+step-1 kernel tiers are held to the same oracle.
 """
 
-import pstats
+import json
 import random
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_figures, main
+from repro.core.detector import DetectorConfig
+from repro.core.report import render_summary
+from repro.core.serialize import result_to_dict
+from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
-from repro.net.pcap import write_pcap
+from repro.net.pcap import read_pcap, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import reference_detect
 
 
 @pytest.fixture(scope="module")
@@ -35,95 +45,114 @@ def _run(capsys, argv):
     return out
 
 
-class TestColumnarFlagParity:
-    def _both(self, capsys, argv_tail):
-        base = ["detect", *argv_tail]
-        columnar = _run(capsys, [*base[:1], base[1],
-                                 "--columnar", *base[2:]])
-        reference = _run(capsys, [*base[:1], base[1],
-                                  "--no-columnar", *base[2:]])
-        assert columnar == reference
-        return columnar
+def _oracle(path, link_name="", **config):
+    return reference_detect(read_pcap(path, link_name=link_name),
+                            DetectorConfig(**config))
 
+
+def _streaming_oracle(path, monitor=None):
+    """The per-record streaming feed over a materialized trace."""
+    streaming = StreamingLoopDetector(DetectorConfig())
+    pairs = ((record.timestamp, record.data)
+             for record in read_pcap(path))
+    if monitor is None:
+        loops = []
+        for timestamp, data in pairs:
+            loops.extend(streaming.process(timestamp, data))
+    else:
+        from repro.obs.live import attach_detector, feed_pairs
+
+        attach_detector(monitor, streaming)
+        loops = feed_pairs(streaming, monitor, pairs)
+    loops.extend(streaming.flush())
+    return streaming, loops
+
+
+class TestColumnarFlagParity:
     def test_detect_summary_identical(self, loop_pcap, capsys):
-        out = self._both(capsys, [str(loop_pcap)])
+        out = _run(capsys, ["detect", str(loop_pcap)])
+        assert out == render_summary(_oracle(loop_pcap)) + "\n"
         assert "validated streams: 2" in out
         assert "routing loops: 1" in out
 
     def test_detect_figures_identical(self, loop_pcap, capsys):
-        out = self._both(capsys, [str(loop_pcap), "--figures"])
+        out = _run(capsys, ["detect", str(loop_pcap), "--figures"])
+        result = _oracle(loop_pcap)
+        print(render_summary(result))
+        _print_figures(result)
+        assert out == capsys.readouterr().out
         assert "Figure 2" in out
 
     def test_detect_json_identical(self, loop_pcap, capsys):
-        out = self._both(capsys, [str(loop_pcap), "--json"])
+        out = _run(capsys, ["detect", str(loop_pcap), "--json"])
+        document = json.loads(out)
+        # ``metrics`` is the run's registry snapshot, not detection
+        # output; every detection section must match the oracle.
+        del document["metrics"]
+        assert document == json.loads(json.dumps(
+            result_to_dict(_oracle(loop_pcap))))
         assert '"loops"' in out
 
     def test_detect_streaming_identical(self, loop_pcap, capsys):
-        out = self._both(capsys, [str(loop_pcap), "--streaming"])
+        out = _run(capsys, ["detect", str(loop_pcap), "--streaming"])
+        streaming, loops = _streaming_oracle(loop_pcap)
+        lines = [f"records: {streaming.stats.records}",
+                 f"streams completed: {streaming.stats.streams_completed}",
+                 f"routing loops: {len(loops)}"]
+        lines += [f"  {loop.prefix}  {loop.start:.3f}..{loop.end:.3f}s  "
+                  f"delta={loop.ttl_delta} replicas={loop.replica_count}"
+                  for loop in loops]
+        assert out == "\n".join(lines) + "\n"
         assert "routing loops: 1" in out
 
     def test_detect_options_identical(self, loop_pcap, capsys):
-        out = self._both(capsys, [str(loop_pcap),
-                                  "--min-stream-size", "9"])
+        out = _run(capsys, ["detect", str(loop_pcap),
+                            "--min-stream-size", "9"])
+        assert out == render_summary(
+            _oracle(loop_pcap, min_stream_size=9)) + "\n"
         assert "validated streams: 0" in out
 
     def test_detect_parallel_identical(self, loop_pcap, capsys):
-        columnar = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2",
-                                 "--columnar"])
-        reference = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2",
-                                  "--no-columnar"])
-        # The instrumentation block reports fan-out payload sizes, which
-        # legitimately differ between the two paths; everything above it
-        # (the detection summary) must match.
-        def summary(text):
-            return text.split("parallel:")[0]
-
-        assert summary(columnar) == summary(reference)
-        assert "fan-out payload:" in columnar
+        out = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2"])
+        # The instrumentation block below the summary reports timings
+        # and fan-out sizes; the detection summary must match.
+        expected = render_summary(_oracle(loop_pcap,
+                                          link_name=str(loop_pcap)))
+        assert out.split("\n\nparallel:")[0] == expected
+        assert "fan-out payload:" in out
 
     def test_monitor_identical(self, loop_pcap, capsys):
-        columnar = _run(capsys, ["monitor", str(loop_pcap),
-                                 "--no-dashboard", "--columnar"])
-        reference = _run(capsys, ["monitor", str(loop_pcap),
-                                  "--no-dashboard", "--no-columnar"])
-        assert columnar == reference
+        from repro.obs.live import LiveMonitor
+        from repro.obs.metrics import MetricsRegistry
 
-
-class TestProfileFlag:
-    def test_detect_profile_writes_pstats(self, loop_pcap, tmp_path,
-                                          capsys):
-        out_path = tmp_path / "detect.pstats"
-        _run(capsys, ["detect", str(loop_pcap),
-                      "--profile", str(out_path)])
-        assert out_path.exists()
-        stats = pstats.Stats(str(out_path))
-        assert stats.total_calls > 0
-
-    def test_batch_profile_writes_pstats(self, loop_pcap, tmp_path,
-                                         capsys):
-        out_path = tmp_path / "batch.pstats"
-        _run(capsys, ["batch", str(loop_pcap),
-                      "--profile", str(out_path)])
-        assert out_path.exists()
-        assert pstats.Stats(str(out_path)).total_calls > 0
-
-    def test_profile_not_written_without_flag(self, loop_pcap, tmp_path,
-                                              capsys):
-        _run(capsys, ["detect", str(loop_pcap)])
-        assert not list(tmp_path.iterdir())
+        out = _run(capsys, ["monitor", str(loop_pcap), "--no-dashboard"])
+        monitor = LiveMonitor(registry=MetricsRegistry(enabled=True))
+        streaming, loops = _streaming_oracle(loop_pcap, monitor)
+        monitor.finish()
+        assert out == (f"records: {streaming.stats.records}\n"
+                       f"routing loops: {len(loops)}\n"
+                       f"alerts: {len(monitor.alerts.history)}\n")
 
 
 class TestBatchColumnarParity:
     def test_batch_pcap_identical(self, loop_pcap, capsys):
-        import re
+        from repro.parallel.batch import BatchItemResult, BatchResult
 
-        columnar = _run(capsys, ["batch", str(loop_pcap), "--columnar"])
-        reference = _run(capsys, ["batch", str(loop_pcap),
-                                  "--no-columnar"])
+        out = _run(capsys, ["batch", str(loop_pcap)])
+        result = _oracle(loop_pcap, link_name=str(loop_pcap))
+        expected = BatchResult(items=[BatchItemResult(
+            name=str(loop_pcap), kind="pcap",
+            records=len(result.trace),
+            trace_seconds=result.trace.duration,
+            candidate_streams=len(result.candidate_streams),
+            validated_streams=result.stream_count,
+            loops=result.loop_count,
+            looped_packets=result.looped_packet_count,
+        )])
 
         # Wall-clock columns (2-decimal seconds) legitimately vary
         # between runs; every detection number must match.
         def normalize(text):
             return re.sub(r"\d+\.\d\d", "X", text)
 
-        assert normalize(columnar) == normalize(reference)
+        assert normalize(out) == normalize(expected.render() + "\n")

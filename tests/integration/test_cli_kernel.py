@@ -1,17 +1,19 @@
-"""CLI-level kernel-tier parity: --kernel never changes the answer.
+"""CLI-level kernel-tier parity: the tier numpy selects never changes
+the answer.
 
-Every tier (and the parallel engine on top of the shared-memory
-fan-out) must print byte-identical JSON — the tier picks an
-implementation, not a result.  Plus flag semantics: an explicit
---kernel overrides the --columnar ingest default.
+Every product entry point runs the ``auto`` step-1 tier: ``vectorized``
+when numpy imports, the pure-python ``columnar`` kernel otherwise.  The
+CLI must print byte-identical output either way, and the parallel
+engine on top of the shared-memory fan-out must agree with both.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.cli import main
-from repro.core.replica import KERNEL_TIERS
+from repro.core import vectorize
 from repro.net.addr import IPv4Prefix
 from repro.net.pcap import write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
@@ -36,27 +38,30 @@ def _run(capsys, argv):
     return out
 
 
+def _both_tiers(capsys, monkeypatch, argv):
+    """``argv``'s output as-is and with numpy hidden from the program."""
+    native = _run(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorize, "np", None)
+        patch.setattr(vectorize, "HAVE_NUMPY", False)
+        without_numpy = _run(capsys, argv)
+    return native, without_numpy
+
+
 class TestKernelParity:
-    def test_json_identical_across_tiers(self, loop_pcap, capsys):
-        outputs = {
-            tier: _run(capsys, ["detect", str(loop_pcap), "--json",
-                                "--kernel", tier])
-            for tier in KERNEL_TIERS
-        }
-        assert len(set(outputs.values())) == 1
-        assert '"loops"' in outputs["auto"]
+    def test_json_identical_across_tiers(self, loop_pcap, capsys,
+                                         monkeypatch):
+        native, without_numpy = _both_tiers(
+            capsys, monkeypatch, ["detect", str(loop_pcap), "--json"])
+        assert native == without_numpy
+        assert '"loops"' in native
 
     def test_json_identical_with_parallel_shm_fanout(self, loop_pcap,
                                                      capsys):
-        import json
-
         single = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                          "--json",
-                                          "--kernel", "reference"]))
+                                          "--json"]))
         parallel = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                            "--json",
-                                            "--kernel", "vectorized",
-                                            "--jobs", "2"]))
+                                            "--json", "--jobs", "2"]))
         # The parallel run adds wall-clock gauges and stamps the link
         # name; every detection key must match byte for byte.
         for key in single:
@@ -67,31 +72,9 @@ class TestKernelParity:
         parallel["trace"].pop("link")
         assert parallel["trace"] == single["trace"]
 
-    def test_summary_identical_across_tiers(self, loop_pcap, capsys):
-        outputs = {
-            tier: _run(capsys, ["detect", str(loop_pcap),
-                                "--kernel", tier])
-            for tier in ("reference", "columnar", "vectorized")
-        }
-        assert len(set(outputs.values())) == 1
-        assert "routing loops: 1" in outputs["reference"]
-
-    def test_kernel_overrides_columnar_flag(self, loop_pcap, capsys):
-        # --no-columnar alone means the reference path; an explicit
-        # --kernel wins over it and still prints the same answer.
-        reference = _run(capsys, ["detect", str(loop_pcap), "--json",
-                                  "--no-columnar"])
-        overridden = _run(capsys, ["detect", str(loop_pcap), "--json",
-                                   "--no-columnar",
-                                   "--kernel", "vectorized"])
-        assert overridden == reference
-
-    def test_rejects_unknown_tier(self, loop_pcap, capsys):
-        with pytest.raises(SystemExit):
-            main(["detect", str(loop_pcap), "--kernel", "simd"])
-        capsys.readouterr()
-
-    def test_monitor_accepts_kernel(self, loop_pcap, capsys):
-        out = _run(capsys, ["monitor", str(loop_pcap), "--no-dashboard",
-                            "--kernel", "auto"])
-        assert "routing loops:" in out
+    def test_summary_identical_across_tiers(self, loop_pcap, capsys,
+                                            monkeypatch):
+        native, without_numpy = _both_tiers(
+            capsys, monkeypatch, ["detect", str(loop_pcap)])
+        assert native == without_numpy
+        assert "routing loops: 1" in native

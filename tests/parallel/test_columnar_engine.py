@@ -1,10 +1,9 @@
 """Tests for the columnar slab fan-out in the parallel engine.
 
 Exactness first — columnar sharding must produce byte-identical streams
-and loops to the offline detector for every shard count and worker
-count — then the perf contract: the slab payloads that actually cross
-the process boundary must pickle smaller than the tuple-list payloads
-they replace.
+and loops to the reference pipeline for every shard count and worker
+count — then the perf contract: the slab payloads must pickle smaller
+than per-record ``(index, timestamp, bytes)`` tuple lists.
 """
 
 import pickle
@@ -12,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.detector import DetectorConfig, LoopDetector
+from repro.core.detector import DetectorConfig
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import write_pcap
@@ -20,11 +19,10 @@ from repro.parallel.engine import ParallelLoopDetector
 from repro.parallel.shard import (
     ColumnarShardPartition,
     ShardError,
-    ShardPartition,
-    assign_shard,
     rebuild_shard_chunk,
 )
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import reference_detect
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +78,6 @@ class TestColumnarShardPartition:
                 masked = (data[:8] + b"\x00" + data[9:10] + b"\x00\x00"
                           + data[12:])
                 assert mask_to_shard.setdefault(masked, shard_id) == shard_id
-
-    def test_record_accounting_matches_tuple_partition(self, loop_ctrace,
-                                                       loop_trace):
-        columnar = ColumnarShardPartition(num_shards=3)
-        for chunk in loop_ctrace.chunks:
-            columnar.add_chunk(chunk)
-        reference = ShardPartition(num_shards=3)
-        for i, record in enumerate(loop_trace.records):
-            reference.add(i, record.timestamp, record.data)
-        assert columnar.records_total == reference.records_total
-        assert columnar.records_short == reference.records_short
-        assert sum(columnar.shard_sizes) == sum(reference.shard_sizes)
 
     def test_short_records_counted_not_shipped(self, loop_trace):
         from repro.net.trace import Trace, TraceRecord
@@ -157,34 +143,10 @@ class TestColumnarShardPartition:
             partition.records_total - partition.records_short
         ]
 
-    def test_columnar_grouping_consistent_with_assign_shard(self,
-                                                            loop_trace):
-        # The zeroed-mask CRC and shard_key CRC differ per record, but
-        # both must keep equal-mask records together: records that share
-        # a tuple-partition shard key must share a columnar shard.
-        partition = ColumnarShardPartition(num_shards=4)
-        for chunk in ColumnarTrace.from_trace(loop_trace).chunks:
-            partition.add_chunk(chunk)
-        shard_of = {}
-        for shard_id in range(4):
-            for index in partition.shard_global_indices(shard_id):
-                shard_of[index] = shard_id
-        key_to_columnar_shard = {}
-        for i, record in enumerate(loop_trace.records):
-            if len(record.data) < 20:
-                continue
-            tuple_shard = assign_shard(record.data, 4)
-            columnar_shard = shard_of[i]
-            key = (tuple_shard, record.data[:8], record.data[9:10],
-                   record.data[12:])
-            assert key_to_columnar_shard.setdefault(
-                key, columnar_shard
-            ) == columnar_shard
-
 
 class TestColumnarEngineExactness:
     def test_detect_columnar_matches_offline(self, loop_trace, loop_ctrace):
-        offline = LoopDetector().detect(loop_trace)
+        offline = reference_detect(loop_trace)
         for shards in (1, 2, 4):
             parallel = ParallelLoopDetector(shards=shards).detect_columnar(
                 loop_ctrace
@@ -198,6 +160,8 @@ class TestColumnarEngineExactness:
 
     def test_detect_columnar_matches_tuple_engine(self, loop_trace,
                                                   loop_ctrace):
+        # detect() takes a materialized trace (one object per record)
+        # and converts it with ColumnarTrace.from_trace.
         for shards in (1, 3):
             tuple_result = ParallelLoopDetector(shards=shards).detect(
                 loop_trace
@@ -209,7 +173,7 @@ class TestColumnarEngineExactness:
                     == [_stream_fp(s) for s in tuple_result.streams])
 
     def test_detect_columnar_multiprocess(self, loop_trace, loop_ctrace):
-        offline = LoopDetector().detect(loop_trace)
+        offline = reference_detect(loop_trace)
         parallel = ParallelLoopDetector(jobs=2, shards=4).detect_columnar(
             loop_ctrace
         )
@@ -222,37 +186,23 @@ class TestColumnarEngineExactness:
                                                          tmp_path):
         path = tmp_path / "loop.pcap"
         write_pcap(loop_trace, path)
-        reference = ParallelLoopDetector(shards=2).detect_file(
-            path, columnar=False
-        )
-        columnar = ParallelLoopDetector(shards=2).detect_file(
-            path, columnar=True
-        )
+        columnar = ParallelLoopDetector(shards=2).detect_file(path)
+        assert isinstance(columnar.trace, ColumnarTrace)
+        # Compare against the oracle on the *round-tripped* trace — pcap
+        # quantizes timestamps to microseconds.
+        from repro.net.pcap import read_pcap
+
+        reference = reference_detect(read_pcap(path))
         assert ([_stream_fp(s) for s in columnar.streams]
                 == [_stream_fp(s) for s in reference.streams])
         assert ([_loop_fp(l) for l in columnar.loops]
                 == [_loop_fp(l) for l in reference.loops])
         assert columnar.parallel.fanout_bytes > 0
 
-    def test_engine_columnar_flag_routes_detect_file(self, loop_trace,
-                                                     tmp_path):
-        path = tmp_path / "loop.pcap"
-        write_pcap(loop_trace, path)
-        engine = ParallelLoopDetector(shards=2, columnar=True)
-        result = engine.detect_file(path)
-        assert isinstance(result.trace, ColumnarTrace)
-        # Compare against offline on the *round-tripped* trace — pcap
-        # quantizes timestamps to microseconds.
-        from repro.net.pcap import read_pcap
-
-        offline = LoopDetector().detect(read_pcap(path))
-        assert ([_stream_fp(s) for s in result.streams]
-                == [_stream_fp(s) for s in offline.streams])
-
     def test_custom_config_forwarded_to_workers(self, loop_trace,
                                                 loop_ctrace):
         config = DetectorConfig(min_ttl_delta=3, min_stream_size=3)
-        offline = LoopDetector(config).detect(loop_trace)
+        offline = reference_detect(loop_trace, config)
         parallel = ParallelLoopDetector(
             config, shards=3
         ).detect_columnar(loop_ctrace)
@@ -263,24 +213,24 @@ class TestColumnarEngineExactness:
 class TestFanoutPayloadSize:
     def test_columnar_payloads_pickle_smaller_than_tuples(self, loop_trace,
                                                           loop_ctrace):
-        """The perf contract: measured pickle.dumps of what actually
-        crosses the process boundary, columnar vs tuple-list."""
+        """The perf contract: measured pickle.dumps of the slab payloads
+        vs the same shards as per-record tuple lists."""
         config = DetectorConfig()
         shards = 4
-
-        tuple_partition = ShardPartition(num_shards=shards)
-        for i, record in enumerate(loop_trace.records):
-            tuple_partition.add(i, record.timestamp, record.data)
-        tuple_bytes = sum(
-            len(pickle.dumps((shard_id, shard, config),
-                             protocol=pickle.HIGHEST_PROTOCOL))
-            for shard_id, shard in enumerate(tuple_partition.shards)
-            if shard
-        )
 
         columnar_partition = ColumnarShardPartition(num_shards=shards)
         for chunk in loop_ctrace.chunks:
             columnar_partition.add_chunk(chunk)
+        records = loop_trace.records
+        tuple_bytes = 0
+        for shard_id in range(shards):
+            shard = [(i, records[i].timestamp, records[i].data)
+                     for i in columnar_partition.shard_global_indices(
+                         shard_id)]
+            if shard:
+                tuple_bytes += len(pickle.dumps(
+                    (shard_id, shard, config),
+                    protocol=pickle.HIGHEST_PROTOCOL))
         columnar_bytes = sum(
             len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
             for payload in columnar_partition.payloads(config)

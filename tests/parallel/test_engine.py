@@ -2,23 +2,21 @@
 
 The load-bearing property is exactness: for any worker count, the
 parallel engine must return byte-identical streams and loops to the
-offline :class:`LoopDetector`.
+reference pipeline in ``tests/oracles.py``.
 """
 
 import random
 
 import pytest
 
-from repro.core.detector import DetectorConfig, LoopDetector
+from repro.core.detector import DetectorConfig
 from repro.net.addr import IPv4Prefix
 from repro.net.pcap import write_pcap
 from repro.net.trace import Trace
-from repro.parallel.engine import (
-    ParallelError,
-    ParallelLoopDetector,
-    TraceSummary,
-)
+from repro.net.columnar import ColumnarTrace
+from repro.parallel.engine import ParallelError, ParallelLoopDetector
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import reference_detect
 
 
 def stream_fingerprint(stream):
@@ -80,7 +78,7 @@ def mixed_trace():
 
 @pytest.fixture(scope="module")
 def offline_result(mixed_trace):
-    return LoopDetector().detect(mixed_trace)
+    return reference_detect(mixed_trace)
 
 
 class TestExactEquivalence:
@@ -100,7 +98,7 @@ class TestExactEquivalence:
         config = DetectorConfig(merge_gap=5.0, min_stream_size=4,
                                 check_prefix_consistency=False,
                                 check_gap_consistency=False)
-        offline = LoopDetector(config).detect(mixed_trace)
+        offline = reference_detect(mixed_trace, config)
         parallel = ParallelLoopDetector(config, jobs=2).detect(mixed_trace)
         assert_identical(parallel, offline)
 
@@ -124,7 +122,7 @@ class TestDetectFile:
 
         path = tmp_path / "trace.pcap"
         write_pcap(mixed_trace, path)
-        offline = LoopDetector().detect(read_pcap(path))
+        offline = reference_detect(read_pcap(path))
         result = ParallelLoopDetector(jobs=jobs).detect_file(
             path, chunk_records=1000
         )
@@ -138,7 +136,7 @@ class TestDetectFile:
         reread = read_pcap(path)
         result = ParallelLoopDetector(jobs=1).detect_file(path)
         summary = result.trace
-        assert isinstance(summary, TraceSummary)
+        assert isinstance(summary, ColumnarTrace)
         assert len(summary) == len(reread)
         assert summary.duration == pytest.approx(reread.duration, abs=1e-6)
         assert summary.total_bytes == reread.total_bytes

@@ -5,17 +5,9 @@ import random
 import pytest
 
 from repro.core import vectorize
-from repro.core.replica import mask_mutable_fields
 from repro.net.columnar import ColumnarChunk
-from repro.parallel.shard import (
-    MIN_CAPTURE,
-    ColumnarShardPartition,
-    ShardError,
-    ShardPartition,
-    assign_shard,
-    partition_records,
-    shard_key,
-)
+from repro.net.trace import TraceRecord
+from repro.parallel.shard import MIN_CAPTURE, ColumnarShardPartition
 
 
 def _packet(ttl: int, checksum: int, payload: bytes = b"") -> bytes:
@@ -28,30 +20,18 @@ def _packet(ttl: int, checksum: int, payload: bytes = b"") -> bytes:
     return bytes(header) + payload
 
 
-class TestShardKey:
-    def test_replicas_share_a_key(self):
-        a = _packet(ttl=60, checksum=0x1234, payload=b"data")
-        b = _packet(ttl=55, checksum=0xBEEF, payload=b"data")
-        assert shard_key(a) == shard_key(b)
-
-    def test_key_matches_mask_equivalence(self):
-        """Equal masks <=> equal shard keys, for any payload pair."""
-        rng = random.Random(0)
-        packets = [
-            _packet(rng.randrange(1, 255), rng.randrange(65536),
-                    bytes(rng.randrange(256) for _ in range(rng.randrange(8))))
-            for _ in range(50)
-        ]
-        for a in packets:
-            for b in packets:
-                same_mask = mask_mutable_fields(a) == mask_mutable_fields(b)
-                same_key = shard_key(a) == shard_key(b)
-                assert same_mask == same_key
-
-    def test_different_payloads_differ(self):
-        a = _packet(ttl=60, checksum=0, payload=b"aaaa")
-        b = _packet(ttl=60, checksum=0, payload=b"bbbb")
-        assert shard_key(a) != shard_key(b)
+def _partition(bodies, num_shards, chunk_records=64):
+    """Partition ``bodies`` (record i at time i) chunk by chunk."""
+    partition = ColumnarShardPartition(num_shards=num_shards)
+    for start in range(0, len(bodies), chunk_records):
+        batch = bodies[start:start + chunk_records]
+        partition.add_chunk(ColumnarChunk.from_records(
+            [TraceRecord(timestamp=float(start + i), data=body,
+                         wire_length=len(body))
+             for i, body in enumerate(batch)],
+            base_index=start,
+        ))
+    return partition
 
 
 class TestAssignShard:
@@ -59,63 +39,53 @@ class TestAssignShard:
         for num_shards in (1, 2, 3, 4, 7):
             a = _packet(ttl=60, checksum=0x1234, payload=b"xyz")
             b = _packet(ttl=42, checksum=0x9999, payload=b"xyz")
-            assert assign_shard(a, num_shards) == assign_shard(b, num_shards)
+            partition = _partition([a, b], num_shards)
+            assert sorted(partition.shard_sizes)[-1] == 2
 
     def test_within_range_and_deterministic(self):
         rng = random.Random(1)
-        for _ in range(100):
-            data = _packet(rng.randrange(1, 255), rng.randrange(65536),
-                           bytes(rng.randrange(256) for _ in range(4)))
-            shard = assign_shard(data, 4)
-            assert 0 <= shard < 4
-            assert assign_shard(data, 4) == shard
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ShardError):
-            assign_shard(_packet(60, 0), 0)
+        bodies = [_packet(rng.randrange(1, 255), rng.randrange(65536),
+                          bytes(rng.randrange(256) for _ in range(4)))
+                  for _ in range(100)]
+        first = _partition(bodies, 4)
+        again = _partition(bodies, 4, chunk_records=9)
+        assert len(first.shard_sizes) == 4
+        assert sum(first.shard_sizes) == 100
+        for shard in range(4):
+            assert (first.shard_global_indices(shard)
+                    == again.shard_global_indices(shard))
 
 
 class TestShardPartition:
     def test_short_records_never_reach_shards(self):
-        partition = ShardPartition(num_shards=2)
-        partition.add(0, 1.0, b"short")
-        partition.add(1, 2.0, _packet(60, 0))
+        partition = _partition([b"short", _packet(60, 0)], 2)
         assert partition.records_total == 2
         assert partition.records_short == 1
         assert sum(partition.shard_sizes) == 1
 
     def test_partition_covers_all_long_records(self):
         rng = random.Random(2)
-        records = [
-            (i, float(i), _packet(rng.randrange(1, 255), 0,
-                                  bytes([rng.randrange(256)])))
-            for i in range(200)
-        ]
-        partition = partition_records(records, 4)
+        bodies = [_packet(rng.randrange(1, 255), 0,
+                          bytes([rng.randrange(256)]))
+                  for _ in range(200)]
+        partition = _partition(bodies, 4)
         recovered = sorted(
-            index for shard in partition.shards for index, _, _ in shard
+            index for shard in range(4)
+            for index in partition.shard_global_indices(shard)
         )
         assert recovered == list(range(200))
 
     def test_shards_preserve_record_order(self):
         rng = random.Random(3)
-        records = [
-            (i, float(i), _packet(64, 0, bytes([rng.randrange(4)])))
-            for i in range(100)
-        ]
-        partition = partition_records(records, 3)
-        for shard in partition.shards:
-            indices = [index for index, _, _ in shard]
+        bodies = [_packet(64, 0, bytes([rng.randrange(4)]))
+                  for _ in range(100)]
+        partition = _partition(bodies, 3, chunk_records=7)
+        for shard in range(3):
+            indices = list(partition.shard_global_indices(shard))
             assert indices == sorted(indices)
 
-    def test_skew_of_empty_partition_is_zero(self):
-        assert ShardPartition(num_shards=4).skew == 0.0
-
     def test_skew_detects_hot_shard(self):
-        partition = ShardPartition(num_shards=2)
-        hot = _packet(64, 0, b"hot")
-        for i in range(10):
-            partition.add(i, float(i), hot)
+        partition = _partition([_packet(64, 0, b"hot")] * 10, 2)
         assert partition.skew == pytest.approx(2.0)
 
     def test_min_capture_matches_detector_threshold(self):
@@ -141,8 +111,6 @@ class TestColumnarShardPartition:
         assert ColumnarShardPartition(num_shards=4).skew == 0.0
 
     def _fill(self, num_shards, records, chunk_records=64):
-        from repro.net.trace import TraceRecord
-
         partition = ColumnarShardPartition(num_shards=num_shards)
         for start in range(0, len(records), chunk_records):
             batch = records[start:start + chunk_records]

@@ -4,8 +4,9 @@ Two contracts, checked over Hypothesis-generated inputs:
 
 * ``mask_mutable_fields`` (single patched bytearray) is byte-for-byte
   the four-slice concatenation it replaced, for every buffer type;
-* the batched columnar kernel returns byte-identical streams to
-  ``detect_replicas_indexed`` for every record set and chunking.
+* the batched columnar kernel returns byte-identical streams to the
+  reference oracle ``detect_replicas_indexed`` (``tests/oracles.py``)
+  for every record set and chunking.
 """
 
 import random
@@ -14,14 +15,11 @@ from array import array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.replica import (
-    detect_replicas,
-    detect_replicas_columnar,
-    mask_mutable_fields,
-)
+from repro.core.replica import detect_replicas_columnar, mask_mutable_fields
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import detect_replicas_indexed, reference_replicas
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
 BACKGROUND_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
@@ -112,7 +110,7 @@ class TestColumnarKernelProperty:
             trace, chunk_records=params["chunk_records"]
         )
         columnar = detect_replicas_columnar(ctrace.chunks)
-        reference = detect_replicas(trace)
+        reference = reference_replicas(trace)
         assert ([_stream_fp(s) for s in columnar]
                 == [_stream_fp(s) for s in reference])
 
@@ -128,7 +126,6 @@ class TestColumnarKernelProperty:
         # produces.
         triples = [(i, float(i) * 0.01, body)
                    for i, body in enumerate(bodies)]
-        from repro.core.replica import detect_replicas_indexed
         reference = detect_replicas_indexed(iter(triples))
 
         chunks = []

@@ -1,10 +1,10 @@
-"""Property suite: the three step-1 kernel tiers are byte-identical.
+"""Property suite: both step-1 kernel tiers match the reference oracle.
 
 Hypothesis drives adversarial layouts at the tiers — irregular strides,
 padded strides, zero-length bodies, exact duplicates, eviction-interval
 boundaries, mixed regular/irregular chunks — and asserts that the
-reference, pure-python columnar, and vectorized kernels return the same
-streams AND the same scan stats.
+pure-python columnar and vectorized kernels return the same streams AND
+the same scan stats as the oracle in ``tests/oracles.py``.
 
 Runs without numpy: the vectorized tier then falls back to the columnar
 kernel, and the suite degenerates to re-checking that the fallback is
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.core.replica import (
     ReplicaScanStats,
     detect_replicas_columnar,
-    detect_replicas_indexed,
     detect_replicas_vectorized,
 )
 from repro.net.columnar import ColumnarChunk
+from tests.oracles import detect_replicas_indexed
 
 
 def _stream_fp(stream):

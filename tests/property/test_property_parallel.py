@@ -1,8 +1,9 @@
 """Property-based tests: the sharded engine is exact for all geometries.
 
-For every loop geometry Hypothesis generates, ``ParallelLoopDetector``
-with 1, 2, and 4 workers must return byte-identical streams and loops to
-the offline ``LoopDetector``, which in turn must agree with the online
+For every loop geometry Hypothesis generates, the offline
+``LoopDetector`` and ``ParallelLoopDetector`` with 1, 2, and 4 workers
+must return byte-identical streams and loops to the reference pipeline
+in ``tests/oracles.py``, which in turn must agree with the online
 ``StreamingLoopDetector`` — the three engines are one algorithm.
 """
 
@@ -17,6 +18,7 @@ from repro.net.addr import IPv4Prefix
 from repro.parallel.engine import ParallelLoopDetector
 from repro.sim import table1_scenario
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import reference_detect
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
 BACKGROUND_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
@@ -65,12 +67,15 @@ def _loop_fp(loop):
 
 
 def _assert_engines_agree(trace):
-    offline = LoopDetector().detect(trace)
+    offline = reference_detect(trace)
     streaming_loops = StreamingLoopDetector(offline.config).process_trace(trace)
     assert (sorted(_loop_fp(l) for l in streaming_loops)
             == sorted(_loop_fp(l) for l in offline.loops))
-    for jobs in (1, 2, 4):
-        parallel = ParallelLoopDetector(jobs=jobs).detect(trace)
+    engines = [("offline", LoopDetector())] + [
+        (jobs, ParallelLoopDetector(jobs=jobs)) for jobs in (1, 2, 4)
+    ]
+    for jobs, engine in engines:
+        parallel = engine.detect(trace)
         assert ([_stream_fp(s) for s in parallel.candidate_streams]
                 == [_stream_fp(s) for s in offline.candidate_streams]), jobs
         assert ([_stream_fp(s) for s in parallel.streams]
