@@ -169,6 +169,12 @@ class StreamingLoopDetector:
 
     # -- public API -----------------------------------------------------------
 
+    @property
+    def now(self) -> float:
+        """Timestamp of the last record fed (-inf before the first); an
+        earlier record is rejected as time travel."""
+        return self._now
+
     def process(self, timestamp: float, data: bytes) -> list[RoutingLoop]:
         """Feed one captured record; returns loops that just closed."""
         if timestamp < self._now:

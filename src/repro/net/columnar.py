@@ -105,7 +105,7 @@ class ColumnarChunk:
         slice stays zero-copy and keeps the parent's ``stride``
         guarantee — offsets are absolute into the shared slab, so
         ``offsets[i] == offsets[0] + i * stride`` still holds.  Used by
-        window-boundary feeders that split a chunk at sampling points.
+        the live feed to cut a chunk into bounded detector slices.
         """
         if start < 0 or stop > len(self) or start > stop:
             raise ColumnarError(

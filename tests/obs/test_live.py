@@ -4,11 +4,64 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.alerts import AlertEngine, looped_loss_share_rule
-from repro.obs.live import LiveMonitor
+import math
+from bisect import bisect_left
+
+from repro.core import vectorize
+from repro.core.serialize import loop_to_dict
+from repro.core.streaming import StreamingLoopDetector
+from repro.net.addr import IPv4Prefix
+from repro.net.columnar import ColumnarChunk, ColumnarTrace
+from repro.obs import live
+from repro.obs.alerts import AlertEngine, default_rules, looped_loss_share_rule
+from repro.obs.live import LiveMonitor, attach_detector, feed_chunk, feed_pairs
 from repro.obs.metrics import MetricsRegistry
 
 from tests.obs.test_recorder import make_loop
+
+
+def monitored_chain(config=None):
+    """A streaming detector wired to a monitor with a registry and the
+    default alert rules, plus a log of what every minute-boundary call
+    saw: ``(now, records, detector snapshot, registry snapshot)``."""
+    registry = MetricsRegistry(enabled=True)
+    monitor = LiveMonitor(registry=registry,
+                          alert_engine=AlertEngine(rules=default_rules()))
+    streaming = StreamingLoopDetector(config)
+    streaming.register_metrics(registry)
+    attach_detector(monitor, streaming)
+    log = []
+    on_boundary = monitor._on_boundary
+
+    def spy(now):
+        log.append((now, streaming.stats.records,
+                    streaming.state_snapshot(), registry.snapshot()))
+        return on_boundary(now)
+
+    monitor._on_boundary = spy
+    return streaming, monitor, log
+
+
+def pair_feed(streaming, monitor, chunk):
+    """:func:`feed_pairs` over one chunk, record by record."""
+    return feed_pairs(streaming, monitor, chunk.iter_views())
+
+
+def run_feed(chunks, feeds, config=None) -> dict:
+    """Feed ``chunks[i]`` through ``feeds[i % len(feeds)]``, flush and
+    finish; returns everything the monitor and detector expose."""
+    streaming, monitor, log = monitored_chain(config)
+    loops = []
+    for i, chunk in enumerate(chunks):
+        loops.extend(feeds[i % len(feeds)](streaming, monitor, chunk))
+    loops.extend(streaming.flush())
+    monitor.finish()
+    return {
+        "loops": [loop_to_dict(loop) for loop in loops],
+        "boundaries": log,
+        "state": monitor.state(),
+        "prometheus": monitor.render_prometheus(),
+    }
 
 
 class TestDirectFeed:
@@ -118,6 +171,30 @@ class TestSampledFeed:
         assert engine.fired_total == 1
         assert engine.history[0].key == "minute:0"
 
+    def test_pending_records_bank_as_if_fed(self):
+        timestamps = [1.0, 1.2, 1.4, 2.5, 61.0, 62.0]
+        counter = [0]
+        fed = LiveMonitor()
+        fed.set_record_source(lambda: counter[0])
+        self._feed(fed, timestamps, counter)
+        fed.finish()
+
+        lazy_counter = [0]
+        lazy = LiveMonitor()
+        lazy.set_record_source(lambda: lazy_counter[0])
+        lazy.sample(1.0)
+        lazy.sample(2.5, pending=3)
+        assert not lazy.boundary_due()
+        lazy.sample(61.0, pending=4)
+        # Second 61 opens minute 1: the records must be fed first.
+        assert lazy.boundary_due()
+        lazy_counter[0] = 5
+        lazy.sample(62.0)
+        lazy_counter[0] = 6
+        lazy.finish()
+
+        assert lazy.recorder.snapshot() == fed.recorder.snapshot()
+
     def test_registry_counters_sampled_on_boundary(self):
         registry = MetricsRegistry(enabled=True)
         external = registry.counter("external_total", "external")
@@ -163,14 +240,35 @@ class TestState:
         assert LiveMonitor().render_prometheus() == ""
 
 
+def _gappy_trace():
+    """Background with multi-minute idle gaps, and loops whose replicas
+    straddle a minute boundary."""
+    import random
+
+    from repro.traffic.synthetic import SyntheticTraceBuilder
+
+    background = [IPv4Prefix.parse("198.51.100.0/24")]
+    builder = SyntheticTraceBuilder(rng=random.Random(5))
+    builder.add_background(300, 0.0, 100.0, prefixes=background)
+    builder.add_background(300, 400.0, 520.0, prefixes=background)
+    builder.add_background(200, 1000.0, 1100.0, prefixes=background)
+    for start, net in ((59.9, "192.0.2.0/24"), (419.95, "203.0.113.0/24"),
+                       (1079.99, "192.0.2.0/24")):
+        builder.add_loop(start, IPv4Prefix.parse(net), n_packets=4,
+                         replicas_per_packet=6, spacing=0.03,
+                         entry_ttl=40)
+    return builder.build()
+
+
 class TestChunkFeed:
-    """feed_chunk must keep the exact sampling contract of feed_pairs
-    while letting the detector's batched tier run between boundaries."""
+    """feed_chunk feeds the detector only where a sample reads its
+    state, yet every output — loops, monitor state, Prometheus text and
+    what each minute-boundary call sees — equals the per-record
+    feed_pairs."""
 
     def _trace(self):
         import random
 
-        from repro.net.addr import IPv4Prefix
         from repro.traffic.synthetic import SyntheticTraceBuilder
 
         builder = SyntheticTraceBuilder(rng=random.Random(11))
@@ -185,23 +283,11 @@ class TestChunkFeed:
                          spacing=0.05, entry_ttl=50)
         return builder.build()
 
-    def _chain(self):
-        from repro.core.streaming import StreamingLoopDetector
-        from repro.obs.live import attach_detector
-
-        monitor = LiveMonitor(registry=MetricsRegistry(enabled=True))
-        streaming = StreamingLoopDetector()
-        attach_detector(monitor, streaming)
-        return streaming, monitor
-
     def test_matches_pair_feed_exactly(self):
-        from repro.net.columnar import ColumnarTrace
-        from repro.obs.live import feed_chunk, feed_pairs
-
         trace = self._trace()
         columnar = ColumnarTrace.from_trace(trace, chunk_records=128)
 
-        ref_streaming, ref_monitor = self._chain()
+        ref_streaming, ref_monitor, _ = monitored_chain()
         ref_loops = []
         for chunk in columnar.chunks:
             ref_loops.extend(
@@ -210,7 +296,7 @@ class TestChunkFeed:
         ref_loops.extend(ref_streaming.flush())
         ref_monitor.finish()
 
-        streaming, monitor = self._chain()
+        streaming, monitor, _ = monitored_chain()
         loops = []
         for chunk in columnar.chunks:
             loops.extend(feed_chunk(streaming, monitor, chunk))
@@ -225,3 +311,87 @@ class TestChunkFeed:
         assert monitor.state() == ref_monitor.state()
         assert streaming.state_snapshot() \
             == ref_streaming.state_snapshot()
+
+    @pytest.mark.parametrize("feed_slice", [64, live._FEED_SLICE])
+    @pytest.mark.parametrize("chunk_records", [1, 31, 32, 128, None])
+    @pytest.mark.parametrize("gappy", [False, True],
+                             ids=["steady", "gappy"])
+    def test_boundary_log_matches_pair_feed(self, monkeypatch, gappy,
+                                            chunk_records, feed_slice):
+        monkeypatch.setattr(live, "_FEED_SLICE", feed_slice)
+        trace = _gappy_trace() if gappy else self._trace()
+        chunks = ColumnarTrace.from_trace(
+            trace, chunk_records=chunk_records or len(trace)).chunks
+        expected = run_feed(chunks, [pair_feed])
+        assert len(expected["boundaries"]) >= 4
+        assert len(expected["loops"]) >= 2
+        assert run_feed(chunks, [feed_chunk]) == expected
+
+    @pytest.mark.parametrize("chunk_records", [31, 128])
+    def test_mixed_pair_and_chunk_batches(self, monkeypatch,
+                                          chunk_records):
+        monkeypatch.setattr(live, "_FEED_SLICE", 64)
+        chunks = ColumnarTrace.from_trace(
+            _gappy_trace(), chunk_records=chunk_records).chunks
+        expected = run_feed(chunks, [pair_feed])
+        assert run_feed(chunks, [feed_chunk, pair_feed]) == expected
+        assert run_feed(chunks, [pair_feed, feed_chunk]) == expected
+
+    def test_regressing_chunk_banks_what_pair_feed_banks(self):
+        # The second chunk starts before the detector's last record and
+        # runs on across several minutes, so the detector rejects it;
+        # the monitor must have banked exactly the seconds the
+        # per-record feed banks before the raise.
+        records = list(self._trace())
+        first = ColumnarChunk.from_records(
+            r for r in records if r.timestamp < 100.0)
+        overlapping = ColumnarChunk.from_records(
+            r for r in records if r.timestamp >= 50.0)
+        seen = []
+        for feed in (pair_feed, feed_chunk):
+            streaming, monitor, log = monitored_chain()
+            feed(streaming, monitor, first)
+            with pytest.raises(ValueError, match="time-ordered"):
+                feed(streaming, monitor, overlapping)
+            seen.append((monitor.state(), log))
+        assert seen[0] == seen[1]
+
+    def test_one_call_per_capped_slice_between_minutes(self, monkeypatch):
+        if not vectorize.HAVE_NUMPY:
+            pytest.skip("without numpy feed_chunk feeds record by record")
+        import random
+
+        from repro.traffic.synthetic import SyntheticTraceBuilder
+
+        feed_slice = 1024
+        monkeypatch.setattr(live, "_FEED_SLICE", feed_slice)
+        builder = SyntheticTraceBuilder(rng=random.Random(3))
+        builder.add_background(
+            20_000, 0.0, 300.0,
+            prefixes=[IPv4Prefix.parse("198.51.100.0/24")])
+        (chunk,) = ColumnarTrace.from_trace(
+            builder.build(), chunk_records=20_000).chunks
+        streaming, monitor, _ = monitored_chain()
+        sizes = []
+        process_chunk = streaming.process_chunk
+
+        def counted(sub):
+            sizes.append(len(sub))
+            return process_chunk(sub)
+
+        monkeypatch.setattr(streaming, "process_chunk", counted)
+        feed_chunk(streaming, monitor, chunk)
+
+        # The detector catches up before the sample that banks the first
+        # second of each new minute, and once at the end of the chunk.
+        ts = list(chunk.timestamps)
+        cuts = [0]
+        for minute in range(1, 5):
+            second = int(ts[bisect_left(ts, 60.0 * minute)])
+            cuts.append(bisect_left(ts, second + 1.0))
+        cuts.append(len(ts))
+        ranges = [b - a for a, b in zip(cuts, cuts[1:])]
+        assert len(sizes) == sum(math.ceil(r / feed_slice) for r in ranges)
+        assert len(sizes) < 30  # per-second slicing would make ~300
+        assert max(sizes) <= feed_slice
+        assert sum(sizes) == len(ts) == streaming.stats.records
