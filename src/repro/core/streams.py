@@ -14,15 +14,19 @@ Two checks (Sec. IV-A.2):
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from struct import Struct
+from itertools import islice
+from operator import le
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
 from repro.core.replica import ReplicaStream
 
-_DST_STRUCT = Struct(">I")
+#: Captured bytes a record needs for its IPv4 destination (bytes 16..20).
+_MIN_INDEXED = 20
 
 
 @dataclass(slots=True)
@@ -39,76 +43,209 @@ class ValidationResult:
 
 
 class PrefixIndex:
-    """Timestamp index of all trace records, bucketed by destination /24.
+    """Columnar timestamp index of trace records, keyed by destination /N.
 
-    Supports the validation query "did any packet to prefix P cross the
-    link in [t0, t1] that is not a replica-stream member?" in
-    O(log n + answer) time.  Shared by validation (step 2) and merging
-    (step 3), which runs the same query over gap intervals.
+    Answers the step-2 and step-3 question "did a packet to prefix P
+    cross the link in [t0, t1]?": validation asks it over a stream's
+    lifetime, merging over the gap between two streams.
+
+    The index is built one :class:`~repro.net.columnar.ColumnarChunk` at
+    a time (:meth:`add_chunk`; ``PrefixIndex(trace)`` feeds the chunks
+    of :meth:`ColumnarTrace.from_trace`).  Per chunk it keeps
+
+    * ``times``, an ``array('d')`` of the chunk's timestamps ordered by
+      (prefix, timestamp), ties in capture order;
+    * ``indices``, an ``array('q')`` of the matching global record
+      indices (``chunk.indices`` when set, else ``base_index + i``);
+    * ``bounds``, ``{prefix: (lo, hi)}``: the slice of both columns
+      that holds the prefix;
+    * the chunk's time range, from its minimum and maximum timestamp.
+
+    A query visits only the chunks whose time range overlaps the window
+    and bisects ``times`` within ``bounds[prefix]``: O(log n + answer)
+    per chunk visited.  Bisect over ``array`` columns is much cheaper
+    per query than one numpy ``searchsorted`` call.  With numpy
+    (through :mod:`repro.core.vectorize`) each chunk is ordered by one
+    stable argsort on the prefix column; without it, by a stable
+    counting sort.  Both build the same columns.  A chunk whose timestamps regress is
+    sorted by (prefix, timestamp) instead, so window answers stay exact
+    on any capture.  Records shorter than 20 bytes carry no destination
+    address and are not indexed.
     """
 
     def __init__(self, trace: Trace | None = None,
                  prefix_length: int = 24) -> None:
         self.prefix_length = prefix_length
         self._shift = 32 - prefix_length
-        # Records arrive time-ordered, so each bucket stays sorted.
-        self._by_prefix: dict[int, list[tuple[float, int]]] = {}
+        # One (first, last, bounds, times, indices) tuple per chunk.
+        self._chunks: list[tuple[float, float, dict, array, array]] = []
+        # Running maximum of the chunks' last timestamps: the chunks
+        # before bisect_left(_reach, t) all end before t.
+        self._reach: list[float] = []
+        # Whether every chunk starts at or after all earlier ones end;
+        # then a query can stop at the first chunk past its window.
+        self._ordered = True
         if trace is not None:
-            for index, record in enumerate(trace.records):
-                self.add_record(index, record.timestamp, record.data)
+            from repro.net.columnar import ColumnarTrace
 
-    def add_record(self, index: int, timestamp: float, data: bytes) -> None:
-        """Index one record incrementally (timestamps must be fed in
-        non-decreasing order).  Lets the chunked readers build the index
-        without ever materializing a full :class:`Trace`."""
-        if len(data) < 20:
-            return
-        dst = int.from_bytes(data[16:20], "big")
-        self._by_prefix.setdefault(dst >> self._shift, []).append(
-            (timestamp, index)
-        )
+            for chunk in ColumnarTrace.from_trace(trace).chunks:
+                self.add_chunk(chunk)
 
     def add_chunk(self, chunk) -> None:
-        """Index a :class:`~repro.net.columnar.ColumnarChunk` in one pass.
+        """Index a :class:`~repro.net.columnar.ColumnarChunk`.
 
-        Destination addresses are decoded straight off the data slab with
-        ``unpack_from`` — no per-record slice or ``bytes`` copy.  Feeding
-        order across chunks must remain time-ordered, as with
-        :meth:`add_record`.
+        Chunks may arrive in any time order; queries stay exact.
         """
-        buf = chunk.data
-        timestamps = chunk.timestamps
-        offsets = chunk.offsets
-        indices = chunk.indices
-        base_index = chunk.base_index
-        unpack_dst = _DST_STRUCT.unpack_from
-        shift = self._shift
-        by_prefix = self._by_prefix
-        for i, length in enumerate(chunk.lengths):
-            if length < 20:
-                continue
-            (dst,) = unpack_dst(buf, offsets[i] + 16)
-            index = indices[i] if indices is not None else base_index + i
-            bucket = by_prefix.get(dst >> shift)
-            if bucket is None:
-                bucket = by_prefix.setdefault(dst >> shift, [])
-            bucket.append((timestamps[i], index))
+        from repro.core import vectorize
 
-    def _bucket(self, prefix: IPv4Prefix) -> list[tuple[float, int]]:
+        if not len(chunk):
+            return
+        if vectorize.HAVE_NUMPY:
+            columns = self._columns_numpy(chunk, vectorize)
+        else:
+            columns = self._columns_python(chunk)
+        if columns is None:
+            return
+        first, last, keys, starts, times, indices = columns
+        bounds = dict(zip(keys, zip(starts, [*starts[1:], len(times)])))
+        self._chunks.append((first, last, bounds, times, indices))
+        reach = self._reach
+        if reach:
+            self._ordered = self._ordered and first >= reach[-1]
+            last = max(last, reach[-1])
+        reach.append(last)
+
+    def _columns_numpy(self, chunk, vectorize):
+        np = vectorize.np
+        n = len(chunk)
+        stamps = np.asarray(chunk.timestamps, dtype=np.float64)
+        lengths = np.asarray(chunk.lengths)
+        keep = None
+        if lengths.min() < _MIN_INDEXED:
+            keep = np.flatnonzero(lengths >= _MIN_INDEXED)
+            if not len(keep):
+                return None
+        if chunk.stride is not None and keep is None:
+            region = np.frombuffer(
+                chunk.data, dtype=np.uint8, offset=chunk.offsets[0],
+                count=(n - 1) * chunk.stride + _MIN_INDEXED,
+            )
+            rows = np.lib.stride_tricks.as_strided(
+                region, shape=(n, _MIN_INDEXED), strides=(chunk.stride, 1)
+            )
+            prefixes = vectorize.dst_prefixes(rows, self._shift)
+        else:
+            # Gather the 4 destination bytes of every kept record.
+            dst_at = np.asarray(chunk.offsets, dtype=np.int64) + 16
+            if keep is not None:
+                dst_at = dst_at[keep]
+                stamps = stamps[keep]
+            slab = np.frombuffer(chunk.data, dtype=np.uint8)
+            dst = slab[dst_at[:, None] + np.arange(4)].view(">u4").ravel()
+            prefixes = (dst >> np.uint32(self._shift)).astype(np.int64)
+        if (stamps[1:] >= stamps[:-1]).all():
+            order = np.argsort(prefixes, kind="stable")
+        else:
+            order = np.lexsort((stamps, prefixes))
+        prefixes = prefixes[order]
+        starts = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        keys = prefixes[starts].tolist()
+        times = array("d")
+        times.frombytes(stamps[order].data.cast("B"))
+        # Chunk row of each sorted entry, for the index column.
+        rows_at = order if keep is None else keep[order]
+        if chunk.indices is None:
+            ids = rows_at + chunk.base_index
+        else:
+            ids = np.asarray(chunk.indices)[rows_at]
+        indices = array("q")
+        indices.frombytes(ids.astype(np.int64, copy=False).data.cast("B"))
+        return (float(stamps.min()), float(stamps.max()), keys,
+                starts.tolist(), times, indices)
+
+    def _columns_python(self, chunk):
+        # A stable counting sort by prefix over array columns: apart
+        # from the time sort of a chunk whose timestamps regress, the
+        # build holds no Python object per record.
+        view = memoryview(chunk.data)
+        from_bytes = int.from_bytes
+        shift = self._shift
+        offsets = chunk.offsets
+        lengths = chunk.lengths
+        rows = range(len(chunk))
+        stamps = chunk.timestamps
+        if min(lengths) < _MIN_INDEXED:
+            rows = array("q", (i for i in rows
+                               if lengths[i] >= _MIN_INDEXED))
+            if not rows:
+                return None
+            stamps = array("d", map(stamps.__getitem__, rows))
+        prefixes = array("q", (
+            from_bytes(view[offsets[i] + 16:offsets[i] + 20], "big") >> shift
+            for i in rows
+        ))
+        visit = range(len(rows))
+        if not all(map(le, stamps, islice(stamps, 1, None))):
+            # Stable sorts: by time here, by prefix below.
+            visit = sorted(visit, key=stamps.__getitem__)
+        counts = Counter(prefixes)
+        keys = sorted(counts)
+        cursor = {}
+        starts = []
+        position = 0
+        for prefix in keys:
+            cursor[prefix] = position
+            starts.append(position)
+            position += counts[prefix]
+        order = array("q", bytes(8 * len(rows)))
+        for j in visit:
+            prefix = prefixes[j]
+            position = cursor[prefix]
+            order[position] = j
+            cursor[prefix] = position + 1
+        times = array("d", map(stamps.__getitem__, order))
+        row_of = rows.__getitem__
+        if chunk.indices is None:
+            base = chunk.base_index
+            indices = array("q", (base + row_of(j) for j in order))
+        else:
+            indices = array("q", map(chunk.indices.__getitem__,
+                                     map(row_of, order)))
+        return min(stamps), max(stamps), keys, starts, times, indices
+
+    def _windows(self, prefix: IPv4Prefix, start: float, end: float):
+        """``(indices, lo, hi)``: per chunk, the slice of ``indices``
+        holding the records to ``prefix`` with start <= t <= end."""
         if prefix.length != self.prefix_length:
             raise ValueError(
                 f"index is /{self.prefix_length}, got /{prefix.length}"
             )
-        return self._by_prefix.get(prefix.network >> (32 - prefix.length), [])
+        key = prefix.network >> self._shift
+        chunks = self._chunks
+        ordered = self._ordered
+        for k in range(bisect_left(self._reach, start), len(chunks)):
+            first, last, bounds, times, indices = chunks[k]
+            if first > end:
+                if ordered:
+                    return
+                continue
+            span = bounds.get(key)
+            if span is None or last < start:
+                continue
+            lo, hi = span
+            yield (indices, bisect_left(times, start, lo, hi),
+                   bisect_right(times, end, lo, hi))
 
     def records_in_window(
         self, prefix: IPv4Prefix, start: float, end: float
     ) -> list[int]:
-        """Indices of records to ``prefix`` with start <= t <= end."""
-        bucket = self._bucket(prefix)
-        lo = bisect_left(bucket, (start, -1))
-        hi = bisect_right(bucket, (end, 1 << 62))
-        return [index for _, index in bucket[lo:hi]]
+        """Indices of records to ``prefix`` with start <= t <= end, in
+        capture order when the chunks are time-ordered."""
+        found: list[int] = []
+        for indices, lo, hi in self._windows(prefix, start, end):
+            found.extend(indices[lo:hi])
+        return found
 
     def has_non_member(
         self,
@@ -119,8 +256,8 @@ class PrefixIndex:
     ) -> bool:
         """True if the window contains a record outside ``members``."""
         return any(
-            index not in members
-            for index in self.records_in_window(prefix, start, end)
+            not members.issuperset(indices[lo:hi])
+            for indices, lo, hi in self._windows(prefix, start, end)
         )
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.replica import ReplicaScanStats, detect_replicas_columnar
 from repro.core.streaming import StreamingLoopDetector
-from repro.core.streams import PrefixIndex
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
@@ -205,18 +204,3 @@ class TestStreamingColumnarEquivalence:
             assert a.end == b.end
             assert a.replica_count == b.replica_count
 
-
-class TestPrefixIndexChunked:
-    def test_add_chunk_matches_add_record(self, loop_trace):
-        ctrace = ColumnarTrace.from_trace(loop_trace, chunk_records=41)
-        by_record = PrefixIndex(prefix_length=24)
-        for i, record in enumerate(loop_trace.records):
-            by_record.add_record(i, record.timestamp, record.data)
-        by_chunk = PrefixIndex(prefix_length=24)
-        for chunk in ctrace.chunks:
-            by_chunk.add_chunk(chunk)
-        assert by_chunk._by_prefix == by_record._by_prefix
-        for stream in reference_replicas(loop_trace):
-            prefix = stream.dst_prefix(24)
-            assert (by_chunk.records_in_window(prefix, 0.0, 120.0)
-                    == by_record.records_in_window(prefix, 0.0, 120.0))

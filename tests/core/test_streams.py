@@ -1,12 +1,19 @@
 """Tests for step 2: replica-stream validation."""
 
 import random
+import struct
+import tracemalloc
+from array import array
+from dataclasses import replace
 
 import pytest
 
+from repro.core.detector import LoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.core.replica import detect_replicas
 from repro.core.streams import PrefixIndex, validate_streams
+from repro.net.columnar import ColumnarChunk
+from repro.net.pcap import DEFAULT_CHUNK_RECORDS, read_pcap_columnar, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
@@ -159,3 +166,92 @@ class TestPrefixIndex:
         with pytest.raises(ValueError):
             index.records_in_window(IPv4Prefix.parse("10.0.0.0/16"),
                                     0.0, 1.0)
+
+
+def _net24(record) -> int:
+    return int.from_bytes(record.data[16:20], "big") >> 8 << 8
+
+
+class TestRegressingCapture:
+    """A capture whose last record travels back in time: offline
+    detection accepts it, so the index must still answer exactly."""
+
+    @pytest.fixture
+    def regressing(self, tmp_path):
+        builder = _build(7)
+        builder.add_background(200, 0.0, 60.0, prefixes=[OTHER])
+        builder.add_loop(10.0, PREFIX, n_packets=3, replicas_per_packet=6,
+                         spacing=0.02, entry_ttl=40)
+        trace = builder.build()
+        trace.records.append(replace(trace.records[-1], timestamp=0.5))
+        path = tmp_path / "regressing.pcap"
+        write_pcap(trace, path)
+        return trace, path
+
+    @pytest.mark.parametrize("chunk_records", [1, 41, DEFAULT_CHUNK_RECORDS])
+    def test_windows_equal_brute_force(self, regressing, chunk_records):
+        trace, path = regressing
+        index = PrefixIndex(prefix_length=24)
+        for chunk in read_pcap_columnar(path, chunk_records).chunks:
+            index.add_chunk(chunk)
+        late = len(trace) - 1
+        for prefix in (PREFIX, OTHER):
+            for start, end in [(0.0, 1.0), (0.4, 0.6), (0.5, 0.5),
+                               (0.0, 60.0), (9.0, 11.0), (59.0, 61.0)]:
+                expected = [
+                    i for i, record in enumerate(trace.records)
+                    if start <= record.timestamp <= end
+                    and _net24(record) == prefix.network
+                ]
+                found = index.records_in_window(prefix, start, end)
+                assert sorted(found) == expected
+                assert index.has_non_member(prefix, start, end, set()) \
+                    == bool(expected)
+        late_prefix = IPv4Prefix(_net24(trace.records[late]), 24)
+        assert late in index.records_in_window(late_prefix, 0.5, 0.5)
+
+    def test_offline_detect_accepts_it(self, regressing):
+        _, path = regressing
+        result = LoopDetector().detect_columnar(read_pcap_columnar(path))
+        assert [str(loop.prefix) for loop in result.loops] == [str(PREFIX)]
+
+
+def _synthetic_chunks(n, prefixes=2000, seed=5):
+    """``n`` 40-byte records over ``prefixes`` random /24s, cut into
+    reader-sized stride-regular chunks over one slab."""
+    rng = random.Random(seed)
+    nets = [rng.randrange(1 << 24) for _ in range(prefixes)]
+    slab = bytearray(40 * n)
+    for i in range(n):
+        struct.pack_into(">I", slab, 40 * i + 16,
+                         rng.choice(nets) << 8 | rng.randrange(256))
+    slab = bytes(slab)
+    timestamps = array("d", (i * 1e-4 for i in range(n)))
+    chunks = []
+    for start in range(0, n, DEFAULT_CHUNK_RECORDS):
+        stop = min(n, start + DEFAULT_CHUNK_RECORDS)
+        chunks.append(ColumnarChunk(
+            data=slab,
+            timestamps=timestamps[start:stop],
+            offsets=array("Q", range(40 * start, 40 * stop, 40)),
+            lengths=array("I", [40]) * (stop - start),
+            base_index=start,
+            stride=40,
+        ))
+    return chunks
+
+
+class TestMemoryBound:
+    def test_bytes_per_record(self):
+        n = 120_000
+        chunks = _synthetic_chunks(n)
+        tracemalloc.start()
+        try:
+            index = PrefixIndex(prefix_length=24)
+            for chunk in chunks:
+                index.add_chunk(chunk)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / n <= 40
+        assert peak / n <= 48

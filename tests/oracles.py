@@ -8,13 +8,20 @@ kernels (:func:`~repro.core.replica.detect_replicas_columnar` and
 byte-identical streams and scan stats on every input; the equivalence
 and hypothesis suites compare them against this oracle.
 
-:func:`reference_detect` runs the oracle step 1 followed by the
-product's steps 2 and 3 over a materialized trace, for whole-pipeline
-comparisons (library, parallel engine, CLI).
+:class:`ReferencePrefixIndex` is the step-2/3 window index as one
+``(timestamp, index)`` tuple per record in per-prefix lists; the
+product's columnar :class:`~repro.core.streams.PrefixIndex` must answer
+every window query identically on time-ordered input.
+
+:func:`reference_detect` runs the oracle step 1 and the oracle index
+under the product's steps 2 and 3 over a materialized trace, for
+whole-pipeline comparisons (library, parallel engine, CLI).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from struct import Struct
 from typing import Iterable
 
 from repro.core.detector import DetectionResult, DetectorConfig
@@ -31,8 +38,11 @@ from repro.core.replica import (
     mask_mutable_fields,
     stream_sort_key,
 )
-from repro.core.streams import PrefixIndex, validate_streams
+from repro.core.streams import validate_streams
+from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
+
+_DST_STRUCT = Struct(">I")
 
 
 def detect_replicas_indexed(
@@ -149,11 +159,97 @@ def reference_replicas(trace: Trace, **kwargs) -> list[ReplicaStream]:
     )
 
 
+class ReferencePrefixIndex:
+    """Timestamp index of all trace records, bucketed by destination /24.
+
+    Supports the validation query "did any packet to prefix P cross the
+    link in [t0, t1] that is not a replica-stream member?" in
+    O(log n + answer) time.  Shared by validation (step 2) and merging
+    (step 3), which runs the same query over gap intervals.
+    """
+
+    def __init__(self, trace: Trace | None = None,
+                 prefix_length: int = 24) -> None:
+        self.prefix_length = prefix_length
+        self._shift = 32 - prefix_length
+        # Records arrive time-ordered, so each bucket stays sorted.
+        self._by_prefix: dict[int, list[tuple[float, int]]] = {}
+        if trace is not None:
+            for index, record in enumerate(trace.records):
+                self.add_record(index, record.timestamp, record.data)
+
+    def add_record(self, index: int, timestamp: float, data: bytes) -> None:
+        """Index one record incrementally (timestamps must be fed in
+        non-decreasing order).  Lets the chunked readers build the index
+        without ever materializing a full :class:`Trace`."""
+        if len(data) < 20:
+            return
+        dst = int.from_bytes(data[16:20], "big")
+        self._by_prefix.setdefault(dst >> self._shift, []).append(
+            (timestamp, index)
+        )
+
+    def add_chunk(self, chunk) -> None:
+        """Index a :class:`~repro.net.columnar.ColumnarChunk` in one pass.
+
+        Destination addresses are decoded straight off the data slab with
+        ``unpack_from`` — no per-record slice or ``bytes`` copy.  Feeding
+        order across chunks must remain time-ordered, as with
+        :meth:`add_record`.
+        """
+        buf = chunk.data
+        timestamps = chunk.timestamps
+        offsets = chunk.offsets
+        indices = chunk.indices
+        base_index = chunk.base_index
+        unpack_dst = _DST_STRUCT.unpack_from
+        shift = self._shift
+        by_prefix = self._by_prefix
+        for i, length in enumerate(chunk.lengths):
+            if length < 20:
+                continue
+            (dst,) = unpack_dst(buf, offsets[i] + 16)
+            index = indices[i] if indices is not None else base_index + i
+            bucket = by_prefix.get(dst >> shift)
+            if bucket is None:
+                bucket = by_prefix.setdefault(dst >> shift, [])
+            bucket.append((timestamps[i], index))
+
+    def _bucket(self, prefix: IPv4Prefix) -> list[tuple[float, int]]:
+        if prefix.length != self.prefix_length:
+            raise ValueError(
+                f"index is /{self.prefix_length}, got /{prefix.length}"
+            )
+        return self._by_prefix.get(prefix.network >> (32 - prefix.length), [])
+
+    def records_in_window(
+        self, prefix: IPv4Prefix, start: float, end: float
+    ) -> list[int]:
+        """Indices of records to ``prefix`` with start <= t <= end."""
+        bucket = self._bucket(prefix)
+        lo = bisect_left(bucket, (start, -1))
+        hi = bisect_right(bucket, (end, 1 << 62))
+        return [index for _, index in bucket[lo:hi]]
+
+    def has_non_member(
+        self,
+        prefix: IPv4Prefix,
+        start: float,
+        end: float,
+        members: set[int],
+    ) -> bool:
+        """True if the window contains a record outside ``members``."""
+        return any(
+            index not in members
+            for index in self.records_in_window(prefix, start, end)
+        )
+
+
 def reference_detect(trace: Trace,
                      config: DetectorConfig | None = None) -> DetectionResult:
     """Oracle step 1, then :func:`validate_streams` and
-    :func:`merge_streams` — what :meth:`LoopDetector.detect` must return
-    on ``trace``."""
+    :func:`merge_streams` over the oracle index — what
+    :meth:`LoopDetector.detect` must return on ``trace``."""
     config = config or DetectorConfig()
     scan_stats = ReplicaScanStats()
     candidates = reference_replicas(
@@ -165,7 +261,7 @@ def reference_detect(trace: Trace,
     )
     prefix_index = None
     if config.check_prefix_consistency or config.check_gap_consistency:
-        prefix_index = PrefixIndex(trace, config.prefix_length)
+        prefix_index = ReferencePrefixIndex(trace, config.prefix_length)
     validation = validate_streams(
         candidates,
         trace,
