@@ -1,24 +1,13 @@
-"""Saturation — batched streaming tier and the process-parallel fleet.
+"""Saturation — the batched streaming tier.
 
-Two layers, measured separately:
-
-* ``test_batched_streaming_speedup`` times one link's detector fed
-  record-by-record vs. chunk-by-chunk (the batched tier) over the same
-  trace, asserts exactness, and asserts the >= 2x single-link floor
-  when the vectorized tier is available.
-* ``test_fleet_scaling`` runs whole fleets — N pcap links under the
-  process backend — and tabulates aggregate records/s as links (and
-  worker processes) grow, against the thread backend at the same width.
-  The scaling assertion only applies on a runner with at least 2 cores:
-  on one core the worker processes time-slice a single CPU and spawn
-  overhead dominates, which the emitted table still documents.
-
-Both emit ``repro-bench/1`` documents (``BENCH_streaming_batched``,
-``BENCH_fleet_scaling``) for the bench-provenance trajectory.
+``test_batched_streaming_speedup`` times one link's detector fed
+record-by-record vs. chunk-by-chunk (the batched tier) over the same
+trace, asserts exactness, and asserts the >= 2x single-link floor when
+the vectorized tier is available.  It emits the ``repro-bench/1``
+document ``BENCH_streaming_batched`` for the bench-provenance
+trajectory.
 """
 
-import asyncio
-import os
 import random
 import time
 
@@ -28,14 +17,11 @@ from provenance import emit_bench, metric
 from repro.core import vectorize
 from repro.core.report import format_table
 from repro.core.streaming import StreamingLoopDetector
-from repro.fleet import FleetConfig, build_supervisor
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
-from repro.net.pcap import write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 ROUNDS = 3
-FLEET_WIDTHS = (1, 2, 4)
 
 
 def _build_trace(n_records, seed=0):
@@ -131,79 +117,4 @@ def test_batched_streaming_speedup(big_trace, emit):
         # The PR's single-link acceptance floor.
         assert speedup >= 2.0, (
             f"batched tier below the 2x floor: {speedup:.2f}x"
-        )
-
-
-@pytest.fixture(scope="module")
-def fleet_pcap(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fleet-bench") / "link.pcap"
-    trace = _build_trace(50_000, seed=1)
-    write_pcap(trace, path)
-    return path, len(trace)
-
-
-def _fleet_config(path, n_links, backend):
-    return FleetConfig.from_dict({
-        "fleet": {"backend": backend, "workers": n_links},
-        "links": [
-            {"id": f"l{i}", "source": {"kind": "pcap", "path": str(path)}}
-            for i in range(n_links)
-        ],
-    })
-
-
-def _run_fleet(path, n_records, n_links, backend):
-    supervisor = build_supervisor(_fleet_config(path, n_links, backend))
-    started = time.perf_counter()
-    asyncio.run(supervisor.run())
-    seconds = time.perf_counter() - started
-    snapshot = supervisor.snapshot()
-    assert snapshot["states"] == {"stopped": n_links}
-    for row in snapshot["links"]:
-        assert row["records"] == n_records
-        assert row["loops"] == 20
-    return n_links * n_records / seconds
-
-
-def test_fleet_scaling(fleet_pcap, emit):
-    path, n_records = fleet_pcap
-    cores = os.cpu_count() or 1
-    rows = []
-    rates = {}
-    for n_links in FLEET_WIDTHS:
-        for backend in ("thread", "process"):
-            rate = _run_fleet(path, n_records, n_links, backend)
-            rates[(backend, n_links)] = rate
-            rows.append([
-                backend, n_links,
-                n_links if backend == "process" else 1,
-                f"{n_links * n_records:,}", f"{rate:,.0f}",
-            ])
-
-    emit("fleet_scaling", format_table(
-        ["Backend", "Links", "Processes", "Records", "Aggregate rec/s"],
-        rows,
-        title=(f"Fleet scaling — {n_records} records/link, "
-               f"{cores} core(s) available"),
-    ))
-    emit_bench("fleet_scaling", {
-        "thread_1_link_records_per_s":
-            metric(rates[("thread", 1)], "records/s"),
-        "process_1_link_records_per_s":
-            metric(rates[("process", 1)], "records/s"),
-        "process_2_links_records_per_s":
-            metric(rates[("process", 2)], "records/s"),
-        "process_4_links_records_per_s":
-            metric(rates[("process", 4)], "records/s"),
-        "process_scaling_4_over_1":
-            metric(rates[("process", 4)] / rates[("process", 1)], "x"),
-    })
-
-    if cores >= 2:
-        # Aggregate throughput must actually grow when links get their
-        # own processes — the whole point of the process backend.
-        assert rates[("process", 2)] >= 1.3 * rates[("process", 1)], (
-            "process backend did not scale from 1 to 2 links on "
-            f"{cores} cores: {rates[('process', 2)]:,.0f} vs "
-            f"{rates[('process', 1)]:,.0f} rec/s"
         )

@@ -30,22 +30,19 @@ from repro.core.replica import Replica, ReplicaStream, detect_replicas_columnar
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.pcap import (
-    iter_pcap,
-    iter_pcap_chunks,
     iter_pcap_columnar,
     read_pcap,
     read_pcap_columnar,
     write_pcap,
 )
 from repro.net.trace import Trace, TraceRecord
-from repro.parallel import ParallelLoopDetector, run_batch
+from repro.parallel import run_batch
 
 __version__ = "1.0.0"
 
 __all__ = [
     "LoopDetector",
     "StreamingLoopDetector",
-    "ParallelLoopDetector",
     "run_batch",
     "DetectorConfig",
     "DetectionResult",
@@ -59,8 +56,6 @@ __all__ = [
     "read_pcap",
     "read_pcap_columnar",
     "write_pcap",
-    "iter_pcap",
-    "iter_pcap_chunks",
     "iter_pcap_columnar",
     "detect_replicas_columnar",
     "__version__",

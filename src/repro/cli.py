@@ -3,7 +3,6 @@
 Subcommands::
 
     repro-loops detect <trace.pcap>        # run the detector on a pcap
-    repro-loops detect --jobs 4 <trace>    # sharded multi-process detection
     repro-loops batch [targets...]         # several traces concurrently
     repro-loops simulate <scenario>        # run a Table I scenario
     repro-loops report <scenario>          # scenario + full figure report
@@ -168,7 +167,7 @@ class _Obs:
 
     def feed_monitor(self, trace=None, loops=()) -> None:
         """Post-hoc monitor feed for commands whose detection path is
-        not incremental (offline / parallel / simulate): replay record
+        not incremental (offline / simulate): replay record
         timestamps and emitted loops into the live monitor, then close
         its final window."""
         if self.monitor is None:
@@ -256,12 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the detection result as JSON")
     detect.add_argument("--streaming", action="store_true",
                         help="use the online (streaming) detector")
-    detect.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sharded detection "
-                             "(default 1 = offline single-process)")
-    detect.add_argument("--shards", type=int, default=None,
-                        help="shard count for --jobs (default: same as "
-                             "--jobs)")
 
     batch = sub.add_parser(
         "batch", parents=[obs],
@@ -349,14 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--summary-json", default=None, metavar="FILE",
                        help="write the final /links document to FILE "
                             "on exit")
-    fleet.add_argument("--backend", default=None,
-                       choices=("thread", "process"),
-                       help="override the configured pipeline backend: "
-                            "thread (one event loop) or process (link "
-                            "pipelines in supervised worker processes)")
-    fleet.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process backend: worker-process count "
-                            "(0 = one per link, capped at CPU count)")
     fleet.add_argument("--log-level", default="warning",
                        choices=("debug", "info", "warning", "error"),
                        help="logging verbosity (default: warning)")
@@ -474,6 +459,9 @@ def _publish_result_metrics(obs: _Obs, result) -> None:
     registry.counter("detect_looped_packets_total",
                      "Distinct packets caught in loops"
                      ).set(result.looped_packet_count)
+    registry.counter("detect_records_skipped_short_total",
+                     "Records below the minimum capture length"
+                     ).set(result.scan_stats.records_skipped_short)
 
 
 def _stream_with_monitor(streaming, trace, monitor):
@@ -497,9 +485,6 @@ def _stream_with_monitor(streaming, trace, monitor):
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    if args.streaming and args.jobs > 1:
-        _logger.error("--streaming and --jobs are mutually exclusive")
-        return 1
     obs = _Obs(args)
     try:
         detector = _detector_from_args(args, tracer=obs.tracer)
@@ -522,48 +507,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 print(f"  {loop.prefix}  {loop.start:.3f}..{loop.end:.3f}s  "
                       f"delta={loop.ttl_delta} "
                       f"replicas={loop.replica_count}")
-            return 0
-        if args.jobs > 1:
-            from repro.parallel import ParallelLoopDetector
-
-            engine = ParallelLoopDetector(
-                detector.config, jobs=args.jobs, shards=args.shards,
-                tracer=obs.tracer,
-            )
-            engine.register_metrics(obs.registry)
-            if args.figures or args.json:
-                # Figure statistics and JSON need the full trace in memory.
-                ctrace = _read_trace_file(args.trace, obs,
-                                          link_name=args.trace)
-                result = engine.detect_columnar(ctrace)
-                result.trace = ctrace.to_trace()
-            else:
-                heartbeat = obs.heartbeat(f"detect {args.trace}")
-                result = engine.detect_file(args.trace,
-                                            link_name=args.trace,
-                                            progress=heartbeat)
-                if heartbeat is not None:
-                    heartbeat.done()
-            _publish_result_metrics(obs, result)
-            if obs.monitor is not None:
-                obs.monitor.add_state_source("parallel",
-                                             engine.state_snapshot)
-                # detect_file never materializes the trace; feed the
-                # loops (windows then cover looped traffic only).
-                obs.feed_monitor(
-                    result.trace if args.figures or args.json else None,
-                    result.loops,
-                )
-            if args.json:
-                from repro.core.serialize import result_to_json
-
-                print(result_to_json(result, extras=_json_extras(obs)))
-                return 0
-            print(render_summary(result))
-            print()
-            print(result.parallel.render())
-            if args.figures:
-                _print_figures(result)
             return 0
         trace = _read_trace_file(args.trace, obs)
         result = detector.detect_columnar(trace)
@@ -789,21 +732,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from dataclasses import replace
-
     from repro.fleet import FleetConfig, FleetServer, build_supervisor
 
     config = FleetConfig.load(args.config)
-    overrides = {}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.workers is not None:
-        if args.workers < 0:
-            print("error: --workers must be >= 0", file=sys.stderr)
-            return 2
-        overrides["workers"] = args.workers
-    if overrides:
-        config = replace(config, **overrides)
     supervisor = build_supervisor(config)
     port = config.port if args.serve is None else args.serve
     server = FleetServer(supervisor, host=config.host, port=port)

@@ -397,10 +397,8 @@ def detect_replicas_columnar(
         buf = chunk.data
         offsets = chunk.offsets
         lengths = chunk.lengths
-        indices = chunk.indices
         stride = chunk.stride
-        index_src = (indices if indices is not None
-                     else range(chunk.base_index, chunk.base_index + n))
+        index_src = range(chunk.base_index, chunk.base_index + n)
         length = lengths[0]
         chunk_start = position + 1
 
@@ -842,8 +840,7 @@ def detect_replicas_vectorized(
             key = infos[ci][2][li]
             ttl = chunk.data[chunk.offsets[li] + _TTL_OFFSET]
         timestamp = chunk.timestamps[li]
-        indices = chunk.indices
-        index = indices[li] if indices is not None else chunk.base_index + li
+        index = chunk.base_index + li
 
         streams = open_streams.get(key)
         if streams is not None:
@@ -915,8 +912,9 @@ def detect_replicas_vectorized(
 
 def stream_sort_key(stream: ReplicaStream) -> tuple[float, int]:
     """Total order on streams: start time, ties broken by the first
-    replica's record index (unique across streams).  Shared by the offline
-    and sharded engines so both produce byte-identical candidate lists."""
+    replica's record index (unique across streams).  Both step-1 kernels
+    and the merge sort with it, so every path produces byte-identical
+    candidate lists."""
     return (stream.start, stream.replicas[0].index)
 
 

@@ -56,7 +56,7 @@ class PrefixIndex:
     * ``times``, an ``array('d')`` of the chunk's timestamps ordered by
       (prefix, timestamp), ties in capture order;
     * ``indices``, an ``array('q')`` of the matching global record
-      indices (``chunk.indices`` when set, else ``base_index + i``);
+      indices (``base_index + i``);
     * ``bounds``, ``{prefix: (lo, hi)}``: the slice of both columns
       that holds the prefix;
     * the chunk's time range, from its minimum and maximum timestamp.
@@ -155,10 +155,7 @@ class PrefixIndex:
         times.frombytes(stamps[order].data.cast("B"))
         # Chunk row of each sorted entry, for the index column.
         rows_at = order if keep is None else keep[order]
-        if chunk.indices is None:
-            ids = rows_at + chunk.base_index
-        else:
-            ids = np.asarray(chunk.indices)[rows_at]
+        ids = rows_at + chunk.base_index
         indices = array("q")
         indices.frombytes(ids.astype(np.int64, copy=False).data.cast("B"))
         return (float(stamps.min()), float(stamps.max()), keys,
@@ -206,12 +203,8 @@ class PrefixIndex:
             cursor[prefix] = position + 1
         times = array("d", map(stamps.__getitem__, order))
         row_of = rows.__getitem__
-        if chunk.indices is None:
-            base = chunk.base_index
-            indices = array("q", (base + row_of(j) for j in order))
-        else:
-            indices = array("q", map(chunk.indices.__getitem__,
-                                     map(row_of, order)))
+        base = chunk.base_index
+        indices = array("q", (base + row_of(j) for j in order))
         return min(stamps), max(stamps), keys, starts, times, indices
 
     def _windows(self, prefix: IPv4Prefix, start: float, end: float):

@@ -2,25 +2,19 @@
 
 Everything here is optional: the module imports cleanly without numpy
 (``np`` is then ``None`` and ``HAVE_NUMPY`` is ``False``), and every
-caller — the vectorized kernel, the columnar shard partition — falls
-back to its pure-python path when numpy is absent.  Nothing outside
-this module imports numpy directly, so "does the repo work without
-numpy" is checkable by uninstalling it and running the tier-equivalence
-suite (CI does exactly that).
+caller — the vectorized kernel, the prefix index, the batched
+streaming tier — falls back to its pure-python path when numpy is
+absent.  Nothing outside this module imports numpy directly, so "does
+the repo work without numpy" is checkable by uninstalling it and
+running the tier-equivalence suite (CI does exactly that).
 
-Two primitives live here:
-
-* :func:`hash_rows` — a per-row 64-bit hash of a 2-D ``uint8`` array,
-  used by the vectorized kernel's duplicate filter.  Each row is padded
-  to a multiple of 8 bytes, viewed as ``uint64`` words, and dotted with
-  a fixed table of random odd weights (mod 2**64).  Equal rows always
-  hash equal — that is the property the filter's correctness rests on;
-  collisions merely cost a little pass-2 work (see
-  :func:`~repro.core.replica.detect_replicas_vectorized`).
-* :func:`crc32_rows` — table-driven CRC-32 over the rows, bit-identical
-  to :func:`zlib.crc32` per row, vectorized across rows one byte-column
-  at a time.  Used for chunk-level shard assignment, where placement
-  must match the scalar ``crc32(scratch)`` loop exactly.
+The central primitive is :func:`hash_rows`, a per-row 64-bit hash of a
+2-D ``uint8`` array, used by the vectorized kernel's duplicate filter.
+Each row is padded to a multiple of 8 bytes, viewed as ``uint64``
+words, and dotted with a fixed table of random odd weights (mod 2**64).
+Equal rows always hash equal — that is the property the filter's
+correctness rests on; collisions merely cost a little pass-2 work (see
+:func:`~repro.core.replica.detect_replicas_vectorized`).
 """
 
 from __future__ import annotations
@@ -45,8 +39,6 @@ _WEIGHT_SEED = 0x51F15EED
 _WEIGHT_BLOCK = 64
 
 _weights = np.empty(0, dtype=np.uint64) if HAVE_NUMPY else None
-
-_crc_table = None
 
 
 def hash_weights(words: int):
@@ -79,12 +71,6 @@ def hash_rows(rows):
     # Element-wise multiply + sum keeps everything in wrapping uint64
     # arithmetic (matmul would not).
     return (words * weights).sum(axis=1, dtype=np.uint64)
-
-
-def hash_row_bytes(key) -> int:
-    """:func:`hash_rows` of one record's bytes (irregular-chunk path)."""
-    row = np.frombuffer(key, dtype=np.uint8).reshape(1, -1)
-    return int(hash_rows(row)[0])
 
 
 #: IPv4 header offsets mirrored from :mod:`repro.core.replica` — the
@@ -128,33 +114,3 @@ def dst_prefixes(masked, shift: int):
     dst = np.ascontiguousarray(masked[:, 16:20]).view(">u4").ravel()
     return (dst.astype(np.uint32) >> np.uint32(shift)).astype(np.int64)
 
-
-def crc32_table():
-    """The reflected CRC-32 (poly 0xEDB88320) byte table as uint32."""
-    global _crc_table
-    if _crc_table is None:
-        table = np.empty(256, dtype=np.uint32)
-        for i in range(256):
-            crc = i
-            for _ in range(8):
-                crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
-            table[i] = crc
-        _crc_table = table
-    return _crc_table
-
-
-def crc32_rows(rows):
-    """CRC-32 of each row of a ``(n, length)`` uint8 array.
-
-    Bit-identical to ``zlib.crc32(row)`` (same polynomial, init and
-    final xor), computed for all rows at once, one byte-column per
-    step — n-wide vector operations instead of n Python-level calls.
-    """
-    table = crc32_table()
-    n, length = rows.shape
-    crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
-    mask = np.uint32(0xFF)
-    shift = np.uint32(8)
-    for column in range(length):
-        crc = (crc >> shift) ^ table[(crc ^ rows[:, column]) & mask]
-    return crc ^ np.uint32(0xFFFFFFFF)

@@ -15,13 +15,11 @@ long-running multi-link service:
 * :mod:`repro.fleet.pipeline` — one link's capture → columnar ingest →
   streaming detection → windowed recorder chain, rebuilt fresh on every
   (re)start;
-* :mod:`repro.fleet.supervisor` — owns N concurrent link pipelines;
-* :mod:`repro.fleet.workers` — the ``process`` backend: links fanned
-  out across supervised worker processes, relayed over command pipes;
+* :mod:`repro.fleet.supervisor` — owns N concurrent link pipelines on
+  one event loop, detection on its thread executor;
 * :mod:`repro.fleet.api` — the fleet-wide HTTP API (``/links``,
   per-link ``/state`` and ``/dashboard``, label-aggregated
-  ``/metrics``, ``POST /links/<id>/restart``) — identical under both
-  backends.
+  ``/metrics``, ``POST /links/<id>/restart``).
 
 ``repro-loops fleet <config>`` is the CLI entry point.
 """
@@ -29,9 +27,8 @@ long-running multi-link service:
 from repro.fleet.api import FleetServer
 from repro.fleet.config import FleetConfig, FleetConfigError, LinkConfig
 from repro.fleet.pipeline import LinkPipeline
-from repro.fleet.supervisor import FleetSupervisor
+from repro.fleet.supervisor import FleetSupervisor, build_supervisor
 from repro.fleet.task import RestartPolicy, SupervisedTask, TaskState
-from repro.fleet.workers import ProcessFleetSupervisor, build_supervisor
 
 __all__ = [
     "FleetConfig",
@@ -40,7 +37,6 @@ __all__ = [
     "FleetSupervisor",
     "LinkConfig",
     "LinkPipeline",
-    "ProcessFleetSupervisor",
     "RestartPolicy",
     "SupervisedTask",
     "TaskState",

@@ -24,12 +24,9 @@ thread via ``call_soon_threadsafe`` inside
 202 means "handed to the supervisor", not "already restarted" — poll
 ``/links`` for the transition.
 
-The handler is backend-agnostic: it consumes only the supervisor's
-read surface (``pipelines``/``tasks``/``snapshot``/``render_metrics``/
-``request_restart``), which
-:class:`~repro.fleet.workers.ProcessFleetSupervisor` duck-types over
-worker-relayed documents — every endpoint serves the identical shape
-under both backends.
+The handler consumes only the supervisor's read surface
+(``pipelines``/``tasks``/``snapshot``/``render_metrics``/
+``request_restart``).
 
 ``POST /links/<id>/profile`` runs a
 :class:`~repro.obs.perf.SamplingProfiler` *in the handler thread* for a

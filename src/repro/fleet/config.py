@@ -11,8 +11,6 @@ lowest common denominator — the two spell the identical structure:
     [fleet]
     host = "127.0.0.1"
     port = 9470
-    backend = "thread"   # or "process": link pipelines in workers
-    workers = 0          # process backend: worker count (0 = auto)
 
     [fleet.restart]
     max_restarts = 5
@@ -254,36 +252,21 @@ def _restart_policy(data: Mapping[str, Any]) -> RestartPolicy:
         raise FleetConfigError(f"fleet.restart: {error}") from error
 
 
-BACKENDS = ("thread", "process")
-
-
 @dataclass(frozen=True)
 class FleetConfig:
-    """The whole fleet: links plus service-level policy.
-
-    ``backend`` picks where link pipelines run: ``thread`` (the
-    default) keeps every pipeline on the daemon's event loop with
-    detection on the thread executor; ``process`` fans the links out
-    across ``workers`` supervised worker processes (see
-    :mod:`repro.fleet.workers`), so N links detect on N cores instead
-    of sharing one GIL.  ``workers = 0`` sizes the pool automatically
-    (one per link, capped at the machine's CPU count).
-    """
+    """The whole fleet: links plus service-level policy."""
 
     links: tuple[LinkConfig, ...]
     host: str = "127.0.0.1"
     port: int = 9470
     restart: RestartPolicy = field(default_factory=RestartPolicy)
     alerts: AlertPolicy = field(default_factory=AlertPolicy)
-    backend: str = "thread"
-    workers: int = 0
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetConfig":
         data = _take(data, "top-level", ("fleet", "links"))
         fleet = _take(data.get("fleet", {}), "fleet",
-                      ("host", "port", "restart", "alerts", "backend",
-                       "workers"))
+                      ("host", "port", "restart", "alerts"))
         alerts = AlertPolicy.from_dict(fleet.get("alerts", {}), "fleet")
         raw_links = data.get("links", [])
         if not raw_links:
@@ -295,26 +278,12 @@ class FleetConfig:
             if link.id in seen:
                 raise FleetConfigError(f"duplicate link id {link.id!r}")
             seen.add(link.id)
-        backend = fleet.get("backend", "thread")
-        if backend not in BACKENDS:
-            raise FleetConfigError(
-                f"fleet.backend must be one of {', '.join(BACKENDS)}; "
-                f"got {backend!r}"
-            )
-        workers = fleet.get("workers", 0)
-        if not isinstance(workers, int) or isinstance(workers, bool) \
-                or workers < 0:
-            raise FleetConfigError(
-                "fleet.workers must be an integer >= 0 (0 = auto)"
-            )
         return cls(
             links=links,
             host=str(fleet.get("host", "127.0.0.1")),
             port=int(fleet.get("port", 9470)),
             restart=_restart_policy(fleet.get("restart", {})),
             alerts=alerts,
-            backend=backend,
-            workers=workers,
         )
 
     @classmethod

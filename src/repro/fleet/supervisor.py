@@ -161,3 +161,8 @@ class FleetSupervisor:
                 "fleet_task_up",
                 "1 while the pipeline task is running, else 0.", labels,
             ).set(1.0 if task.state.value == "running" else 0.0)
+
+
+def build_supervisor(config: FleetConfig, tracer=None) -> FleetSupervisor:
+    # Kept because perfbench's fleet workload builds its supervisor here.
+    return FleetSupervisor(config, tracer=tracer or NULL_TRACER)

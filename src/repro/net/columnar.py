@@ -21,16 +21,13 @@ column                typecode    meaning
 ``data`` is any buffer — for mmap-backed traces it is a ``memoryview``
 over the mapped pcap file, so record bodies are never copied out of the
 page cache until something actually materializes them (a replica-stream
-``first_data``, a :meth:`ColumnarChunk.to_trace` call).  For shard slabs
-shipped across process boundaries it is a compact ``bytes`` object that
-pickles as one buffer instead of one object per record.
+``first_data``, a :meth:`ColumnarChunk.to_trace` call).  Chunks built
+from materialized records (:meth:`ColumnarChunk.from_records`) pack the
+bodies into one compact ``bytes`` slab.
 
 ``base_index`` anchors the chunk's records in the *global* record
-numbering of the trace (record ``i`` of the chunk is global record
-``base_index + i``); a non-``None`` ``indices`` column overrides that
-with explicit per-record global indices, which is what lets a sharded
-slab carry records plucked from all over the trace while stream
-membership still lines up with the full trace.
+numbering of the trace: record ``i`` of the chunk is global record
+``base_index + i``.
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ class ColumnarChunk:
 
     All columns must have equal length; ``offsets[i] + lengths[i]`` must
     stay inside ``data``.  ``wire_lengths`` may be ``None`` for chunks
-    that only feed the detection kernel (shard slabs), which never looks
-    at on-wire lengths.
+    that only feed the detection kernel, which never looks at on-wire
+    lengths.
     """
 
     data: bytes | bytearray | memoryview
@@ -62,7 +59,6 @@ class ColumnarChunk:
     lengths: array
     wire_lengths: array | None = None
     base_index: int = 0
-    indices: array | None = None
     #: Producer's guarantee of a regular layout: when not ``None``,
     #: ``offsets[i] == offsets[0] + i * stride`` for every record.  The
     #: batched kernel uses it to mask TTL/checksum bytes for a whole
@@ -83,20 +79,9 @@ class ColumnarChunk:
                 f"column lengths differ: {n} timestamps, "
                 f"{len(self.wire_lengths)} wire_lengths"
             )
-        if self.indices is not None and len(self.indices) != n:
-            raise ColumnarError(
-                f"column lengths differ: {n} timestamps, "
-                f"{len(self.indices)} indices"
-            )
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def global_index(self, i: int) -> int:
-        """The trace-global record number of chunk record ``i``."""
-        if self.indices is not None:
-            return self.indices[i]
-        return self.base_index + i
 
     def slice(self, start: int, stop: int) -> "ColumnarChunk":
         """A sub-chunk covering records ``start:stop``.
@@ -119,8 +104,6 @@ class ColumnarChunk:
             wire_lengths=(None if self.wire_lengths is None
                           else self.wire_lengths[start:stop]),
             base_index=self.base_index + start,
-            indices=(None if self.indices is None
-                     else self.indices[start:stop]),
             stride=self.stride,
         )
 
@@ -142,23 +125,6 @@ class ColumnarChunk:
         for i, length in enumerate(self.lengths):
             offset = offsets[i]
             yield timestamps[i], view[offset:offset + length]
-
-    def iter_triples(self) -> Iterator[tuple[int, float, bytes]]:
-        """Yield ``(index, timestamp, data)`` triples.
-
-        The input shape of the reference oracle the kernel equivalence
-        tests compare against — it materializes one ``bytes`` object per
-        record, exactly what the columnar kernel avoids.
-        """
-        view = memoryview(self.data)
-        offsets = self.offsets
-        timestamps = self.timestamps
-        indices = self.indices
-        base = self.base_index
-        for i, length in enumerate(self.lengths):
-            offset = offsets[i]
-            index = indices[i] if indices is not None else base + i
-            yield index, timestamps[i], bytes(view[offset:offset + length])
 
     def to_records(self) -> Iterator[TraceRecord]:
         """Materialize the chunk as :class:`TraceRecord` objects."""
@@ -277,11 +243,6 @@ class ColumnarTrace:
     def iter_timestamps(self) -> Iterator[float]:
         for chunk in self.chunks:
             yield from chunk.timestamps
-
-    def iter_triples(self) -> Iterator[tuple[int, float, bytes]]:
-        """Reference-detector triples across all chunks (materializing)."""
-        for chunk in self.chunks:
-            yield from chunk.iter_triples()
 
     def to_trace(self) -> Trace:
         """Materialize a full :class:`Trace` (one object per record)."""

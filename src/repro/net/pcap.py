@@ -5,12 +5,9 @@ microsecond timestamps, ``LINKTYPE_RAW`` so each record body is a bare IPv4
 packet).  This makes the detector usable on real captures converted with
 ``tcpdump -w``/``tshark`` as well as on simulator output.
 
-Three reading modes:
+Two reading modes:
 
 * :func:`read_pcap` materializes the whole file as a :class:`Trace`;
-* :func:`iter_pcap` / :func:`iter_pcap_chunks` stream materialized
-  records with bounded memory (part of the public API; the detector
-  itself reads columnar);
 * :func:`read_pcap_columnar` / :func:`iter_pcap_columnar` map the file
   with ``mmap`` and decode record headers in place — runs of equal
   captured length through one strided numpy view each, anything else
@@ -48,13 +45,9 @@ PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_RAW = 101
 
-#: Default record count per chunk for :func:`iter_pcap_chunks` — with a
-#: 40-byte snaplen this is a few MiB of buffered data, far below trace size.
+#: Default record count per chunk for :func:`iter_pcap_columnar` — a few
+#: MiB of column data, far below trace size.
 DEFAULT_CHUNK_RECORDS = 65_536
-
-#: A record below this many captured bytes cannot hold an IPv4 header and
-#: can never participate in detection.
-_MIN_IP_HEADER = 20
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _GLOBAL_HEADER_BE = struct.Struct(">IHHiIII")
@@ -203,55 +196,6 @@ def _read_stream(stream: BinaryIO, link_name: str, source: str = "",
             trace.append(record)
             progress(1)
     return trace
-
-
-def iter_pcap(path: str | Path) -> Iterator[TraceRecord]:
-    """Stream a pcap file record by record with bounded memory.
-
-    Yields the records :func:`read_pcap` would load, in order, without
-    ever holding more than one record at a time — except records shorter
-    than a full IP header, which are skipped here (and counted in the
-    ``pcap_short_records_skipped_total`` metric) instead of being
-    materialized as :class:`TraceRecord` objects only for the detector to
-    discard them later.
-    """
-    short_counter = get_registry().counter(
-        "pcap_short_records_skipped_total",
-        "Records below a full IP header skipped at the reader",
-    )
-    with open(path, "rb") as stream:
-        header = _read_global_header(stream)
-        for record in _iter_records(stream, header, str(path)):
-            if len(record.data) < _MIN_IP_HEADER:
-                short_counter.inc()
-                continue
-            yield record
-
-
-def iter_pcap_chunks(
-    path: str | Path,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    link_name: str = "",
-) -> Iterator[Trace]:
-    """Stream a pcap file as :class:`Trace` chunks of ``chunk_records``.
-
-    Each chunk carries the file's snaplen and ``link_name``, so chunk
-    consumers (the sharded engine, incremental indexers) see the same
-    metadata :func:`read_pcap` would attach, while peak memory stays
-    bounded by the chunk size rather than the trace length.
-    """
-    if chunk_records < 1:
-        raise PcapError(f"chunk_records must be >= 1: {chunk_records}")
-    with open(path, "rb") as stream:
-        header = _read_global_header(stream)
-        chunk = Trace(link_name=link_name, snaplen=header.snaplen)
-        for record in _iter_records(stream, header, str(path)):
-            chunk.append(record)
-            if len(chunk.records) >= chunk_records:
-                yield chunk
-                chunk = Trace(link_name=link_name, snaplen=header.snaplen)
-        if chunk.records:
-            yield chunk
 
 
 # -- zero-copy columnar reading ----------------------------------------------

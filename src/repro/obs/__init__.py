@@ -3,7 +3,7 @@
 The paper's contribution is *observing* transient routing loops from the
 data plane; this package makes the reproduction itself observable.  It
 has four pieces, designed to be wired through every subsystem (simulator
-control plane, offline/streaming/parallel detectors, capture monitors,
+control plane, offline/streaming detectors, capture monitors,
 CLI) with **zero cost when disabled**:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,

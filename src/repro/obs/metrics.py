@@ -439,37 +439,6 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
 
-    def dump(self) -> list[dict[str, Any]]:
-        """A lossless, picklable description of every instrument (runs
-        collectors first).
-
-        Unlike :meth:`snapshot`, the dump keeps kind, help text, label
-        pairs, and raw histogram bucket bounds/counts, so
-        :func:`registry_from_dump` can rebuild a registry whose
-        :meth:`render_prometheus` output is byte-identical.  This is
-        the fleet worker-process relay format: workers ship dumps over
-        the command pipe; the parent rebuilds per-link registries for
-        ``/metrics`` merging.
-        """
-        self.collect()
-        out: list[dict[str, Any]] = []
-        for metric in self._sorted_metrics():
-            entry: dict[str, Any] = {
-                "kind": metric.kind,
-                "name": metric.name,
-                "help": metric.help,
-                "labels": [list(pair) for pair in metric.labels],
-            }
-            if isinstance(metric, Histogram):
-                entry["bounds"] = list(metric.bounds)
-                entry["bucket_counts"] = list(metric._counts)
-                entry["sum"] = metric.sum
-                entry["count"] = metric.count
-            else:
-                entry["value"] = metric.value
-            out.append(entry)
-        return out
-
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4).
 
@@ -506,33 +475,6 @@ class MetricsRegistry:
                     f"{_num(metric.value)}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def registry_from_dump(dump: "list[dict[str, Any]]") -> MetricsRegistry:
-    """Rebuild a :class:`MetricsRegistry` from :meth:`MetricsRegistry.
-    dump` output; the rebuilt registry renders byte-identical
-    Prometheus text and merges like the original."""
-    registry = MetricsRegistry(enabled=True)
-    for entry in dump:
-        labels = {key: value for key, value in entry.get("labels", [])}
-        kind = entry["kind"]
-        if kind == "counter":
-            registry.counter(entry["name"], entry.get("help", ""),
-                             labels or None).set(entry["value"])
-        elif kind == "gauge":
-            registry.gauge(entry["name"], entry.get("help", ""),
-                           labels or None).set(entry["value"])
-        elif kind == "histogram":
-            histogram = registry.histogram(
-                entry["name"], entry.get("help", ""),
-                buckets=entry["bounds"], labels=labels or None,
-            )
-            histogram._counts = list(entry["bucket_counts"])
-            histogram._sum = entry["sum"]
-            histogram._count = entry["count"]
-        else:
-            raise MetricsError(f"unknown instrument kind {kind!r}")
-    return registry
 
 
 def merged_registry(

@@ -5,7 +5,7 @@ Three layers, one module:
 
 * :class:`PipelineProfile` / :class:`StageTimer` — nested wall-clock
   spans over the detection pipeline's stages (columnar ingest, step-1
-  kernel, shard fan-out, worker detect, validate/merge, recorder feed).
+  kernel, validate/merge, source wait, streaming feed and flush).
   Per-stage totals accumulate in the profile (count, seconds, records,
   bytes → derived throughput) and, when a
   :class:`~repro.obs.metrics.MetricsRegistry` is attached, feed
@@ -27,9 +27,9 @@ Three layers, one module:
   compare`` CLI subcommand diffs (exit 0 ok / 1 regression / 2 schema
   mismatch).
 
-Stage names are dotted paths; nesting is tracked per thread, so a
-worker's ``detect.shard`` span correctly records ``parallel.detect`` as
-its parent even while another thread times ``source.wait``.
+Stage names are dotted paths; nesting is tracked per thread, so an
+executor thread's ``detect.feed`` span keeps its own parent even while
+the event-loop thread times ``source.wait``.
 """
 
 from __future__ import annotations
@@ -90,12 +90,8 @@ class StageStats:
 
 
 class StageTimer:
-    """Context manager timing one stage execution.
-
-    ``seconds`` is valid after ``__exit__`` — call sites that also keep
-    their own stats (:class:`~repro.parallel.engine.ParallelStats`) read
-    it instead of keeping a second ``perf_counter`` pair.
-    """
+    """Context manager timing one stage execution; ``seconds`` is valid
+    after ``__exit__``."""
 
     __slots__ = ("_profile", "name", "records", "bytes", "seconds",
                  "_t0", "_parent")
@@ -177,7 +173,7 @@ class PipelineProfile:
     >>> profile.snapshot()["stages"][0]["records_per_sec"]
 
     Thread-safe: stages may start and finish on different threads (the
-    fleet's executor, parallel workers); the per-thread nesting stack
+    fleet's executor threads); the per-thread nesting stack
     keeps parents straight, and accumulation happens under a lock once
     per stage *span* — never per record.
     """

@@ -4,9 +4,9 @@ The paper analyzed four traces (Table I); an operator analyzes one trace
 per monitored link direction.  :func:`run_batch` fans whole traces out
 over a process pool — each worker simulates (or loads) one trace and
 runs the offline detector on it — and aggregates per-trace results into
-one report.  Trace-level parallelism composes with the sharded engine:
-use ``batch`` when there are many traces, ``--jobs`` when there is one
-big one.
+one report.  Trace-level parallelism is the only kind: one trace runs in
+one process, which beat every in-trace split that was measured
+(``docs/PERFORMANCE.md``).
 
 Targets are scenario names (``backbone1``..``backbone4``) or pcap file
 paths; a path that exists on disk is loaded, anything else must name a

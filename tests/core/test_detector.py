@@ -118,8 +118,8 @@ class TestPipeline:
 
 
 class TestOracleEquivalence:
-    """The product pipeline, serial and sharded, against the reference
-    pipeline of ``tests/oracles.py`` on captures of mixed lengths."""
+    """The product pipeline against the reference pipeline of
+    ``tests/oracles.py`` on captures of mixed lengths."""
 
     @staticmethod
     def _mixed_capture_trace():
@@ -158,8 +158,7 @@ class TestOracleEquivalence:
              result.validation.rejected_prefix_conflict),
         )
 
-    def test_detect_and_parallel_match_reference(self):
-        from repro.parallel import ParallelLoopDetector
+    def test_detect_matches_reference(self):
         from tests.oracles import reference_detect
 
         trace = self._mixed_capture_trace()
@@ -170,11 +169,7 @@ class TestOracleEquivalence:
         assert expected.loop_count >= 1
         assert expected.scan_stats.records_skipped_short > 0
         assert expected.scan_stats.singletons_evicted > 0
-        serial = LoopDetector(config).detect(trace)
-        assert serial.scan_stats == expected.scan_stats
-        # Shards evict on their own scan positions, so only the serial
-        # run shares the oracle's eviction count.
-        sharded = ParallelLoopDetector(config, jobs=2).detect(trace)
-        for result in (serial, sharded):
-            assert result.trace is trace
-            assert self._fingerprint(result) == self._fingerprint(expected)
+        result = LoopDetector(config).detect(trace)
+        assert result.scan_stats == expected.scan_stats
+        assert result.trace is trace
+        assert self._fingerprint(result) == self._fingerprint(expected)

@@ -1,7 +1,7 @@
 """Equivalence tests: batched columnar step-1 kernel vs the oracle.
 
 The columnar kernel must be *behaviourally indistinguishable* from the
-reference oracle ``detect_replicas_indexed`` (``tests/oracles.py``) fed
+reference oracle ``reference_replicas`` (``tests/oracles.py``) fed
 the same records — same streams, same replica indices, same keys, same
 first_data bytes — on synthetic loop traces, pcap round trips, and
 through the full three-step pipeline.
@@ -15,14 +15,10 @@ from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.replica import ReplicaScanStats, detect_replicas_columnar
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
-from repro.net.columnar import ColumnarChunk, ColumnarTrace
+from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
-from tests.oracles import (
-    detect_replicas_indexed,
-    reference_detect,
-    reference_replicas,
-)
+from tests.oracles import reference_detect, reference_replicas
 
 
 @pytest.fixture(scope="module")
@@ -140,25 +136,6 @@ class TestColumnarKernelEquivalence:
                 for i, chunk in enumerate(ctrace.chunks)
             ]
             _assert_streams_equal(detect_replicas_columnar(mixed), reference)
-
-    def test_sharded_subset_carries_global_indices(self, loop_trace):
-        # Feeding only a subset (with an explicit global index column)
-        # must produce streams whose member indices line up with the
-        # full trace — the property the parallel engine depends on.
-        import dataclasses
-        from array import array
-
-        reference = reference_replicas(loop_trace)
-        keep = sorted({i for stream in reference
-                       for i in stream.member_indices()})
-        chunk = ColumnarChunk.from_records(
-            [loop_trace.records[i] for i in keep]
-        )
-        chunk = dataclasses.replace(chunk, indices=array("Q", keep))
-        _assert_streams_equal(detect_replicas_columnar([chunk]), reference)
-        subset = [(i, loop_trace.records[i].timestamp,
-                   loop_trace.records[i].data) for i in keep]
-        _assert_streams_equal(detect_replicas_indexed(subset), reference)
 
 
 class TestFullPipelineEquivalence:

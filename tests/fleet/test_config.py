@@ -156,33 +156,16 @@ class TestFleetConfig:
 class TestBackendAndPrefetch:
     def test_defaults(self):
         config = FleetConfig.from_dict(minimal())
-        assert config.backend == "thread"
-        assert config.workers == 0
         assert config.link("a").prefetch == 2
 
-    def test_process_backend_with_workers(self):
+    @pytest.mark.parametrize("key, value",
+                             [("backend", "process"), ("workers", 2)],
+                             ids=["backend", "workers"])
+    def test_removed_backend_keys_rejected(self, key, value):
         data = minimal()
-        data["fleet"] = {"backend": "process", "workers": 3}
-        config = FleetConfig.from_dict(data)
-        assert config.backend == "process"
-        assert config.workers == 3
-
-    def test_unknown_backend_rejected(self):
-        data = minimal()
-        data["fleet"] = {"backend": "fork"}
-        with pytest.raises(FleetConfigError, match="backend must be one of"):
-            FleetConfig.from_dict(data)
-
-    def test_negative_workers_rejected(self):
-        data = minimal()
-        data["fleet"] = {"backend": "process", "workers": -1}
-        with pytest.raises(FleetConfigError, match="workers must be"):
-            FleetConfig.from_dict(data)
-
-    def test_bool_workers_rejected(self):
-        data = minimal()
-        data["fleet"] = {"workers": True}
-        with pytest.raises(FleetConfigError, match="workers must be"):
+        data["fleet"] = {key: value}
+        with pytest.raises(FleetConfigError,
+                           match=f"unknown fleet keys: {key}"):
             FleetConfig.from_dict(data)
 
     def test_prefetch_depth_accepted(self):

@@ -109,36 +109,27 @@ class TestAnonymizeCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestParallelDetect:
-    def test_detect_jobs_matches_offline_summary(self, pcap_with_loop,
-                                                 capsys):
-        code = main(["detect", str(pcap_with_loop)])
-        assert code == 0
-        offline_out = capsys.readouterr().out
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2"])
-        assert code == 0
-        parallel_out = capsys.readouterr().out
-        for line in ("candidate streams:", "validated streams:",
-                     "routing loops:", "looped packets:", "looped records:"):
-            offline_line = next(l for l in offline_out.splitlines()
-                                if l.startswith(line))
-            assert offline_line in parallel_out
-        assert "parallel: 2 worker(s)" in parallel_out
-        assert "shard skew" in parallel_out
+class TestRemovedOptions:
+    """detect and fleet take no in-trace parallelism options."""
 
-    def test_detect_jobs_with_figures(self, pcap_with_loop, capsys):
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2",
-                     "--figures"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 2" in out
-        assert "parallel: 2 worker(s)" in out
+    @pytest.mark.parametrize("option", ["--jobs", "--shards"])
+    def test_detect_jobs_refused(self, pcap_with_loop, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["detect", str(pcap_with_loop), option, "2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
-    def test_streaming_and_jobs_conflict(self, pcap_with_loop, capsys):
-        code = main(["detect", str(pcap_with_loop), "--streaming",
-                     "--jobs", "2"])
-        assert code == 1
-        assert "mutually exclusive" in capsys.readouterr().err
+    @pytest.mark.parametrize("option, value",
+                             [("--backend", "process"), ("--workers", "2")],
+                             ids=["backend", "workers"])
+    def test_fleet_backend_refused(self, tmp_path, option, value, capsys):
+        config = tmp_path / "fleet.json"
+        config.write_text('{"links": [{"id": "a", "source": '
+                          '{"kind": "pcap", "path": "a.pcap"}}]}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", str(config), option, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestBatchCommand:

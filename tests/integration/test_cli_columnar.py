@@ -112,15 +112,6 @@ class TestColumnarFlagParity:
             _oracle(loop_pcap, min_stream_size=9)) + "\n"
         assert "validated streams: 0" in out
 
-    def test_detect_parallel_identical(self, loop_pcap, capsys):
-        out = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2"])
-        # The instrumentation block below the summary reports timings
-        # and fan-out sizes; the detection summary must match.
-        expected = render_summary(_oracle(loop_pcap,
-                                          link_name=str(loop_pcap)))
-        assert out.split("\n\nparallel:")[0] == expected
-        assert "fan-out payload:" in out
-
     def test_monitor_identical(self, loop_pcap, capsys):
         from repro.obs.live import LiveMonitor
         from repro.obs.metrics import MetricsRegistry

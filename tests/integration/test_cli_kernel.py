@@ -3,11 +3,9 @@ the answer.
 
 Every product entry point runs the ``auto`` step-1 tier: ``vectorized``
 when numpy imports, the pure-python ``columnar`` kernel otherwise.  The
-CLI must print byte-identical output either way, and the parallel
-engine on top of the shared-memory fan-out must agree with both.
+CLI must print byte-identical output either way.
 """
 
-import json
 import random
 
 import pytest
@@ -55,22 +53,6 @@ class TestKernelParity:
             capsys, monkeypatch, ["detect", str(loop_pcap), "--json"])
         assert native == without_numpy
         assert '"loops"' in native
-
-    def test_json_identical_with_parallel_shm_fanout(self, loop_pcap,
-                                                     capsys):
-        single = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                          "--json"]))
-        parallel = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                            "--json", "--jobs", "2"]))
-        # The parallel run adds wall-clock gauges and stamps the link
-        # name; every detection key must match byte for byte.
-        for key in single:
-            if key in ("metrics", "trace"):
-                continue
-            assert parallel[key] == single[key], key
-        single["trace"].pop("link")
-        parallel["trace"].pop("link")
-        assert parallel["trace"] == single["trace"]
 
     def test_summary_identical_across_tiers(self, loop_pcap, capsys,
                                             monkeypatch):

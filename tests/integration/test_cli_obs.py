@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.net.addr import IPv4Prefix
 from repro.net.pcap import write_pcap
 from repro.obs.metrics import get_registry, parse_prometheus
+from repro.net.trace import Trace, TraceRecord
 from repro.obs.tracing import read_trace, spans
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
@@ -60,14 +61,20 @@ class TestMetricsOut:
         assert parsed["counters"]["streaming_records_total"] == 110
         assert parsed["counters"]["streaming_loops_emitted_total"] == 1
 
-    def test_parallel_metrics(self, pcap_with_loop, tmp_path, capsys):
+    def test_short_records_counted(self, tmp_path, capsys):
+        trace = Trace(records=[
+            TraceRecord(timestamp=t, data=bytes(length), wire_length=length)
+            for t, length in ((1.0, 40), (2.0, 8), (3.0, 0), (4.0, 20))
+        ])
+        pcap = tmp_path / "short.pcap"
+        write_pcap(trace, pcap)
         out = tmp_path / "metrics.prom"
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2",
-                     "--metrics-out", str(out)])
+        code = main(["detect", str(pcap), "--metrics-out", str(out)])
         assert code == 0
         parsed = parse_prometheus(out.read_text())
-        assert parsed["counters"]["parallel_records_total"] == 110
-        assert parsed["gauges"]["parallel_jobs"] == 2
+        # The 8- and 0-byte bodies cannot hold an IPv4 header.
+        assert parsed["counters"]["detect_records_skipped_short_total"] == 2
+        assert parsed["counters"]["detect_records_total"] == 4
 
 
 class TestDetectJson:

@@ -17,7 +17,6 @@ from repro.net.columnar import ColumnarChunk, ColumnarError, ColumnarTrace
 from repro.net.pcap import (
     PcapError,
     PcapWarning,
-    iter_pcap,
     iter_pcap_columnar,
     read_pcap,
     read_pcap_columnar,
@@ -60,17 +59,11 @@ class TestColumnarChunk:
         assert len(chunk) == 3
         assert chunk.record_bytes(1) == b"bb"
         assert bytes(chunk.record_view(2)) == b"cccccc"
-        assert chunk.global_index(2) == 2
-
-    def test_explicit_indices_override_base(self):
-        chunk = _chunk([b"aa", b"bb"])
-        chunk.indices = array("Q", [7, 42])
-        assert chunk.global_index(0) == 7
-        assert chunk.global_index(1) == 42
 
     def test_base_index_offsets_numbering(self):
-        chunk = _chunk([b"aa", b"bb"], base_index=100)
-        assert [i for i, _, _ in chunk.iter_triples()] == [100, 101]
+        chunk = _chunk([b"aa", b"bb", b"cc"], base_index=100)
+        assert chunk.slice(1, 3).base_index == 101
+        assert chunk.slice(1, 3).record_bytes(0) == b"bb"
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ColumnarError):
@@ -162,10 +155,8 @@ class TestColumnarReaderParity:
         write_pcap(small_trace, path)
         chunks = list(iter_pcap_columnar(path, chunk_records=1))
         assert [c.base_index for c in chunks] == [0, 1, 2]
-        flat = [t for c in chunks for t in c.iter_triples()]
-        whole = read_pcap(path)
-        assert [i for i, _, _ in flat] == [0, 1, 2]
-        assert [d for _, _, d in flat] == [r.data for r in whole.records]
+        flat = [r for c in chunks for r in c.to_records()]
+        assert flat == read_pcap(path).records
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.pcap"
@@ -274,7 +265,7 @@ class TestPcapEdgeCasesBothReaders:
         assert trace[0].data == b""
         assert len(trace) == 2
         # Zero-length records still occupy a global index.
-        assert ctrace.chunks[0].global_index(1) == 1
+        assert len(ctrace.chunks[0]) == 2
 
     def test_truncated_record_header_warns_on_mmap_path(
         self, small_trace, tmp_path
@@ -326,31 +317,13 @@ class TestPcapEdgeCasesBothReaders:
 
 
 class TestIterPcapShortRecords:
-    def test_short_records_skipped_and_counted(self, tmp_path):
-        path = tmp_path / "short.pcap"
-        _write_exotic(path, 0xA1B2C3D4, "<", [
-            (1, 0, 40, 40, bytes(40)),
-            (2, 0, 8, 8, bytes(8)),       # below a full IP header
-            (3, 0, 0, 0, b""),            # zero-length body
-            (4, 0, 20, 20, bytes(20)),    # exactly one IP header: kept
-        ])
-        registry = MetricsRegistry(enabled=True)
-        previous = set_registry(registry)
-        try:
-            records = list(iter_pcap(path))
-            assert [len(r.data) for r in records] == [40, 20]
-            counter = registry.counter("pcap_short_records_skipped_total")
-            assert counter.value == 2
-        finally:
-            set_registry(previous)
-
     def test_read_pcap_still_materializes_short_records(self, tmp_path):
         path = tmp_path / "short.pcap"
         _write_exotic(path, 0xA1B2C3D4, "<", [
             (1, 0, 8, 8, bytes(8)),
             (2, 0, 40, 40, bytes(40)),
         ])
-        # The materializing reader keeps them (indices must line up);
-        # only the streaming iterator filters.
+        # Both readers keep them so record indices line up; the step-1
+        # kernel skips and counts them (records_skipped_short).
         assert len(read_pcap(path)) == 2
-        assert len(list(iter_pcap(path))) == 1
+        assert len(read_pcap_columnar(path)) == 2

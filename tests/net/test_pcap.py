@@ -10,8 +10,6 @@ from repro.net import pcap
 from repro.net.pcap import (
     PcapError,
     PcapWarning,
-    iter_pcap,
-    iter_pcap_chunks,
     iter_pcap_columnar,
     read_pcap,
     write_pcap,
@@ -142,60 +140,64 @@ class TestPcapInterop:
         assert trace[0].data == ip_bytes
 
 
+def _columnar_records(path, **kwargs):
+    return [record for chunk in iter_pcap_columnar(path, **kwargs)
+            for record in chunk.to_records()]
+
+
 class TestIterPcap:
+    """Record streams from :func:`iter_pcap_columnar`."""
+
     def test_iter_matches_read(self, small_trace, tmp_path):
         path = tmp_path / "t.pcap"
         write_pcap(small_trace, path)
         loaded = read_pcap(path)
-        streamed = list(iter_pcap(path))
-        assert streamed == loaded.records
+        assert _columnar_records(path) == loaded.records
 
     def test_iter_empty_file(self, tmp_path):
         path = tmp_path / "empty.pcap"
         write_pcap(Trace(), path)
-        assert list(iter_pcap(path)) == []
+        assert _columnar_records(path) == []
 
     def test_iter_warns_on_truncated_tail(self, small_trace, tmp_path):
         path = tmp_path / "cut.pcap"
         write_pcap(small_trace, path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.warns(PcapWarning):
-            streamed = list(iter_pcap(path))
+            streamed = _columnar_records(path)
         assert len(streamed) == len(small_trace) - 1
 
     def test_iter_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcap"
         path.write_bytes(b"\x00" * 24)
         with pytest.raises(PcapError):
-            list(iter_pcap(path))
+            list(iter_pcap_columnar(path))
 
 
 class TestIterPcapChunks:
+    """:func:`iter_pcap_columnar` chunk sizing."""
+
     @pytest.mark.parametrize("chunk_records", [1, 2, 3, 100])
     def test_chunks_round_trip(self, small_trace, tmp_path, chunk_records):
         path = tmp_path / "t.pcap"
         write_pcap(small_trace, path)
         loaded = read_pcap(path, link_name="test")
-        chunks = list(iter_pcap_chunks(path, chunk_records=chunk_records,
-                                       link_name="test"))
+        chunks = list(iter_pcap_columnar(path, chunk_records=chunk_records))
         assert all(len(c) <= chunk_records for c in chunks)
         assert all(len(c) == chunk_records for c in chunks[:-1])
-        rebuilt = [record for chunk in chunks for record in chunk]
+        rebuilt = [record for chunk in chunks for record in chunk.to_records()]
         assert rebuilt == loaded.records
-        for chunk in chunks:
-            assert chunk.snaplen == loaded.snaplen
-            assert chunk.link_name == "test"
 
     def test_chunks_empty_file(self, tmp_path):
         path = tmp_path / "empty.pcap"
         write_pcap(Trace(), path)
-        assert list(iter_pcap_chunks(path)) == []
+        assert list(iter_pcap_columnar(path, chunk_records=1)) == []
 
     def test_rejects_bad_chunk_size(self, small_trace, tmp_path):
         path = tmp_path / "t.pcap"
         write_pcap(small_trace, path)
         with pytest.raises(PcapError):
-            list(iter_pcap_chunks(path, chunk_records=0))
+            list(iter_pcap_columnar(path, chunk_records=0))
 
 
 # -- vectorized vs per-record columnar decode ---------------------------------

@@ -1,6 +1,6 @@
 """Instrumentation must not change detection output.
 
-The offline, streaming, and sharded detectors are run with a recording
+The offline and streaming detectors are run with a recording
 tracer and with the null tracer; their loop lists must be identical —
 observability is strictly read-only.
 """
@@ -15,7 +15,6 @@ from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.obs.tracing import Tracer, spans
-from repro.parallel import ParallelLoopDetector
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 
@@ -82,33 +81,6 @@ class TestStreamingDetector:
         ).process_trace(trace)
         assert len(spans(tracer.records, "streaming.process_trace")) == 1
         assert len(spans(tracer.records, "loop")) == len(loops)
-
-
-class TestParallelDetector:
-    def test_tracer_does_not_change_output(self, trace):
-        config = DetectorConfig()
-        plain = ParallelLoopDetector(config, jobs=2).detect(trace)
-        tracer = Tracer()
-        traced = ParallelLoopDetector(config, jobs=2,
-                                      tracer=tracer).detect(trace)
-        assert loop_rows(traced.loops) == loop_rows(plain.loops)
-
-    def test_emits_stage_and_shard_spans(self, trace):
-        tracer = Tracer()
-        engine = ParallelLoopDetector(DetectorConfig(), jobs=2,
-                                      tracer=tracer)
-        result = engine.detect(trace)
-        stage_names = [r["name"] for r in tracer.records
-                       if r["type"] == "span"]
-        for name in ("parallel.partition", "parallel.detect",
-                     "parallel.merge"):
-            assert stage_names.count(name) == 1
-        shard_spans = spans(tracer.records, "parallel.shard")
-        assert len(shard_spans) == engine.shards
-        detect_span = spans(tracer.records, "parallel.detect")[0]
-        for shard in shard_spans:
-            assert shard["parent"] == detect_span["id"]
-        assert len(spans(tracer.records, "loop")) == result.loop_count
 
 
 class TestLiveMonitoring:

@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     parse_prometheus,
-    registry_from_dump,
     set_registry,
 )
 
@@ -331,47 +330,3 @@ class TestMergedRegistry:
         parsed = parse_prometheus(merged.render_prometheus())
         assert parsed["counters"]['loops_total{link="a"}'] == 3
         assert parsed["histograms"]['sizes{link="b"}']["count"] == 2
-
-
-class TestDumpRoundTrip:
-    """``dump()``/``registry_from_dump()`` is the fleet worker→parent
-    metrics relay: the rebuilt registry must render byte-identically."""
-
-    def build_registry(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("records_total", "Records seen.").inc(1234)
-        registry.counter("loops_total", "Loops.",
-                         {"kind": "transient"}).inc(7)
-        registry.gauge("queue_depth", "Prefetch depth.",
-                       {"queue": "source.prefetch"}).set(3)
-        histogram = registry.histogram(
-            "feed_seconds", "Feed latency.", buckets=[0.01, 0.1, 1.0])
-        for value in (0.005, 0.05, 0.5, 5.0):
-            histogram.observe(value)
-        return registry
-
-    def test_render_is_byte_identical(self):
-        registry = self.build_registry()
-        rebuilt = registry_from_dump(registry.dump())
-        assert rebuilt.render_prometheus() == registry.render_prometheus()
-
-    def test_dump_is_json_serializable(self):
-        dump = self.build_registry().dump()
-        assert json.loads(json.dumps(dump)) == dump
-
-    def test_rebuilt_histogram_counts(self):
-        registry = self.build_registry()
-        rebuilt = registry_from_dump(registry.dump())
-        histogram = rebuilt.histogram("feed_seconds",
-                                      buckets=[0.01, 0.1, 1.0])
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(5.555)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(MetricsError):
-            registry_from_dump([{"kind": "summary", "name": "x",
-                                 "value": 1.0}])
-
-    def test_labels_survive(self):
-        rebuilt = registry_from_dump(self.build_registry().dump())
-        assert 'kind="transient"' in rebuilt.render_prometheus()

@@ -50,13 +50,13 @@ class TestPipelineProfile:
 
     def test_nested_stages_record_parent(self):
         profile = make_profile()
-        with profile.stage("parallel.detect"):
+        with profile.stage("detect.replicas"):
             with profile.stage("step1.kernel.vectorized"):
                 pass
         stages = {s["name"]: s for s in profile.snapshot()["stages"]}
-        assert stages["parallel.detect"]["parent"] is None
+        assert stages["detect.replicas"]["parent"] is None
         assert (stages["step1.kernel.vectorized"]["parent"]
-                == "parallel.detect")
+                == "detect.replicas")
 
     def test_nesting_is_per_thread(self):
         profile = PipelineProfile()
@@ -104,9 +104,8 @@ class TestPipelineProfile:
         assert gauges['perf_queue_depth{queue="source.prefetch"}'] == 1
 
     def test_attach_registry_after_the_fact(self):
-        """The parallel engine creates its profile before
-        register_metrics; attaching the registry later must flow new
-        spans into histograms."""
+        """A profile created before register_metrics must flow new
+        spans into histograms once a registry is attached."""
         profile = make_profile()
         with profile.stage("a"):
             pass

@@ -15,14 +15,14 @@ every window query identically on time-ordered input.
 
 :func:`reference_detect` runs the oracle step 1 and the oracle index
 under the product's steps 2 and 3 over a materialized trace, for
-whole-pipeline comparisons (library, parallel engine, CLI).
+whole-pipeline comparisons (library, CLI).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from struct import Struct
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.core.detector import DetectionResult, DetectorConfig
 from repro.core.merge import merge_streams
@@ -57,10 +57,7 @@ def detect_replicas_indexed(
     The indices are carried through to the resulting streams untouched, so
     a caller may feed a *subset* of a trace's records (with their original
     global indices) and get streams whose ``member_indices`` line up with
-    the full trace.  This is what makes exact sharding possible: all
-    chaining state is keyed by the masked-packet key, so any partition
-    that keeps each key's records together — in time order — produces the
-    same streams as one pass over everything.
+    the full trace.
 
     Eviction runs on the local scan position, not the carried index; it
     only discards state that could never chain again (older than the
@@ -150,6 +147,18 @@ def detect_replicas_indexed(
     return finished
 
 
+def chunk_triples(chunks) -> Iterator[tuple[int, float, bytes]]:
+    """The oracle's ``(index, timestamp, data)`` input from columnar
+    chunks, one materialized ``bytes`` per record."""
+    for chunk in chunks:
+        view = memoryview(chunk.data)
+        base = chunk.base_index
+        for i, length in enumerate(chunk.lengths):
+            offset = chunk.offsets[i]
+            yield (base + i, chunk.timestamps[i],
+                   bytes(view[offset:offset + length]))
+
+
 def reference_replicas(trace: Trace, **kwargs) -> list[ReplicaStream]:
     """The oracle step 1 over every record of a materialized trace."""
     return detect_replicas_indexed(
@@ -200,7 +209,6 @@ class ReferencePrefixIndex:
         buf = chunk.data
         timestamps = chunk.timestamps
         offsets = chunk.offsets
-        indices = chunk.indices
         base_index = chunk.base_index
         unpack_dst = _DST_STRUCT.unpack_from
         shift = self._shift
@@ -209,7 +217,7 @@ class ReferencePrefixIndex:
             if length < 20:
                 continue
             (dst,) = unpack_dst(buf, offsets[i] + 16)
-            index = indices[i] if indices is not None else base_index + i
+            index = base_index + i
             bucket = by_prefix.get(dst >> shift)
             if bucket is None:
                 bucket = by_prefix.setdefault(dst >> shift, [])

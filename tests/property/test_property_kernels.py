@@ -22,7 +22,7 @@ from repro.core.replica import (
     detect_replicas_vectorized,
 )
 from repro.net.columnar import ColumnarChunk
-from tests.oracles import detect_replicas_indexed
+from tests.oracles import chunk_triples, detect_replicas_indexed
 
 
 def _stream_fp(stream):
@@ -113,7 +113,7 @@ class TestKernelTierEquivalence:
         }
 
         ref_stats = ReplicaScanStats()
-        triples = (t for c in chunks for t in c.iter_triples())
+        triples = chunk_triples(chunks)
         reference = (
             [_stream_fp(s) for s in detect_replicas_indexed(
                 triples, stats=ref_stats, **kernel_params)],

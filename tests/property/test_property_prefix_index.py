@@ -8,11 +8,10 @@ the same record indices in the same order, and the same
 the oracle's bisect is undefined, its answers must equal a brute-force
 scan.
 
-Inputs cover chunk sizes 1, 41 and whole-trace, shard slabs with an
-``indices`` column, stride-regular slabs with gaps between records (the
-pcap layout), records shorter than 20 bytes, empty chunks, equal
-timestamps on window edges and across chunk boundaries, and prefix
-lengths 8, 16, 24 and 32.
+Inputs cover chunk sizes 1, 41 and whole-trace, stride-regular slabs
+with gaps between records (the pcap layout), records shorter than 20
+bytes, empty chunks, equal timestamps on window edges and across chunk
+boundaries, and prefix lengths 8, 16, 24 and 32.
 """
 
 from array import array
@@ -63,7 +62,7 @@ def _body(dst: int, length: int) -> bytes:
     return bytes(body[:length])
 
 
-def make_chunk(rows, base_index=0, indices=None, gap=0) -> ColumnarChunk:
+def make_chunk(rows, base_index=0, gap=0) -> ColumnarChunk:
     """A chunk over ``rows`` with ``gap`` filler bytes before each
     record, declaring a stride when every record has the same length."""
     slab = bytearray()
@@ -83,38 +82,25 @@ def make_chunk(rows, base_index=0, indices=None, gap=0) -> ColumnarChunk:
         offsets=offsets,
         lengths=lengths,
         base_index=base_index,
-        indices=None if indices is None else array("Q", indices),
         stride=stride,
     )
 
 
 @st.composite
 def chunked(draw, rows):
-    """``(chunks, selected)``: ``rows`` cut into chunks of 1, 41 or all
-    records, optionally as a shard slab carrying a subset of the records
-    with explicit global ``indices``, with empty chunks mixed in.
-    ``selected`` lists the global indices the chunks hold."""
+    """``rows`` cut into chunks of 1, 41 or all records, with empty
+    chunks mixed in."""
     size = draw(st.sampled_from((1, 41, max(len(rows), 1))))
     gap = draw(st.sampled_from((0, 16)))
-    shard = draw(st.booleans())
-    if shard:
-        keep = draw(st.lists(st.booleans(), min_size=len(rows),
-                             max_size=len(rows)))
-        selected = [i for i, kept in enumerate(keep) if kept]
-    else:
-        selected = list(range(len(rows)))
     chunks = []
-    for start in range(0, len(selected), size):
-        part = selected[start:start + size]
+    for start in range(0, len(rows), size):
         if draw(st.booleans()):
             chunks.append(make_chunk([], base_index=start))
-        chunks.append(make_chunk(
-            [rows[i] for i in part], base_index=start,
-            indices=part if shard else None, gap=gap,
-        ))
+        chunks.append(make_chunk(rows[start:start + size],
+                                 base_index=start, gap=gap))
     if draw(st.booleans()):
-        chunks.append(make_chunk([], base_index=len(selected)))
-    return chunks, selected
+        chunks.append(make_chunk([], base_index=len(rows)))
+    return chunks
 
 
 def query_prefixes(prefix_length: int) -> list[IPv4Prefix]:
@@ -148,12 +134,13 @@ class TestMatchesTupleListOracle:
     @given(st.data(), records(), prefix_lengths)
     @settings(max_examples=150, deadline=None)
     def test_window_answers_match(self, data, rows, prefix_length):
-        chunks, selected = data.draw(chunked(rows))
+        chunks = data.draw(chunked(rows))
         index = build(PrefixIndex(prefix_length=prefix_length), chunks)
         oracle = build(ReferencePrefixIndex(prefix_length=prefix_length),
                        chunks)
-        members = set(data.draw(st.lists(st.sampled_from(selected or [0]),
-                                         max_size=len(selected))))
+        members = set(data.draw(st.lists(
+            st.integers(min_value=0, max_value=max(len(rows) - 1, 0)),
+            max_size=len(rows))))
         for prefix in query_prefixes(prefix_length):
             for start, end in windows(rows):
                 expected = oracle.records_in_window(prefix, start, end)
@@ -181,10 +168,10 @@ class TestMatchesTupleListOracle:
                         == oracle.records_in_window(prefix, start, end))
 
 
-def brute_force(rows, selected, prefix, start, end) -> list[int]:
+def brute_force(rows, prefix, start, end) -> list[int]:
     shift = 32 - prefix.length
     return sorted(
-        i for i in selected
+        i for i in range(len(rows))
         if rows[i][2] >= 20
         and rows[i][1] >> shift == prefix.network >> shift
         and start <= rows[i][0] <= end
@@ -198,12 +185,12 @@ class TestRegressingTimestamps:
         stamps = data.draw(st.permutations([t for t, _, _ in rows]))
         rows = [(t, dst, length)
                 for t, (_, dst, length) in zip(stamps, rows)]
-        chunks, selected = data.draw(chunked(rows))
+        chunks = data.draw(chunked(rows))
         index = build(PrefixIndex(prefix_length=prefix_length), chunks)
-        members = set(selected[::2])
+        members = set(range(0, len(rows), 2))
         for prefix in query_prefixes(prefix_length):
             for start, end in windows(rows):
-                expected = brute_force(rows, selected, prefix, start, end)
+                expected = brute_force(rows, prefix, start, end)
                 found = index.records_in_window(prefix, start, end)
                 assert sorted(found) == expected
                 assert len(found) == len(expected)
