@@ -11,8 +11,9 @@ event-driven pipeline:
 * replicas chain exactly as offline (masked-byte key, TTL delta >= 2,
   bounded chaining gap), with deadline heaps evicting stale singletons
   and completing quiescent streams;
-* a completed stream validates against a sliding per-/24 history of
-  recent records (the same all-packets-loop rule);
+* a completed stream validates against a sliding step-2 history of
+  recent records (the same all-packets-loop rule): a deque of per-slice
+  columns sorted by /24, dropped whole once no query can reach them;
 * validated streams merge into open loops, which are emitted once no
   further stream can join them (the merge gap has passed with the
   prefix quiet).
@@ -25,9 +26,10 @@ property the test suite checks on both synthetic and simulated traces.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from operator import itemgetter
+from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.net.addr import IPv4Address
@@ -45,10 +47,25 @@ from repro.core.replica import (
 
 _MIN_CAPTURE = 20
 
-#: Bisection key of a ``(timestamp, index)`` step-2 history entry.
-_TIME = itemgetter(0)
+#: The per-record feed seals its open history tail at this many records.
+_TAIL_RECORDS = 1024
 
 LoopCallback = Callable[[RoutingLoop], None]
+
+#: ``(StreamingStats field, counter name, help)`` published per scrape.
+_COUNTERS = (
+    ("records", "streaming_records_total", "Records fed to the detector"),
+    ("skipped_short", "streaming_records_skipped_short_total",
+     "Records below the minimum capture length"),
+    ("streams_completed", "streaming_streams_completed_total",
+     "Candidate replica streams that went quiescent"),
+    ("streams_rejected_small", "streaming_streams_rejected_small_total",
+     "Streams rejected for too few replicas"),
+    ("streams_rejected_conflict", "streaming_streams_rejected_conflict_total",
+     "Streams rejected by prefix-consistency validation"),
+    ("loops_emitted", "streaming_loops_emitted_total",
+     "Routing loops emitted"),
+)
 
 
 @dataclass(slots=True)
@@ -70,6 +87,24 @@ class _OpenLoop:
 
 
 @dataclass(slots=True)
+class _Slice:
+    """Step-2 history of records ``base, base + 1, ...``, fed from time
+    ``first`` to ``last``.  Sealed, its columns are ordered by (prefix,
+    timestamp), ties in capture order; the per-record feed's open tail
+    is in capture order with ``indices`` ``None`` (entry ``j`` is record
+    ``base + j``).  ``members`` are its records that joined a stream.
+    Columns are copies, never views of a chunk's slab."""
+
+    base: int
+    first: float
+    last: float
+    keys: array
+    times: array
+    indices: array | None
+    members: set
+
+
+@dataclass(slots=True)
 class _BulkBatch:
     """Columnar sidecar of singletons inserted by the batched tier.
 
@@ -80,16 +115,13 @@ class _BulkBatch:
     and heap maintenance.  Entries are *promoted* into the real
     ``_singletons`` state the moment a later chunk's hash matches (or a
     per-record feed resumes); eviction is a vectorized comparison
-    against the ascending ``dl`` column instead of a heap pop.  ``pf``
-    doubles as the tombstone column: ``-1`` marks an entry that was
-    promoted and must not be counted or promoted again.
+    against the ascending ``dl`` column instead of a heap pop.
 
-    All per-record columns cover the WHOLE source chunk (indexed by
-    chunk position); ``pf`` is ``-1`` at non-bulk (replayed) positions
-    too, so only bulk entries ever read as live.  ``hsorted``/``hpos``
-    cover just the bulk entries: the batch's row hashes in sorted order
-    and the chunk position behind each sorted slot, for O(log n)
-    cross-chunk membership probes with no per-record index to maintain.
+    Per-record columns cover the WHOLE source chunk (indexed by chunk
+    position); ``pf`` is ``-1`` at replayed and promoted (tombstoned)
+    positions, so only live bulk entries match a prefix.
+    ``hsorted``/``hpos`` cover just the bulk entries: their row hashes
+    in sorted order and the chunk position behind each sorted slot.
     """
 
     keys: bytes        # packed masked rows, ``length`` bytes per record
@@ -146,11 +178,14 @@ class StreamingLoopDetector:
         self._singleton_deadlines: list[tuple[float, bytes, int]] = []
         self._deadline_seq = 0
 
-        # Step 2 state: per-/24 sliding history and member indices.
-        # Each history list is appended in time order (and record
-        # indices rise with time), so windows and pruning bisect it.
-        self._history: dict[int, list[tuple[float, int]]] = {}
-        self._members: dict[int, set[int]] = {}
+        # Step 2 state: history slices in capture order, the open tail
+        # (the newest slice, or None), the record index the in-flight
+        # batched slice is visible below, and the next pruning time.
+        self._slices: deque[_Slice] = deque()
+        self._tail: _Slice | None = None
+        self._visible = float("inf")
+        self._prune_at = float("-inf")
+        self._horizon = self.config.merge_gap + self.config.max_replica_gap
         self._open_stream_count: dict[int, int] = {}
 
         # Step 3 state.
@@ -160,10 +195,9 @@ class StreamingLoopDetector:
         # Batched-tier sidecar: bulk singletons parked in columnar
         # batches, probed by sorted row hash for cross-chunk matching.
         self._bulk_batches: list[_BulkBatch] = []
-        # In-flight chunk columns for mid-chunk merge-window scans:
-        # (ts, deadlines, prefixes, bulk mask), valid below _chunk_scan_upto.
+        # In-flight chunk columns for mid-chunk merge-window scans: (ts,
+        # deadlines, prefixes, bulk mask, index0), valid below _visible.
         self._chunk_scan: tuple | None = None
-        self._chunk_scan_upto = 0
 
         self._emitted: list[RoutingLoop] = []
 
@@ -190,11 +224,8 @@ class StreamingLoopDetector:
         self.stats.records += 1
 
         self._expire(timestamp)
-        if self.stats.records % 20_000 == 0:
-            # Global history pruning so quiet prefixes cannot accumulate
-            # unbounded state on long-running feeds.  The tick costs one
-            # bisect per tracked prefix plus the entries actually dropped.
-            self._prune_all(timestamp)
+        if timestamp > self._prune_at:
+            self._prune_history(timestamp)
 
         if len(data) < _MIN_CAPTURE:
             self.stats.skipped_short += 1
@@ -202,8 +233,16 @@ class StreamingLoopDetector:
 
         index = self._index
         self._index += 1
-        prefix_net = int.from_bytes(data[16:20], "big") >> self._shift
-        self._history.setdefault(prefix_net, []).append((timestamp, index))
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = _Slice(index, timestamp, timestamp,
+                                       array("q"), array("d"), None, set())
+            self._slices.append(tail)
+        tail.keys.append(int.from_bytes(data[16:20], "big") >> self._shift)
+        tail.times.append(timestamp)
+        tail.last = timestamp
+        if len(tail.keys) == _TAIL_RECORDS:
+            self._seal_tail()
 
         self._chain(index, timestamp, data)
         return self._emitted
@@ -245,14 +284,8 @@ class StreamingLoopDetector:
             if loops is not None:
                 return loops
         loops = []
-        extend = loops.extend
-        process = self.process
-        view = memoryview(chunk.data)
-        offsets = chunk.offsets
-        timestamps = chunk.timestamps
-        for i, length in enumerate(chunk.lengths):
-            offset = offsets[i]
-            extend(process(timestamps[i], view[offset:offset + length]))
+        for timestamp, view in chunk.iter_views():
+            loops.extend(self.process(timestamp, view))
         return loops
 
     def _process_chunk_batched(self, chunk) -> list[RoutingLoop] | None:
@@ -271,25 +304,24 @@ class StreamingLoopDetector:
           (unemitted) loop — key equality implies prefix equality (the
           dst bytes survive masking), so any record that could chain
           against pre-chunk stream state is caught by its prefix.
-          Prefixes with only *history* need no replay: history is
-          appended in bulk, and plain-history records can neither chain
-          nor block a loop — or
-        * records whose masked hash or key matches a pending singleton
-          (the sidecar hash index or the real ``_singletons`` dict).
+          Prefixes with only *history* need no replay: plain-history
+          records can neither chain nor block a loop — or
+        * records whose masked hash matches a pending singleton's (the
+          sidecar's sorted hashes, or those of the real ``_singletons``).
 
         Those "survivors" replay through the exact per-record code.  The
-        rest — in steady traffic, nearly everything — never touch the
-        per-record singleton machinery at all: their history updates in
-        bulk stretches bounded by the next due stream/loop deadline,
-        replay survivor, or 20k-record pruning tick, and their
-        singletons are parked as one columnar :class:`_BulkBatch`.
-        Sidecar entries are *promoted* into the exact state the moment a
-        later chunk's hash matches (equal keys always hash equal, so no
-        interaction can be missed), evicted arithmetically against the
-        ascending deadline column, and consulted by
-        ``_singleton_may_merge``/``state_snapshot`` with ``now``-aware
-        scans — so loops, stats, eviction cadence, and snapshots stay
-        byte-identical to the reference.
+        rest — in steady traffic, nearly everything — are counted in bulk
+        stretches bounded by the next due stream/loop deadline or
+        survivor, and their singletons parked as one columnar
+        :class:`_BulkBatch`.  The chunk's history is one sealed
+        :class:`_Slice`, built up front and revealed to window queries
+        record by record (``_visible``).  Sidecar entries are *promoted*
+        into the exact state the moment a later chunk's hash matches
+        (equal keys always hash equal, so no interaction can be missed),
+        evicted arithmetically against the ascending deadline column, and
+        consulted by ``_singleton_may_merge``/``state_snapshot`` with
+        ``now``-aware scans — so loops, stats, eviction cadence, and
+        snapshots stay byte-identical to the reference.
         """
         np = vectorize.np
         n = len(chunk)
@@ -329,11 +361,9 @@ class StreamingLoopDetector:
         )
         replay_np = counts[inverse] > 1
         # Prefix-level gating is reserved for open streams and open
-        # loops; pending singletons gate by KEY/hash below — chaining
-        # probes singleton state by masked key, and in steady traffic
-        # nearly every prefix holds *some* singleton, so gating
-        # singletons by prefix would replay everything and erase the
-        # speedup.
+        # loops; pending singletons gate by hash below — in steady
+        # traffic nearly every prefix holds *some* singleton, so gating
+        # them by prefix would replay everything.
         active = {prefix_net
                   for prefix_net, count in self._open_stream_count.items()
                   if count > 0}
@@ -367,63 +397,69 @@ class StreamingLoopDetector:
                 if bool(hits.any()):
                     replay_np |= hits
                     for slot in np.unique(slots[hits]).tolist():
-                        self._maybe_promote(batch, int(batch.hpos[slot]),
-                                            now)
+                        pos = int(batch.hpos[slot])
+                        if batch.pf[pos] >= 0 and batch.dl[pos] > now:
+                            self._promote(batch, pos)
+
+        # Likewise records hashing like a REAL-state singleton (replay-
+        # inserted or just promoted).  Probing at chunk start
+        # over-approximates: a singleton evicted or consumed mid-chunk,
+        # or a hash collision, just costs a harmless extra replay.
+        keys = [key for key in self._singletons if len(key) == length]
+        if keys:
+            probe = np.sort(vectorize.hash_rows(np.frombuffer(
+                b"".join(keys), dtype=np.uint8).reshape(len(keys), length)))
+            slots = np.minimum(np.searchsorted(probe, hashes), len(keys) - 1)
+            replay_np |= probe[slots] == hashes
 
         # Per-record python values, materialized once at C speed.
         ts_list = ts_np.tolist()
         ttl_list = ttls.tolist()
-        pf_list = prefixes.tolist()
         masked_bytes = masked.tobytes()
-        if self._singletons:
-            # A record can also interact with a REAL-state singleton of
-            # the same masked key (replay-inserted or just promoted).
-            # Probing at chunk start over-approximates — a singleton
-            # evicted or consumed mid-chunk just means a harmless extra
-            # replay through the exact machine.
-            replay_np |= np.fromiter(
-                map(self._singletons.__contains__,
-                    (masked_bytes[i * length:(i + 1) * length]
-                     for i in range(n))),
-                dtype=bool, count=n,
-            )
-        replay_list = replay_np.tolist()
         bulk_mask = ~replay_np
         view = memoryview(chunk.data)
         first = chunk.offsets[0]
         index0 = self._index
         self._index = index0 + n
-        hist_pairs = list(zip(ts_list, range(index0, index0 + n)))
+
+        # The chunk's history slice, hidden from window queries until
+        # each record's turn comes.
+        if self._tail is not None:
+            self._seal_tail()
+        order = np.argsort(prefixes, kind="stable")
+        self._slices.append(_Slice(
+            index0, ts_list[0], ts_list[-1],
+            array("q", prefixes[order].tobytes()),
+            array("d", ts_np[order].tobytes()),
+            array("q", (order + index0).tobytes()), set(),
+        ))
+        self._visible = index0
 
         replay_positions = replay_np.nonzero()[0].tolist()
         replay_positions.append(n)
         rpi = 0
-        records0 = self.stats.records
-        next_prune = (-records0 - 1) % 20_000
 
         emitted: list[RoutingLoop] = []
         self._emitted = emitted
         stats = self.stats
-        history = self._history
         stream_deadlines = self._stream_deadlines
         loop_deadlines = self._loop_deadlines
-        # Bulk singletons inserted so far this chunk (positions below
-        # _chunk_scan_upto) are visible to mid-chunk merge-window scans
-        # through these columns before the batch object exists.
-        self._chunk_scan = (ts_np, dl_np, prefixes, bulk_mask)
-        self._chunk_scan_upto = 0
+        # Bulk singletons inserted so far this chunk (indices below
+        # _visible) are visible to mid-chunk merge-window scans through
+        # these columns before the batch object exists.
+        self._chunk_scan = (ts_np, dl_np, prefixes, bulk_mask, index0)
 
         pos = 0
         while pos < n:
-            # A bulk stretch runs until the next stream/loop deadline,
-            # replay survivor, or pruning tick.  Singleton evictions
-            # never break stretches: real-heap entries are drained
-            # lazily at the next event (and at chunk end), and sidecar
-            # entries are evicted arithmetically — indistinguishable
-            # from the reference, because a pending-eviction key can
-            # only be probed or re-inserted by a replayed record, and
-            # ``_singleton_may_merge`` only runs inside loop-close
-            # events after the drain.
+            # A bulk stretch runs until the next stream/loop deadline or
+            # replay survivor.  Singleton evictions never break
+            # stretches: real-heap entries are drained lazily at the next
+            # event (and at chunk end), and sidecar entries are evicted
+            # arithmetically — indistinguishable from the reference,
+            # because a pending-eviction key can only be probed or
+            # re-inserted by a replayed record, and
+            # ``_singleton_may_merge`` only runs inside loop-close events
+            # after the drain.
             stop = n
             bound = None
             if stream_deadlines:
@@ -433,67 +469,37 @@ class StreamingLoopDetector:
                 bound = loop_deadlines[0][0]
             if bound is not None:
                 stop = bisect_left(ts_list, bound, pos)
-            if next_prune < stop:
-                stop = next_prune
             if replay_positions[rpi] < stop:
                 stop = replay_positions[rpi]
 
             if stop > pos:
-                # Bulk records: counters and history update here; the
-                # singleton bookkeeping is deferred to the sidecar batch
-                # built at chunk end.  Nothing in a stretch can pair,
-                # complete, or expire before ``stop``.
+                # Bulk records: only counters update here; the singleton
+                # bookkeeping is deferred to the sidecar batch built at
+                # chunk end.  Nothing in a stretch can pair, complete,
+                # or expire before ``stop``.
                 stats.records += stop - pos
                 self._deadline_seq += stop - pos
                 self._now = ts_list[stop - 1]
-                seg = prefixes[pos:stop]
-                if bool((seg == seg[0]).all()):
-                    # Single-prefix stretch (the common shape of steady
-                    # traffic): one C-speed list extend.
-                    prefix_net = pf_list[pos]
-                    bucket = history.get(prefix_net)
-                    if bucket is None:
-                        history[prefix_net] = hist_pairs[pos:stop]
-                    else:
-                        bucket.extend(hist_pairs[pos:stop])
-                else:
-                    for i in range(pos, stop):
-                        prefix_net = pf_list[i]
-                        bucket = history.get(prefix_net)
-                        if bucket is None:
-                            history[prefix_net] = [hist_pairs[i]]
-                        else:
-                            bucket.append(hist_pairs[i])
                 pos = stop
                 continue
 
-            # Event record: replicate process() exactly — expire, prune
-            # on the 20k boundary, then chain (or count a deferred bulk
-            # insert when the record only stopped here for a deadline or
-            # pruning tick).
+            # Event record: replicate process() exactly — expire with
+            # the history visible up to (not including) this record,
+            # then chain (or count a deferred bulk insert when the
+            # record only stopped here for a deadline).
             timestamp = ts_list[pos]
             self._now = timestamp
             stats.records += 1
-            self._chunk_scan_upto = pos
+            self._visible = index0 + pos
             self._expire(timestamp)
-            if pos == next_prune:
-                self._prune_all(timestamp)
-                next_prune += 20_000
-            prefix_net = pf_list[pos]
-            bucket = history.get(prefix_net)
-            if bucket is None:
-                history[prefix_net] = [hist_pairs[pos]]
-            else:
-                bucket.append(hist_pairs[pos])
-            if replay_list[pos]:
+            if pos == replay_positions[rpi]:
+                rpi += 1
                 off = first + pos * stride
                 key_off = pos * length
                 self._chain(index0 + pos, timestamp,
                             view[off:off + length],
                             key=masked_bytes[key_off:key_off + length],
                             ttl=ttl_list[pos])
-                if pos == replay_positions[rpi]:
-                    rpi += 1
             else:
                 self._deadline_seq += 1
             pos += 1
@@ -522,33 +528,23 @@ class StreamingLoopDetector:
             )
             self._bulk_batches.append(batch)
         self._chunk_scan = None
-        self._chunk_scan_upto = 0
+        self._visible = float("inf")
 
         # Catch-up drain: the reference ran the singleton sweep at every
         # record, so by the last record everything due has been evicted.
         now = self._now
-        heappop = heapq.heappop
-        singletons = self._singletons
-        singleton_deadlines = self._singleton_deadlines
-        while singleton_deadlines and singleton_deadlines[0][0] <= now:
-            _, key, index = heappop(singleton_deadlines)
-            current = singletons.get(key)
-            if current is not None and current[0] == index:
-                del singletons[key]
-                self._drop_singleton_key(self._prefix_net(current[3]), key)
+        self._evict_singletons(now)
 
-        # Retire batches whose every entry is past its deadline.
+        # Retire batches whose every entry is past its deadline, and
+        # history no query can reach any more.
         batches = self._bulk_batches
         while batches and batches[0].dl_last <= now:
             batches.pop(0)
+        if now > self._prune_at:
+            self._prune_history(now)
         return emitted
 
     # -- batched-tier sidecar ---------------------------------------------------
-
-    def _maybe_promote(self, batch: _BulkBatch, pos: int,
-                       now: float) -> None:
-        if batch.pf[pos] >= 0 and batch.dl[pos] > now:
-            self._promote(batch, pos)
 
     def _promote(self, batch: _BulkBatch, pos: int) -> None:
         """Move one live sidecar singleton into the exact per-record
@@ -612,21 +608,19 @@ class StreamingLoopDetector:
                 return True
         scan = self._chunk_scan
         if scan is not None:
-            upto = self._chunk_scan_upto
-            if upto:
-                ts_np, dl_np, prefixes, bulk_mask = scan
-                if bool((bulk_mask[:upto]
-                         & (prefixes[:upto] == prefix_net)
-                         & (dl_np[:upto] > now)
-                         & (ts_np[:upto] < horizon)).any()):
-                    return True
+            ts_np, dl_np, prefixes, bulk_mask, index0 = scan
+            upto = self._visible - index0
+            if upto and bool((bulk_mask[:upto]
+                              & (prefixes[:upto] == prefix_net)
+                              & (dl_np[:upto] > now)
+                              & (ts_np[:upto] < horizon)).any()):
+                return True
         return False
 
     def flush(self) -> list[RoutingLoop]:
         """End of input: complete every open stream and close every loop."""
         self._emitted = []
-        infinity = float("inf")
-        self._expire(infinity)
+        self._expire(float("inf"))
         if self._bulk_batches:
             # Every sidecar singleton is past its deadline at +inf —
             # the arithmetic twin of the eviction sweep above.
@@ -639,8 +633,11 @@ class StreamingLoopDetector:
         open (unemitted) loops, and the running stats.
 
         This reads sizes and summaries only — it never mutates detector
-        state, so serving it from another thread cannot change what the
-        detector emits.
+        state — and copies what the feeding thread resizes in one C-level
+        call before walking it, so serving it from another thread can
+        neither change what the detector emits nor raise.
+        ``tracked_prefixes`` counts the /24s with a record since ``now -
+        (merge_gap + max_replica_gap)``.
         """
         open_streams = [
             {
@@ -650,36 +647,25 @@ class StreamingLoopDetector:
                 "start": stream.replicas[0].timestamp,
                 "last_seen": stream.last.timestamp,
             }
-            for streams in self._open_streams.values()
-            for stream in streams
+            for streams in tuple(self._open_streams.values())
+            for stream in tuple(streams)
         ]
         open_loops = [
             {
                 "prefix_net": loop.prefix_net,
                 "streams": len(loop.streams),
-                "start": min(s.start for s in loop.streams),
+                "start": min(s.start for s in tuple(loop.streams)),
                 "end": loop.end,
             }
-            for loop in self._open_loops.values()
+            for loop in tuple(self._open_loops.values())
         ]
-        stats = self.stats
-        singleton_count = len(self._singletons)
-        if self._bulk_batches:
-            singleton_count += self._bulk_live_count()
         return {
             "now": None if self._now == float("-inf") else self._now,
-            "singletons": singleton_count,
+            "singletons": len(self._singletons) + self._bulk_live_count(),
             "open_streams": open_streams,
             "open_loops": open_loops,
-            "tracked_prefixes": len(self._history),
-            "stats": {
-                "records": stats.records,
-                "skipped_short": stats.skipped_short,
-                "streams_completed": stats.streams_completed,
-                "streams_rejected_small": stats.streams_rejected_small,
-                "streams_rejected_conflict": stats.streams_rejected_conflict,
-                "loops_emitted": stats.loops_emitted,
-            },
+            "tracked_prefixes": self._tracked_prefixes(),
+            "stats": asdict(self.stats),
         }
 
     def register_metrics(self, registry) -> None:
@@ -688,29 +674,8 @@ class StreamingLoopDetector:
         registry.register_collector(self._publish_metrics)
 
     def _publish_metrics(self, registry) -> None:
-        stats = self.stats
-        registry.counter(
-            "streaming_records_total", "Records fed to the detector"
-        ).set(stats.records)
-        registry.counter(
-            "streaming_records_skipped_short_total",
-            "Records below the minimum capture length",
-        ).set(stats.skipped_short)
-        registry.counter(
-            "streaming_streams_completed_total",
-            "Candidate replica streams that went quiescent",
-        ).set(stats.streams_completed)
-        registry.counter(
-            "streaming_streams_rejected_small_total",
-            "Streams rejected for too few replicas",
-        ).set(stats.streams_rejected_small)
-        registry.counter(
-            "streaming_streams_rejected_conflict_total",
-            "Streams rejected by prefix-consistency validation",
-        ).set(stats.streams_rejected_conflict)
-        registry.counter(
-            "streaming_loops_emitted_total", "Routing loops emitted"
-        ).set(stats.loops_emitted)
+        for field, name, help_text in _COUNTERS:
+            registry.counter(name, help_text).set(getattr(self.stats, field))
 
     # -- step 1: chaining -------------------------------------------------------
 
@@ -734,7 +699,7 @@ class StreamingLoopDetector:
                     stream.replicas.append(
                         Replica(index=index, timestamp=timestamp, ttl=ttl)
                     )
-                    self._add_member(data, index)
+                    self._add_member(index)
                     self._push_stream_deadline(stream)
                     return
 
@@ -763,8 +728,8 @@ class StreamingLoopDetector:
                 self._open_stream_count[prefix_net] = (
                     self._open_stream_count.get(prefix_net, 0) + 1
                 )
-                self._add_member(prev_data, prev_index)
-                self._add_member(data, index)
+                self._add_member(prev_index)
+                self._add_member(index)
                 self._push_stream_deadline(stream)
                 return
 
@@ -781,8 +746,13 @@ class StreamingLoopDetector:
     def _prefix_net(self, data: bytes) -> int:
         return int.from_bytes(data[16:20], "big") >> self._shift
 
-    def _add_member(self, data: bytes, index: int) -> None:
-        self._members.setdefault(self._prefix_net(data), set()).add(index)
+    def _add_member(self, index: int) -> None:
+        # Records join streams within the chaining gap, so the member's
+        # slice is nearly always the newest or the one before.
+        for piece in reversed(self._slices):
+            if piece.base <= index:
+                piece.members.add(index)
+                return
 
     def _push_stream_deadline(self, stream: _OpenStream) -> None:
         self._deadline_seq += 1
@@ -794,15 +764,18 @@ class StreamingLoopDetector:
 
     # -- deadline processing ------------------------------------------------------
 
-    def _expire(self, now: float) -> None:
-        # Evict stale singletons.
-        while (self._singleton_deadlines
-               and self._singleton_deadlines[0][0] <= now):
-            _, key, index = heapq.heappop(self._singleton_deadlines)
-            current = self._singletons.get(key)
+    def _evict_singletons(self, now: float) -> None:
+        singletons = self._singletons
+        deadlines = self._singleton_deadlines
+        while deadlines and deadlines[0][0] <= now:
+            _, key, index = heapq.heappop(deadlines)
+            current = singletons.get(key)
             if current is not None and current[0] == index:
-                del self._singletons[key]
+                del singletons[key]
                 self._drop_singleton_key(self._prefix_net(current[3]), key)
+
+    def _expire(self, now: float) -> None:
+        self._evict_singletons(now)
 
         # Complete quiescent streams.
         while self._stream_deadlines and self._stream_deadlines[0][0] <= now:
@@ -839,7 +812,6 @@ class StreamingLoopDetector:
                 continue
             del self._open_loops[prefix_net]
             self._emit(loop)
-            self._prune_history(prefix_net, now)
 
     def _drop_singleton_key(self, prefix_net: int, key: bytes) -> None:
         keys = self._singleton_prefixes.get(prefix_net)
@@ -910,12 +882,28 @@ class StreamingLoopDetector:
 
     def _window_has_non_member(self, prefix_net: int, start: float,
                                end: float) -> bool:
-        history = self._history.get(prefix_net, ())
-        members = self._members.get(prefix_net, ())
-        lo = bisect_left(history, start, key=_TIME)
-        hi = bisect_right(history, end, lo, key=_TIME)
-        for k in range(lo, hi):
-            if history[k][1] not in members:
+        """True if a record to ``prefix_net`` with start <= t <= end, fed
+        before the current one, is no stream's member."""
+        visible = self._visible
+        for piece in reversed(self._slices):
+            if piece.last < start:
+                break  # every older slice ends earlier still
+            keys, times, indices = piece.keys, piece.times, piece.indices
+            if indices is None:  # the open tail, in capture order
+                lo = bisect_left(times, start)
+                if any(keys[j] == prefix_net
+                       and piece.base + j not in piece.members
+                       for j in range(lo, bisect_right(times, end, lo))):
+                    return True
+                continue
+            lo = bisect_left(keys, prefix_net)
+            hi = bisect_right(keys, prefix_net, lo)
+            lo = bisect_left(times, start, lo, hi)
+            hi = bisect_right(times, end, lo, hi)
+            if piece.base + len(keys) > visible:
+                # Mid-chunk: within a prefix, indices rise with time.
+                hi = bisect_left(indices, visible, lo, hi)
+            if not piece.members.issuperset(indices[lo:hi]):
                 return True
         return False
 
@@ -958,43 +946,55 @@ class StreamingLoopDetector:
         if self.on_loop is not None:
             self.on_loop(routing_loop)
 
-    def _prune_all(self, now: float) -> None:
-        """The periodic sweep: prune every prefix without an open loop."""
-        open_loops = self._open_loops
-        for prefix_net in list(self._history):
-            if prefix_net not in open_loops:
-                self._prune_history(prefix_net, now)
+    # -- step-2 history ------------------------------------------------------------
 
-    def _prune_history(self, prefix_net: int, now: float) -> None:
-        """Drop per-prefix history/members no loop can reference anymore.
+    def _seal_tail(self) -> None:
+        """Sort the per-record feed's open tail by (prefix, time): a
+        stable sort of capture order, the layout of a batched slice."""
+        tail, self._tail = self._tail, None
+        keys, times, base = tail.keys, tail.times, tail.base
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._slices[-1] = _Slice(
+            base, tail.first, tail.last,
+            array("q", map(keys.__getitem__, order)),
+            array("d", map(times.__getitem__, order)),
+            array("q", [base + j for j in order]), tail.members,
+        )
 
-        History is time-ordered, so the entries older than the horizon
-        are a prefix of the list, and — indices rising with time — the
-        members they drop are exactly the indices below the first kept
-        one.  Members only ever name records of this prefix's history.
+    def _prune_history(self, now: float) -> None:
+        """Drop whole slices that end before the retention floor.
+
+        Query windows start at an open stream's start, an open loop's
+        end, or a future stream's first replica (a live singleton, at
+        most ``max_replica_gap`` old), so the floor is ``min(now -
+        (merge_gap + max_replica_gap), those)``.  While an open stream or
+        loop pins the oldest slice, the next attempt waits a chaining gap.
         """
-        if now == float("inf"):
-            self._history.pop(prefix_net, None)
-            self._members.pop(prefix_net, None)
-            return
-        history = self._history.get(prefix_net)
-        if not history:
-            return
-        horizon = now - (self.config.merge_gap
-                         + self.config.max_replica_gap)
-        cut = bisect_left(history, horizon, key=_TIME)
-        if not cut:
-            return
-        if cut == len(history):
-            del self._history[prefix_net]
-            self._members.pop(prefix_net, None)
-            return
-        first_kept = history[cut][1]
-        del history[:cut]
-        members = self._members.get(prefix_net)
-        if members:
-            members.difference_update(
-                [i for i in members if i < first_kept]
-            )
-            if not members:
-                del self._members[prefix_net]
+        slices = self._slices
+        floor = now - self._horizon
+        if slices and slices[0].last < floor:
+            floor = min([
+                floor,
+                *(stream.replicas[0].timestamp
+                  for streams in self._open_streams.values()
+                  for stream in streams),
+                *(loop.end for loop in self._open_loops.values()),
+            ])
+            while slices and slices[0].last < floor:
+                if slices.popleft() is self._tail:
+                    self._tail = None
+        oldest = slices[0].last if slices else now
+        self._prune_at = max(oldest + self._horizon,
+                             now + self.config.max_replica_gap)
+
+    def _tracked_prefixes(self) -> int:
+        horizon = self._now - self._horizon
+        seen: set[int] = set()
+        for piece in tuple(self._slices):
+            if piece.first >= horizon:
+                seen.update(piece.keys)
+            elif piece.last >= horizon:
+                seen.update(key for key, timestamp
+                            in zip(piece.keys, piece.times)
+                            if timestamp >= horizon)
+        return len(seen)

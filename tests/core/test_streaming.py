@@ -1,12 +1,16 @@
 """Tests for the streaming (online) detector."""
 
 import random
+import sys
+import threading
+from bisect import bisect_left
 
 import pytest
 
 from repro.core.detector import DetectorConfig, LoopDetector
-from repro.core.streaming import StreamingLoopDetector
+from repro.core.streaming import _TAIL_RECORDS, StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
+from repro.net.columnar import ColumnarTrace
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
@@ -109,6 +113,32 @@ class TestEquivalenceWithOffline:
         )
 
 
+    def test_long_stream_keeps_its_history(self):
+        """A stream open longer than the retention horizon pins the
+        history it will be validated against: the non-member at 101 s
+        must still be there when the 100-256 s stream completes, long
+        after 20k background records have passed."""
+        builder = SyntheticTraceBuilder(rng=random.Random(7))
+        builder.add_background(45_000, 0.0, 400.0, prefixes=[OTHER])
+        builder.add_loop(100.0, PREFIX, n_packets=1, replicas_per_packet=40,
+                         spacing=4.0, entry_ttl=90, jitter=0.0)
+        builder.add_background(1, 101.0, 101.001, prefixes=[PREFIX])
+        trace = builder.build()
+        offline = LoopDetector().detect(trace)
+        assert offline.loops == []
+        assert offline.validation.rejected_prefix_conflict == 1
+        per_record = StreamingLoopDetector()
+        loops = []
+        for record in trace:
+            loops.extend(per_record.process(record.timestamp, record.data))
+        loops.extend(per_record.flush())
+        chunked = StreamingLoopDetector()
+        for streaming, found in ((per_record, loops),
+                                 (chunked, chunked.process_trace(trace))):
+            assert found == []
+            assert streaming.stats.streams_rejected_conflict == 1
+
+
 class TestStreamingBehaviour:
     def test_loops_emitted_incrementally(self):
         trace = _loop_trace(loops=2)
@@ -150,7 +180,8 @@ class TestStreamingBehaviour:
         assert streaming.flush() == []
 
     def test_memory_bounded_state(self):
-        """After quiet time passes, per-prefix state is pruned."""
+        """Step-2 history is dropped slice by slice once it falls behind
+        the retention horizon, and stream members go with their slice."""
         builder = SyntheticTraceBuilder(rng=random.Random(4))
         builder.add_background(60_000, 0.0, 6000.0, prefixes=[OTHER])
         for start in (20.0, 300.0):
@@ -165,26 +196,81 @@ class TestStreamingBehaviour:
                              packet_gap=0.012, entry_ttl=40)
         trace = builder.build()
         streaming = StreamingLoopDetector()
+        config = streaming.config
+        horizon = config.merge_gap + config.max_replica_gap
+        times = [record.timestamp for record in trace]
         members_seen = set()
-        for record in trace:
+        excess = 0
+        for i, record in enumerate(trace):
             streaming.process(record.timestamp, record.data)
-            for members in streaming._members.values():
-                members_seen |= members
+            retained = 0
+            for piece in streaming._slices:
+                members_seen |= piece.members
+                retained += len(piece.keys)
+            in_horizon = i + 1 - bisect_left(times,
+                                             record.timestamp - horizon)
+            excess = max(excess, retained - in_horizon)
         assert streaming.stats.loops_emitted == 2
         assert streaming.stats.streams_rejected_small == 20
-        # History is pruned to the sliding horizon at worst every
-        # 20k records, so retained state stays far below the feed size.
-        total_history = sum(
-            len(entries) for entries in streaming._history.values()
-        )
-        assert total_history < 21_000
-        # Members are pruned with their history: the loops' prefix is
-        # gone entirely, and every surviving member is a record still in
-        # its prefix's history.
-        assert PREFIX.network >> 8 not in streaming._members
+        # Beyond the horizon, at most the slice straddling it and one
+        # more held for a chaining gap by the pruning cadence.
+        assert excess <= 2 * _TAIL_RECORDS
+        # Every surviving member is a record of its own slice, and the
+        # members of long-gone streams went with their slices.
         retained = set()
-        for prefix_net, members in streaming._members.items():
-            indices = {index for _, index in streaming._history[prefix_net]}
-            assert members <= indices
-            retained |= members
+        for piece in streaming._slices:
+            assert all(piece.base <= index < piece.base + len(piece.keys)
+                       for index in piece.members)
+            retained |= piece.members
         assert len(retained) <= 2 < len(members_seen)
+
+
+class TestConcurrentSnapshot:
+    def test_snapshot_while_feeding(self):
+        """``/state`` is served from HTTP threads while the executor
+        feeds the detector: ``state_snapshot`` must never raise on
+        containers the feed is resizing."""
+        builder = SyntheticTraceBuilder(rng=random.Random(8))
+        builder.add_background(3000, 0.0, 30.0, prefixes=[OTHER])
+        for i in range(60):
+            builder.add_loop(1.0 + i * 0.4, IPv4Prefix((192 << 24) | i << 8,
+                                                       24),
+                             n_packets=4, replicas_per_packet=8,
+                             spacing=0.05, packet_gap=0.2, entry_ttl=40)
+        columnar = ColumnarTrace.from_trace(builder.build(), 512)
+        errors = []
+        done = threading.Event()
+
+        def feed():
+            try:
+                for _ in range(3):
+                    streaming = detectors[-1] = StreamingLoopDetector()
+                    for chunk in columnar.chunks:
+                        streaming.process_chunk(chunk)
+                    streaming.flush()
+                    # A per-record pass exercises the open tail too.
+                    streaming = detectors[-1] = StreamingLoopDetector()
+                    for chunk in columnar.chunks:
+                        for timestamp, view in chunk.iter_views():
+                            streaming.process(timestamp, view)
+            finally:
+                done.set()
+
+        detectors = [StreamingLoopDetector()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            feeder = threading.Thread(target=feed)
+            feeder.start()
+            snapshots = 0
+            while not done.is_set():
+                try:
+                    detectors[-1].state_snapshot()
+                except RuntimeError as error:  # pragma: no cover
+                    errors.append(error)
+                snapshots += 1
+            feeder.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert snapshots > 10
+        assert errors == []

@@ -12,6 +12,10 @@ and hypothesis suites compare them against this oracle.
 ``(timestamp, index)`` tuple per record in per-prefix lists; the
 product's columnar :class:`~repro.core.streams.PrefixIndex` must answer
 every window query identically on time-ordered input.
+:class:`ReferenceStreamingHistory` is the same layout for the streaming
+detector's step-2 history, member indices and pruning included; the
+detector's deque of columnar slices must answer every window query
+inside its retention floor identically.
 
 :func:`reference_detect` runs the oracle step 1 and the oracle index
 under the product's steps 2 and 3 over a materialized trace, for
@@ -251,6 +255,59 @@ class ReferencePrefixIndex:
             index not in members
             for index in self.records_in_window(prefix, start, end)
         )
+
+
+class ReferenceStreamingHistory:
+    """The streaming detector's step-2 history as per-/N lists of
+    ``(timestamp, index)`` tuples plus the set of stream-member indices.
+
+    Records are appended in time order with rising indices, so each list
+    stays sorted and window queries bisect it.  :meth:`prune` drops the
+    entries older than a floor, and the members among them.
+    """
+
+    def __init__(self) -> None:
+        self._by_prefix: dict[int, list[tuple[float, int]]] = {}
+        self.members: set[int] = set()
+
+    def add_record(self, index: int, timestamp: float,
+                   prefix_net: int) -> None:
+        self._by_prefix.setdefault(prefix_net, []).append((timestamp, index))
+
+    def add_member(self, index: int) -> None:
+        self.members.add(index)
+
+    def window_has_non_member(self, prefix_net: int, start: float,
+                              end: float, before: float = float("inf")
+                              ) -> bool:
+        """True if a record to ``prefix_net`` with start <= t <= end and
+        index below ``before`` is not a member."""
+        bucket = self._by_prefix.get(prefix_net, [])
+        lo = bisect_left(bucket, (start, -1))
+        hi = bisect_right(bucket, (end, 1 << 62))
+        return any(index < before and index not in self.members
+                   for _, index in bucket[lo:hi])
+
+    def prune(self, floor: float) -> None:
+        """Drop every entry with a timestamp below ``floor``."""
+        for prefix_net in list(self._by_prefix):
+            bucket = self._by_prefix[prefix_net]
+            cut = bisect_left(bucket, (floor, -1))
+            self.members.difference_update(index for _, index in bucket[:cut])
+            if cut == len(bucket):
+                del self._by_prefix[prefix_net]
+            else:
+                del bucket[:cut]
+
+    def indices(self) -> set[int]:
+        """Every retained record index."""
+        return {index for bucket in self._by_prefix.values()
+                for _, index in bucket}
+
+    def prefixes_since(self, horizon: float) -> int:
+        """Distinct prefixes with a record at or after ``horizon``."""
+        return sum(bucket[-1][0] >= horizon
+                   for bucket in self._by_prefix.values())
 
 
 def reference_detect(trace: Trace,
