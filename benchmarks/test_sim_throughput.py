@@ -5,8 +5,9 @@ backbone-scale topology to reproduce the paper's trace volumes in
 reasonable wall time.  This benchmark measures exactly the claim the
 cache makes: on a converged steady-state scenario the epoch-versioned
 fast path forwards >= 3x the packets per second of the reference engine
-(``route_cache=False``, the seed implementation preserved verbatim)
-while producing byte-identical monitor output.
+(``ReferenceForwardingEngine`` in ``tests/oracles.py``, the seed
+implementation preserved verbatim) while producing byte-identical
+monitor output.
 
 Two modes:
 
@@ -41,6 +42,7 @@ from repro.routing.events import EventScheduler
 from repro.routing.forwarding import ForwardingEngine, PacketFate
 from repro.routing.linkstate import LinkStateProtocol
 from repro.routing.topology import ring_topology
+from tests.oracles import ReferenceForwardingEngine
 
 
 class _Injector:
@@ -66,7 +68,7 @@ class _Injector:
             self.engine.scheduler.call(self.interval, self)
 
 
-def _build(route_cache, *, n_pops, n_prefixes, n_flows, n_packets,
+def _build(cached, *, n_pops, n_prefixes, n_flows, n_packets,
            converge_until, inject_start, duration, churn=False):
     """One scenario instance; identical seeds for both engine flavours."""
     rng = random.Random(7)
@@ -92,9 +94,9 @@ def _build(route_cache, *, n_pops, n_prefixes, n_flows, n_packets,
     if converge_until:
         scheduler.run(until=converge_until)
 
-    engine = ForwardingEngine(topology, scheduler, igp, bgp,
-                              rng=random.Random(4), keep_audits=False,
-                              route_cache=route_cache)
+    engine_class = ForwardingEngine if cached else ReferenceForwardingEngine
+    engine = engine_class(topology, scheduler, igp, bgp,
+                          rng=random.Random(4), keep_audits=False)
     monitor = LinkMonitor(engine, routers[1], routers[2])
 
     flow_packets = []
@@ -209,7 +211,7 @@ def test_throughput_speedup(emit):
         "best of 3 runs per engine",
         "",
         f"{'engine':<28}{'wall':>8}{'packets/s':>12}",
-        f"{'reference (route_cache=off)':<28}{ref['wall']:>7.2f}s"
+        f"{'reference engine (oracle)':<28}{ref['wall']:>7.2f}s"
         f"{ref['pps']:>12,.0f}",
         f"{'cached fast path':<28}{fast['wall']:>7.2f}s"
         f"{fast['pps']:>12,.0f}",

@@ -53,6 +53,7 @@ from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.perf import NULL_PROFILE, PipelineProfile
 from repro.obs.progress import Heartbeat, enable_progress_logging
 from repro.obs.tracing import NULL_TRACER, Tracer
 
@@ -102,6 +103,11 @@ class _Obs:
     both in :meth:`finish` — so unit tests that call :func:`main`
     repeatedly never leak registry state.
 
+    ``self.profile`` is the one stage timer every detector the command
+    builds is handed: each pipeline stage is one span that lands in the
+    ``--trace-out`` file and as ``perf_stage_*{stage=}`` series in the
+    registry, under the same name.
+
     The live-monitoring flags (``--serve``, ``--alerts``,
     ``--dashboard-out``) additionally create a
     :class:`~repro.obs.live.LiveMonitor` (``self.monitor``) for the
@@ -129,6 +135,7 @@ class _Obs:
         if self.trace_out:
             self._sink = open(self.trace_out, "w", encoding="utf-8")
             self.tracer = Tracer(sink=self._sink)
+        self.profile = PipelineProfile(self.registry, self.tracer)
         self.sample_profile = getattr(args, "sample_profile", None)
         self._profiler = None
         if self.sample_profile:
@@ -285,10 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit the detection result (plus ground "
                                "truth, route-cache and metrics sections) "
                                "as JSON")
-    simulate.add_argument("--no-route-cache", action="store_true",
-                          help="disable the forwarding engine's "
-                               "resolved-route cache (slow reference "
-                               "path; identical output)")
 
     report = sub.add_parser(
         "report", parents=[obs],
@@ -297,9 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("scenario", help="scenario name (backbone1..4)")
     report.add_argument("--duration", type=float, default=None,
                         help="override scenario duration in seconds")
-    report.add_argument("--no-route-cache", action="store_true",
-                        help="disable the forwarding engine's "
-                             "resolved-route cache")
 
     monitor = sub.add_parser(
         "monitor", parents=[obs],
@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _detector_from_args(args: argparse.Namespace,
-                        tracer=NULL_TRACER) -> LoopDetector:
+                        profile=NULL_PROFILE) -> LoopDetector:
     config = DetectorConfig(
         merge_gap=args.merge_gap,
         min_stream_size=args.min_stream_size,
@@ -382,7 +382,7 @@ def _detector_from_args(args: argparse.Namespace,
         check_prefix_consistency=not args.no_validate,
         check_gap_consistency=not args.no_validate,
     )
-    return LoopDetector(config, tracer=tracer)
+    return LoopDetector(config, profile=profile)
 
 
 def _read_trace_file(path: str, obs: _Obs, link_name: str = ""):
@@ -487,12 +487,12 @@ def _stream_with_monitor(streaming, trace, monitor):
 def _cmd_detect(args: argparse.Namespace) -> int:
     obs = _Obs(args)
     try:
-        detector = _detector_from_args(args, tracer=obs.tracer)
+        detector = _detector_from_args(args, profile=obs.profile)
         if args.streaming:
             from repro.core.streaming import StreamingLoopDetector
 
             streaming = StreamingLoopDetector(detector.config,
-                                              tracer=obs.tracer)
+                                              profile=obs.profile)
             streaming.register_metrics(obs.registry)
             trace = _read_trace_file(args.trace, obs)
             if obs.monitor is not None:
@@ -578,16 +578,13 @@ def _sim_progress(name: str, duration: float):
     return tick
 
 
-def _run_scenario(name: str, duration: float | None,
-                  route_cache: bool = True, tracer=None,
+def _run_scenario(name: str, duration: float | None, tracer=None,
                   progress: bool = False, live_monitor=None):
     from repro.sim import table1_scenario
 
     overrides = {}
     if duration is not None:
         overrides["duration"] = duration
-    if not route_cache:
-        overrides["route_cache"] = False
     scenario = table1_scenario(name, **overrides)
     tick = None
     if progress:
@@ -598,8 +595,6 @@ def _run_scenario(name: str, duration: float | None,
 
 def _render_cache_stats(engine) -> str:
     stats = engine.route_cache_stats()
-    if not stats["enabled"]:
-        return "route cache: disabled (reference path)"
     return (f"route cache: {stats['hits']} hits / {stats['misses']} misses "
             f"/ {stats['invalidations']} invalidations "
             f"(hit rate {stats['hit_rate']:.1%})")
@@ -611,10 +606,10 @@ def _scenario_pipeline(args: argparse.Namespace, obs: _Obs):
     Returns ``(run, result, lifecycle)``; ``lifecycle`` is None unless a
     trace was recorded.  The control plane logs in *simulation* time (the
     backbone re-clocks the tracer); before detection the tracer is put
-    back on the wall clock so pipeline phase spans stay meaningful.
+    back on the wall clock, and the detector's stage spans carry the
+    profile's wall-clock times.
     """
     run = _run_scenario(args.scenario, args.duration,
-                        route_cache=not args.no_route_cache,
                         tracer=obs.tracer if obs.tracer.enabled else None,
                         progress=obs.progress,
                         live_monitor=obs.monitor)
@@ -623,7 +618,7 @@ def _scenario_pipeline(args: argparse.Namespace, obs: _Obs):
     tracer = obs.tracer
     if tracer.enabled:
         tracer.clock = time.perf_counter
-    result = LoopDetector(tracer=tracer).detect(run.trace)
+    result = LoopDetector(profile=obs.profile).detect(run.trace)
     _publish_result_metrics(obs, result)
     lifecycle = None
     if tracer.enabled:
@@ -704,7 +699,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             check_prefix_consistency=not args.no_validate,
             check_gap_consistency=not args.no_validate,
         )
-        streaming = StreamingLoopDetector(config, tracer=obs.tracer)
+        streaming = StreamingLoopDetector(config, profile=obs.profile)
         streaming.register_metrics(obs.registry)
         if obs.server is not None:
             print(f"monitoring endpoints at {obs.server.url}",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.net.columnar import ColumnarTrace
 from repro.net.trace import Trace
 from repro.obs.perf import NULL_PROFILE
-from repro.obs.tracing import NULL_TRACER
 from repro.core.merge import RoutingLoop, merge_streams
 # ``detect_replicas`` is not called here, but the tracing benchmark
 # (``perfbench/spans.py``) wraps every step-1 entry point it finds bound
@@ -25,6 +24,7 @@ from repro.core.replica import (  # noqa: F401
     ReplicaStream,
     detect_replicas,
     detect_replicas_with_kernel,
+    resolve_kernel,
 )
 from repro.core.streams import PrefixIndex, ValidationResult, validate_streams
 
@@ -57,6 +57,8 @@ class DetectorConfig:
             raise DetectorError("min_stream_size must be >= 2")
         if not 8 <= self.prefix_length <= 32:
             raise DetectorError("prefix_length must be in [8, 32]")
+        if self.max_replica_gap <= 0:
+            raise DetectorError("max_replica_gap must be positive")
         if self.merge_gap < 0:
             raise DetectorError("merge_gap must be non-negative")
 
@@ -101,21 +103,18 @@ class DetectionResult:
 class LoopDetector:
     """Runs detect → validate → merge over a trace.
 
-    ``tracer`` (default: the shared null tracer) receives one wall-clock
-    phase span per pipeline stage — ``detect.replicas``,
-    ``detect.validate``, ``detect.merge`` — tagged ``clock="wall"`` so
-    they coexist in one trace file with sim-time control-plane records.
-    ``profile`` (default: the shared null profile) accumulates the same
-    stages as :class:`~repro.obs.perf.PipelineProfile` spans — plus the
-    per-tier ``step1.kernel.<tier>`` span — for the ``/perf`` endpoints
-    and benchmark provenance.  Neither changes
-    anything about the result: they wrap the exact same calls.
+    ``profile`` (default: the shared null profile) times each pipeline
+    stage — ``detect.replicas``, ``detect.validate``, ``detect.merge`` —
+    as one :class:`~repro.obs.perf.PipelineProfile` span, which also
+    feeds the profile's registry and, when it has an enabled tracer, a
+    ``clock="wall"`` trace span; detected loops go to ``profile.tracer``
+    as trace-time ``loop`` spans.  None of it changes the result: the
+    spans wrap the exact same calls.
     """
 
     def __init__(self, config: DetectorConfig | None = None,
-                 tracer=NULL_TRACER, profile=NULL_PROFILE) -> None:
+                 profile=NULL_PROFILE) -> None:
         self.config = config or DetectorConfig()
-        self.tracer = tracer
         self.profile = profile
 
     def detect(self, trace: Trace) -> DetectionResult:
@@ -140,21 +139,19 @@ class LoopDetector:
         reports need.
         """
         config = self.config
-        tracer = self.tracer
         profile = self.profile
         scan_stats = ReplicaScanStats()
-        with tracer.phase("detect.replicas", clock="wall") as phase, \
-                profile.stage("detect.replicas"):
+        with profile.stage("detect.replicas") as stage:
             candidates = detect_replicas_with_kernel(
                 ctrace,
                 min_ttl_delta=config.min_ttl_delta,
                 max_replica_gap=config.max_replica_gap,
                 eviction_interval=config.eviction_interval,
                 stats=scan_stats,
-                profile=profile,
             )
-            phase.note(records=scan_stats.records_scanned,
-                       candidates=len(candidates))
+            stage.add(records=scan_stats.records_scanned)
+            stage.note(candidates=len(candidates),
+                       kernel=resolve_kernel("auto"))
         needs_index = (config.check_prefix_consistency
                        or config.check_gap_consistency)
         prefix_index = None
@@ -163,8 +160,7 @@ class LoopDetector:
             for chunk in ctrace.chunks:
                 prefix_index.add_chunk(chunk)
         empty = Trace()
-        with tracer.phase("detect.validate", clock="wall") as phase, \
-                profile.stage("detect.validate"):
+        with profile.stage("detect.validate") as stage:
             validation = validate_streams(
                 candidates,
                 empty,
@@ -173,9 +169,8 @@ class LoopDetector:
                 check_prefix_consistency=config.check_prefix_consistency,
                 prefix_index=prefix_index,
             )
-            phase.note(valid=len(validation.valid))
-        with tracer.phase("detect.merge", clock="wall") as phase, \
-                profile.stage("detect.merge"):
+            stage.note(valid=len(validation.valid))
+        with profile.stage("detect.merge") as stage:
             loops = merge_streams(
                 validation.valid,
                 empty,
@@ -185,7 +180,8 @@ class LoopDetector:
                 prefix_index=prefix_index,
                 candidates=candidates,
             )
-            phase.note(loops=len(loops))
+            stage.note(loops=len(loops))
+        tracer = profile.tracer
         for loop in loops:
             tracer.span("loop", loop.start, loop.end,
                         prefix=str(loop.prefix), streams=loop.stream_count)

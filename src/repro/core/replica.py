@@ -575,45 +575,6 @@ def resolve_kernel(kernel: str) -> str:
     return kernel
 
 
-def detect_replicas_with_kernel(
-    chunks,
-    kernel: str = "auto",
-    min_ttl_delta: int = 2,
-    max_replica_gap: float = 5.0,
-    eviction_interval: int = 100_000,
-    stats: ReplicaScanStats | None = None,
-    profile=None,
-) -> list[ReplicaStream]:
-    """Run step 1 over columnar chunks.
-
-    Both tiers produce byte-identical streams and stats; ``kernel``
-    selects only the implementation and defaults to ``auto``.
-
-    ``profile`` (a :class:`~repro.obs.perf.PipelineProfile`) records one
-    ``step1.kernel.<tier>`` span per call, labeled with the *resolved*
-    tier so an ``auto`` run shows which implementation actually ran.
-    """
-    resolved = resolve_kernel(kernel)
-    if profile is None:
-        from repro.obs.perf import NULL_PROFILE
-
-        profile = NULL_PROFILE
-    before = stats.records_scanned if stats is not None else 0
-    implementation = (detect_replicas_columnar if resolved == "columnar"
-                      else detect_replicas_vectorized)
-    with profile.stage(f"step1.kernel.{resolved}") as span:
-        streams = implementation(
-            chunks,
-            min_ttl_delta=min_ttl_delta,
-            max_replica_gap=max_replica_gap,
-            eviction_interval=eviction_interval,
-            stats=stats,
-        )
-        if stats is not None:
-            span.add(records=stats.records_scanned - before)
-    return streams
-
-
 def detect_replicas_vectorized(
     chunks,
     min_ttl_delta: int = 2,
@@ -908,6 +869,13 @@ def detect_replicas_vectorized(
     finished.sort(key=stream_sort_key)
     stats.candidate_streams = len(finished)
     return finished
+
+
+#: Step 1 as every entry point runs it (the ``auto`` tier): the
+#: vectorized kernel, which falls back to the pure-python columnar
+#: kernel when numpy is absent — byte-identical streams and stats
+#: either way.
+detect_replicas_with_kernel = detect_replicas_vectorized
 
 
 def stream_sort_key(stream: ReplicaStream) -> tuple[float, int]:

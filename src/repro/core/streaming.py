@@ -34,7 +34,7 @@ from typing import Callable
 
 from repro.net.addr import IPv4Address
 from repro.net.columnar import ColumnarTrace
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.perf import NULL_PROFILE
 from repro.core import vectorize
 from repro.core.detector import DetectorConfig
 from repro.core.merge import RoutingLoop
@@ -152,17 +152,22 @@ class StreamingStats:
 
 
 class StreamingLoopDetector:
-    """Incremental three-step loop detection over a live record feed."""
+    """Incremental three-step loop detection over a live record feed.
+
+    ``profile`` (default: the shared null profile) times
+    :meth:`process_trace` as the ``streaming.process_trace`` stage, and
+    emitted loops go to ``profile.tracer`` as trace-time ``loop`` spans.
+    """
 
     def __init__(
         self,
         config: DetectorConfig | None = None,
         on_loop: LoopCallback | None = None,
-        tracer=NULL_TRACER,
+        profile=NULL_PROFILE,
     ) -> None:
         self.config = config or DetectorConfig()
         self.on_loop = on_loop
-        self.tracer = tracer
+        self.profile = profile
         self.stats = StreamingStats()
 
         self._index = 0
@@ -256,12 +261,13 @@ class StreamingLoopDetector:
         if not isinstance(trace, ColumnarTrace):
             trace = ColumnarTrace.from_trace(trace)
         loops: list[RoutingLoop] = []
-        with self.tracer.phase("streaming.process_trace",
-                               clock="wall") as phase:
+        before = self.stats.records
+        with self.profile.stage("streaming.process_trace") as stage:
             for chunk in trace.chunks:
                 loops.extend(self.process_chunk(chunk))
             loops.extend(self.flush())
-            phase.note(records=self.stats.records, loops=len(loops))
+            stage.add(records=self.stats.records - before)
+            stage.note(loops=len(loops))
         return loops
 
     def process_chunk(self, chunk) -> list[RoutingLoop]:
@@ -939,9 +945,10 @@ class StreamingLoopDetector:
         self.stats.loops_emitted += 1
         # Loop intervals are in record-timestamp time, same domain as the
         # control-plane events of a simulated trace.
-        self.tracer.span("loop", routing_loop.start, routing_loop.end,
-                         prefix=str(routing_loop.prefix),
-                         streams=routing_loop.stream_count)
+        self.profile.tracer.span("loop", routing_loop.start,
+                                 routing_loop.end,
+                                 prefix=str(routing_loop.prefix),
+                                 streams=routing_loop.stream_count)
         self._emitted.append(routing_loop)
         if self.on_loop is not None:
             self.on_loop(routing_loop)

@@ -37,7 +37,6 @@ from repro.obs.alerts import AlertEngine, HysteresisConfig, default_rules
 from repro.obs.live import LiveMonitor, attach_detector, feed_chunk, feed_pairs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import PipelineProfile
-from repro.obs.tracing import NULL_TRACER
 
 
 @dataclass
@@ -106,7 +105,7 @@ class _RateTracker:
         return self.rate
 
 
-def _build_monitor(config: LinkConfig, tracer) -> tuple[
+def _build_monitor(config: LinkConfig) -> tuple[
         MetricsRegistry, LiveMonitor]:
     registry = MetricsRegistry(enabled=True)
     alerts = config.alerts
@@ -115,25 +114,20 @@ def _build_monitor(config: LinkConfig, tracer) -> tuple[
             loss_share_threshold=alerts.loss_share_threshold,
             duration_tail_seconds=alerts.duration_tail_seconds,
         ) if alerts.enabled else [],
-        tracer=tracer,
         hysteresis=HysteresisConfig(
             fire_after=alerts.fire_after,
             clear_after=alerts.clear_after,
         ),
     )
-    monitor = LiveMonitor(
-        registry=registry, alert_engine=engine, tracer=tracer
-    )
+    monitor = LiveMonitor(registry=registry, alert_engine=engine)
     return registry, monitor
 
 
 class LinkPipeline:
     """The restartable capture → detect → record chain for one link."""
 
-    def __init__(self, config: LinkConfig, tracer=NULL_TRACER,
-                 clock=time.time) -> None:
+    def __init__(self, config: LinkConfig, clock=time.time) -> None:
         self.config = config
-        self.tracer = tracer
         self._clock = clock
         self.current: RunArtifacts | None = None
         self._rate = _RateTracker()
@@ -141,11 +135,11 @@ class LinkPipeline:
     # -- the supervised body ---------------------------------------------------
 
     async def run(self) -> None:
-        registry, monitor = _build_monitor(self.config, self.tracer)
+        registry, monitor = _build_monitor(self.config)
         profile = PipelineProfile(registry)
         monitor.add_state_source("perf", profile.snapshot)
         streaming = StreamingLoopDetector(
-            config=self.config.detector, tracer=self.tracer
+            config=self.config.detector, profile=profile
         )
         streaming.register_metrics(registry)
         attach_detector(monitor, streaming)

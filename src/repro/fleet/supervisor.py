@@ -24,16 +24,15 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.pipeline import LinkPipeline
 from repro.fleet.task import SupervisedTask
 from repro.obs.metrics import MetricsRegistry, merged_registry
-from repro.obs.tracing import NULL_TRACER
 
 
 class FleetSupervisor:
     """Run, watch, and report on every configured link pipeline."""
 
-    def __init__(self, config: FleetConfig, tracer=NULL_TRACER) -> None:
+    def __init__(self, config: FleetConfig) -> None:
         self.config = config
         self.pipelines: dict[str, LinkPipeline] = {
-            link.id: LinkPipeline(link, tracer=tracer)
+            link.id: LinkPipeline(link)
             for link in config.links
         }
         self.tasks: dict[str, SupervisedTask] = {
@@ -163,6 +162,6 @@ class FleetSupervisor:
             ).set(1.0 if task.state.value == "running" else 0.0)
 
 
-def build_supervisor(config: FleetConfig, tracer=None) -> FleetSupervisor:
+def build_supervisor(config: FleetConfig) -> FleetSupervisor:
     # Kept because perfbench's fleet workload builds its supervisor here.
-    return FleetSupervisor(config, tracer=tracer or NULL_TRACER)
+    return FleetSupervisor(config)

@@ -17,7 +17,8 @@ CLI) with **zero cost when disabled**:
   monotonic timestamps (simulation time in the simulator, wall time in
   the detection pipeline, tagged per record).  The control plane emits
   the full convergence pipeline (link failure → adjacency loss → LSA
-  flood → SPF → FIB install) and the detectors emit phase spans and
+  flood → SPF → FIB install) and the detectors' stage timer
+  (:class:`~repro.obs.perf.PipelineProfile`) writes stage spans and
   per-loop intervals into the same trace.
 * :mod:`repro.obs.lifecycle` — joins control-plane events with detected
   loop intervals to answer the paper's central question per loop: which

@@ -3,14 +3,17 @@ benchmark provenance.
 
 Three layers, one module:
 
-* :class:`PipelineProfile` / :class:`StageTimer` — nested wall-clock
-  spans over the detection pipeline's stages (columnar ingest, step-1
-  kernel, validate/merge, source wait, streaming feed and flush).
-  Per-stage totals accumulate in the profile (count, seconds, records,
-  bytes → derived throughput) and, when a
-  :class:`~repro.obs.metrics.MetricsRegistry` is attached, feed
-  ``perf_stage_seconds`` histograms and
-  ``perf_stage_records_total`` / ``perf_stage_bytes_total`` counters.
+* :class:`PipelineProfile` / :class:`StageTimer` — the one stage
+  timer: nested wall-clock spans over the detection pipeline's stages
+  (step 1, validate, merge, streaming trace feed, source wait, fleet
+  feed and flush).  Per-stage totals accumulate in the profile (count,
+  seconds, records, bytes → derived throughput); when a
+  :class:`~repro.obs.metrics.MetricsRegistry` is attached, the same
+  span feeds ``perf_stage_seconds`` histograms and
+  ``perf_stage_records_total`` / ``perf_stage_bytes_total`` counters,
+  and when an enabled :class:`~repro.obs.tracing.Tracer` is attached it
+  is also written as a ``clock="wall"`` trace span — so stage names
+  cannot differ between a trace file, ``/perf`` and Prometheus.
   Queue-depth/backpressure gauges ride along via :meth:`PipelineProfile.
   queue_depth`.  The module-level :data:`NULL_PROFILE` is the disabled
   path, mirroring :data:`~repro.obs.tracing.NULL_TRACER`.
@@ -45,6 +48,7 @@ from pathlib import Path
 from typing import Any, Callable, IO
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import NULL_TRACER
 
 #: Histogram buckets for stage durations: pipeline stages run from tens
 #: of microseconds (a recorder feed) to tens of seconds (a full-file
@@ -91,10 +95,15 @@ class StageStats:
 
 class StageTimer:
     """Context manager timing one stage execution; ``seconds`` is valid
-    after ``__exit__``."""
+    after ``__exit__``.
+
+    With an enabled tracer on the profile, the stage is also one
+    ``clock="wall"`` trace span over exactly the timed interval,
+    carrying the stage's records/bytes and any :meth:`note` attrs.
+    """
 
     __slots__ = ("_profile", "name", "records", "bytes", "seconds",
-                 "_t0", "_parent")
+                 "_t0", "_parent", "_span", "_attrs")
 
     def __init__(self, profile: "PipelineProfile", name: str,
                  records: int = 0, bytes: int = 0) -> None:
@@ -105,20 +114,40 @@ class StageTimer:
         self.seconds = 0.0
         self._t0 = 0.0
         self._parent: str | None = None
+        self._span = 0
+        self._attrs: dict[str, Any] = {}
 
     def add(self, records: int = 0, bytes: int = 0) -> None:
         """Attach throughput denominators discovered mid-stage."""
         self.records += records
         self.bytes += bytes
 
+    def note(self, **attrs: Any) -> None:
+        """Attach attrs to the stage's trace span (dropped when the
+        profile has no enabled tracer)."""
+        self._attrs.update(attrs)
+
     def __enter__(self) -> "StageTimer":
-        self._parent = self._profile._push(self.name)
-        self._t0 = self._profile.clock()
+        profile = self._profile
+        self._parent = profile._push(self.name)
+        self._t0 = profile.clock()
+        if profile.tracer.enabled:
+            self._span = profile.tracer.begin(self.name, time=self._t0,
+                                              clock="wall")
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.seconds = self._profile.clock() - self._t0
-        self._profile._pop(self)
+        profile = self._profile
+        t1 = profile.clock()
+        self.seconds = t1 - self._t0
+        if self._span:
+            attrs = self._attrs
+            if self.records:
+                attrs["records"] = self.records
+            if self.bytes:
+                attrs["bytes"] = self.bytes
+            profile.tracer.end(self._span, time=t1, **attrs)
+        profile._pop(self)
 
 
 class _NullStage:
@@ -133,6 +162,9 @@ class _NullStage:
     def add(self, records: int = 0, bytes: int = 0) -> None:
         pass
 
+    def note(self, **attrs: Any) -> None:
+        pass
+
     def __enter__(self) -> "_NullStage":
         return self
 
@@ -145,6 +177,7 @@ class NullProfile:
 
     __slots__ = ()
     enabled = False
+    tracer = NULL_TRACER
 
     def stage(self, name: str, records: int = 0,
               bytes: int = 0) -> _NullStage:
@@ -166,7 +199,7 @@ NULL_PROFILE = NullProfile()
 class PipelineProfile:
     """Per-stage timing accumulator for one pipeline instance.
 
-    >>> profile = PipelineProfile(registry)
+    >>> profile = PipelineProfile(registry, tracer)
     >>> with profile.stage("ingest", bytes=len(buf)) as span:
     ...     trace = ingest(buf)
     ...     span.add(records=len(trace))
@@ -175,14 +208,18 @@ class PipelineProfile:
     Thread-safe: stages may start and finish on different threads (the
     fleet's executor threads); the per-thread nesting stack
     keeps parents straight, and accumulation happens under a lock once
-    per stage *span* — never per record.
+    per stage *span* — never per record.  The ``tracer`` is not
+    thread-safe; attach one only to a profile fed from one thread.
+    Detectors also send their ``loop`` spans to ``profile.tracer``.
     """
 
     enabled = True
 
     def __init__(self, registry: MetricsRegistry | None = None,
+                 tracer=NULL_TRACER,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.registry = registry
+        self.tracer = tracer
         self.clock = clock
         self._lock = threading.Lock()
         self._stages: dict[str, StageStats] = {}
@@ -194,7 +231,7 @@ class PipelineProfile:
 
     def stage(self, name: str, records: int = 0,
               bytes: int = 0) -> StageTimer:
-        """``with profile.stage("step1.kernel", records=n): ...``"""
+        """``with profile.stage("detect.replicas", records=n): ...``"""
         return StageTimer(self, name, records, bytes)
 
     def _push(self, name: str) -> str | None:

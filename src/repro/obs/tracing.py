@@ -12,9 +12,9 @@ Timestamps come from the tracer's ``clock`` — wall time
 (:func:`time.perf_counter`) by default, or **simulation time** when the
 backbone scenario wires ``clock = lambda: scheduler.now``.  Callers can
 always pass an explicit ``time=``; records from a different clock domain
-than the tracer's should carry a ``clock`` attr (the detection pipeline
-tags its wall-clock phase spans with ``clock="wall"``, while loop
-intervals carry trace/simulation time).
+than the tracer's should carry a ``clock`` attr (pipeline stage spans,
+written by :class:`~repro.obs.perf.PipelineProfile`, are tagged
+``clock="wall"``, while loop intervals carry trace/simulation time).
 
 Records are kept in memory (``tracer.records``) and, when a ``sink`` is
 given, written eagerly as JSON lines and flushed every ``flush_every``
@@ -65,9 +65,6 @@ class NullTracer:
              parent: int | None = None, **attrs: Any) -> int:
         return 0
 
-    def phase(self, name: str, **attrs: Any) -> "_NullPhase":
-        return _NULL_PHASE
-
     def flush(self) -> None:
         pass
 
@@ -75,50 +72,8 @@ class NullTracer:
         pass
 
 
-class _NullPhase:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-    def note(self, **attrs: Any) -> None:
-        pass
-
-
-_NULL_PHASE = _NullPhase()
-
 #: The shared disabled tracer.
 NULL_TRACER = NullTracer()
-
-
-class _Phase:
-    """Context manager for a wall-clock pipeline phase span."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_id")
-
-    def __init__(self, tracer: "Tracer", name: str,
-                 attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._id = 0
-
-    def __enter__(self) -> "_Phase":
-        self._id = self._tracer.begin(self._name, **self._attrs)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._tracer.end(self._id)
-
-    def note(self, **attrs: Any) -> None:
-        """Attach attrs to the span when it ends."""
-        self._attrs.update(attrs)
-        open_span = self._tracer._open.get(self._id)
-        if open_span is not None:
-            open_span["attrs"].update(attrs)
 
 
 class Tracer:
@@ -220,10 +175,6 @@ class Tracer:
             "attrs": attrs,
         })
         return span_id
-
-    def phase(self, name: str, **attrs: Any) -> _Phase:
-        """``with tracer.phase("detect.validate"): ...`` convenience."""
-        return _Phase(self, name, attrs)
 
     # -- lifecycle ------------------------------------------------------------
 

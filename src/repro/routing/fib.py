@@ -111,23 +111,6 @@ class Fib:
                 return entry
         return None
 
-    def lookup_reference(self, address: IPv4Address) -> FibEntry | None:
-        """Longest-prefix-match with per-probe mask computation.
-
-        The pre-optimization lookup, preserved verbatim for the
-        forwarding engine's ``route_cache=False`` reference path: the
-        equivalence tests and benchmarks compare the cached fast path
-        against exactly this resolution work.  Returns the same entry as
-        :meth:`lookup` for any address.
-        """
-        value = address.value
-        for length in self._lengths_desc:
-            mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-            entry = self._tables[length].get(value & mask)
-            if entry is not None:
-                return entry
-        return None
-
     def exact(self, prefix: IPv4Prefix) -> FibEntry | None:
         """The entry for exactly ``prefix``, ignoring longer/shorter routes."""
         table = self._tables.get(prefix.length)

@@ -17,13 +17,10 @@ in flight during convergence always see live state and loop exactly as
 before.  Cached routes carry the static per-direction link parameters, so
 a cache hit forwards without touching the topology at all.
 
-``route_cache=False`` selects the *reference path* instead: the
-pre-optimization engine preserved verbatim — per-hop LPM probes with
-fresh mask computation, ``topology.link_between`` resolution, closure
-allocation per scheduled event, and full checksum recompute per tapped
-crossing.  Its output is byte-identical to the fast path; the equivalence
-tests pin that, and the benchmarks measure the gap (see
-``docs/PERFORMANCE.md``).
+The pre-optimization engine lives on as a test oracle
+(``ReferenceForwardingEngine`` in ``tests/oracles.py``); the equivalence
+tests pin the fast path's output byte-identical to it, and the
+benchmarks measure the gap (see ``docs/PERFORMANCE.md``).
 
 The engine also maintains a ground-truth audit channel (per-packet hop
 records and loop flags) that the detector never sees; tests use it to
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -174,7 +171,6 @@ class ForwardingEngine:
         keep_audits: bool = True,
         record_crossings: bool = False,
         icmp_time_exceeded_probability: float = 0.5,
-        route_cache: bool = True,
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler
@@ -184,7 +180,6 @@ class ForwardingEngine:
         self.keep_audits = keep_audits
         self.record_crossings = record_crossings
         self.icmp_time_exceeded_probability = icmp_time_exceeded_probability
-        self.route_cache_enabled = route_cache
 
         self._taps: dict[tuple[str, str], list[LinkTap]] = {}
         self._delivery_listeners: list[Callable[[float, Packet, str], None]] = []
@@ -231,11 +226,6 @@ class ForwardingEngine:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-        if not route_cache:
-            # Shadow the fast-path method with the preserved reference
-            # implementation; everything scheduled through self._arrive
-            # (injection included) then takes the slow path.
-            self._arrive = self._arrive_reference  # type: ignore[method-assign]
 
         self.audits: list[PacketAudit] = []
         self.fate_counts: dict[PacketFate, int] = {fate: 0 for fate in PacketFate}
@@ -375,7 +365,6 @@ class ForwardingEngine:
     def route_cache_stats(self) -> dict[str, float]:
         """Hit/miss/invalidation counters for reports and tests."""
         return {
-            "enabled": self.route_cache_enabled,
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "invalidations": self.cache_invalidations,
@@ -416,7 +405,7 @@ class ForwardingEngine:
             "Fraction of per-hop resolutions served from cache",
         ).set(self.cache_hit_rate)
 
-    # -- per-hop machinery (fast path) ----------------------------------------
+    # -- per-hop machinery -----------------------------------------------------
 
     def _resolve(self, router: str, dst: IPv4Address,
                  flow_hash: int) -> _Route | None:
@@ -497,7 +486,7 @@ class ForwardingEngine:
             self._finish(transit, router, PacketFate.QUEUE_DROP)
             return
         # Same expression as Link.transmission_delay so the floats match
-        # the reference path bit-for-bit.
+        # the reference engine bit-for-bit.
         departure = now + queue_delay + transit.wire_bytes * 8 / route[5]
         direction.next_free = departure
 
@@ -541,97 +530,7 @@ class ForwardingEngine:
             pending[0] = 0.0
             pending[1] = 0
 
-    # -- per-hop machinery (reference path) -----------------------------------
-    #
-    # The engine as it was before the route cache and the allocation-free
-    # fast path, kept behavior-identical on purpose: per-hop FIB lookup
-    # with per-probe mask computation, hot-potato + ECMP resolution,
-    # topology.link_between, closure-per-event scheduling, and full
-    # checksum recompute per tapped crossing.  The equivalence suite runs
-    # both paths and asserts byte-identical traces; the benchmark reports
-    # the speedup of the fast path over exactly this code.
-
-    def _arrive_reference(self, transit: _Transit, router: str) -> None:
-        """Reference per-hop arrival (``route_cache=False``)."""
-        count = transit.visited.get(router, 0) + 1
-        transit.visited[router] = count
-        if count > 1 and transit.audit is not None:
-            transit.audit.looped = True
-
-        entry = self.bgp.fib(router).lookup_reference(transit.packet.ip.dst)
-        if entry is None:
-            self._finish(transit, router, PacketFate.NO_ROUTE)
-            return
-        egress = entry.next_hop
-        if egress == router:
-            self._finish(transit, router, PacketFate.DELIVERED)
-            return
-        next_router = self.igp.next_hop(router, egress, transit.flow_hash)
-        if next_router is None:
-            self._finish(transit, router, PacketFate.NO_ROUTE)
-            return
-        if transit.ttl <= 1:
-            self._expire(transit, router)
-            return
-        link = self.topology.link_between(router, next_router)
-        if not link.up:
-            # Failure not yet detected by the control plane: black hole.
-            self._finish(transit, router, PacketFate.LINK_DOWN)
-            return
-        self._transmit_reference(transit, router, next_router, link)
-
-    def _transmit_reference(self, transit: _Transit, router: str,
-                            next_router: str, link: Link) -> None:
-        now = self.scheduler.now
-        direction = self._directions.setdefault(
-            (router, next_router), _DirectionState()
-        )
-        queue_delay = max(0.0, direction.next_free - now)
-        minute = int(now // 60)
-        queue_delays = self._queue_delay_by_minute
-        queue_delays[minute] = queue_delays.get(minute, 0.0) + queue_delay
-        transmissions = self._transmissions_by_minute
-        transmissions[minute] = transmissions.get(minute, 0) + 1
-        if queue_delay > link.max_queue_delay:
-            self._finish(transit, router, PacketFate.QUEUE_DROP)
-            return
-        wire_bytes = transit.packet.ip.total_length
-        departure = now + queue_delay + link.transmission_delay(wire_bytes)
-        direction.next_free = departure
-
-        transit.ttl -= 1
-        if transit.audit is not None:
-            transit.audit.hops += 1
-            if self.record_crossings:
-                transit.audit.crossings.append(
-                    (departure, link.name, f"{router}->{next_router}",
-                     transit.ttl)
-                )
-
-        taps = self._taps.get((router, next_router))
-        if taps:
-            on_wire = self._materialize_reference(transit)
-            for tap in taps:
-                self.scheduler.schedule_at(
-                    departure,
-                    lambda cb=tap.callback, t=departure, p=on_wire: cb(t, p),
-                )
-
-        arrival = departure + link.propagation_delay
-        self.scheduler.schedule_at(
-            arrival, lambda tr=transit, r=next_router: self._arrive(tr, r)
-        )
-
-    def _materialize_reference(self, transit: _Transit) -> Packet:
-        """The packet as it appears on the wire right now, rebuilt from
-        scratch: TTL decremented and checksum cleared so serialization
-        recomputes it in full (the pre-incremental-update behavior)."""
-        packet = transit.packet
-        hops = packet.ip.ttl - transit.ttl
-        new_ip = replace(packet.ip, ttl=packet.ip.ttl - hops, checksum=None)
-        return Packet(ip=new_ip, l4=packet.l4, payload=packet.payload)
-
-    # -- terminal fates (shared by both paths) --------------------------------
+    # -- terminal fates --------------------------------------------------------
 
     def _expire(self, transit: _Transit, router: str) -> None:
         self._finish(transit, router, PacketFate.TTL_EXPIRED)

@@ -67,10 +67,6 @@ class ScenarioConfig:
     icmp_time_exceeded_probability: float = 0.5
     keep_audits: bool = True
     warmup: float = 5.0
-    #: Epoch-versioned resolved-route caching in the forwarding engine.
-    #: False restores per-packet control-plane resolution (the slow
-    #: reference path; output is bit-identical either way).
-    route_cache: bool = True
     #: "random" — ring + random chords; "triangle" — the engineered
     #: micro-loop motif topology (multi-hop loops on the monitored link).
     topology_style: str = "random"
@@ -233,7 +229,6 @@ class BackboneScenario:
             icmp_time_exceeded_probability=(
                 config.icmp_time_exceeded_probability
             ),
-            route_cache=config.route_cache,
         )
         generator = WorkloadGenerator(
             engine, population,

@@ -38,6 +38,8 @@ class TestConfig:
             {"prefix_length": 33},
             {"prefix_length": 4},
             {"merge_gap": -1.0},
+            {"max_replica_gap": 0},
+            {"max_replica_gap": -1},
         ],
     )
     def test_validation(self, kwargs):

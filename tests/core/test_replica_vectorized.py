@@ -238,6 +238,7 @@ class TestTierDispatch:
     def test_with_kernel_accepts_trace_and_chunk_list(self):
         trace = _loop_trace(seed=19, background=100)
         ctrace = ColumnarTrace.from_trace(trace, chunk_records=64)
-        by_trace = detect_replicas_with_kernel(ctrace, kernel="vectorized")
-        by_list = detect_replicas_with_kernel(ctrace.chunks, kernel="auto")
+        by_trace = detect_replicas_vectorized(ctrace)
+        by_list = detect_replicas_columnar(ctrace.chunks)
         assert _fps(by_trace) == _fps(by_list)
+        assert _fps(detect_replicas_with_kernel(ctrace)) == _fps(by_trace)

@@ -146,12 +146,12 @@ class TestWindowHasNonMember:
                                                         end, cut):
         """Mid-chunk, the in-flight slice shows only the records before
         the current one.  All 40 records of the last chunk share one
-        timestamp, so under ``max_replica_gap=0`` a time bound could not
-        tell them apart: the record-index bound must."""
+        timestamp, so however small ``max_replica_gap`` is, a time bound
+        could not tell them apart: the record-index bound must."""
         records, cuts, members = feed
         stamp, n = records[-1].timestamp, len(records)
         detector, reference = _feed(records, cuts,
-                                    DetectorConfig(max_replica_gap=0.0))
+                                    DetectorConfig(max_replica_gap=2 ** -10))
         last = [_record(stamp, (PREFIX, OTHER)[i % 2], n + i)
                 for i in range(40)]
         for i in range(40):

@@ -99,6 +99,27 @@ class TestTraceOut:
                 "detect.merge"} <= names
         assert len(spans(records, "loop")) == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--streaming"]],
+                             ids=["offline", "streaming"])
+    def test_stage_spans_match_stage_metrics(self, pcap_with_loop, tmp_path,
+                                             capsys, extra):
+        """Every wall-clock span in the trace file is a stage in the
+        metrics file and vice versa: both come from one stage timer."""
+        trace_out = tmp_path / "trace.jsonl"
+        metrics_out = tmp_path / "metrics.prom"
+        code = main(["detect", str(pcap_with_loop), *extra,
+                     "--trace-out", str(trace_out),
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        span_names = {r["name"] for r in spans(read_trace(trace_out))
+                      if r["attrs"].get("clock") == "wall"}
+        prefix = 'perf_stage_seconds{stage="'
+        histograms = parse_prometheus(metrics_out.read_text())["histograms"]
+        stage_labels = {key[len(prefix):-len('"}')] for key in histograms
+                        if key.startswith(prefix)}
+        assert span_names
+        assert span_names == stage_labels
+
     def test_simulate_trace_and_lifecycle(self, tmp_path, capsys):
         out = tmp_path / "sim.jsonl"
         code = main(["simulate", "backbone3", "--duration", "20",
@@ -119,7 +140,8 @@ class TestSimulateJson:
                      "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["route_cache"]["enabled"] is True
+        assert set(payload["route_cache"]) == {
+            "hits", "misses", "invalidations", "hit_rate"}
         assert payload["route_cache"]["hits"] > 0
         assert "ttl_expiries" in payload["ground_truth"]
         counters = payload["metrics"]["counters"]

@@ -1,8 +1,8 @@
 """Instrumentation must not change detection output.
 
-The offline and streaming detectors are run with a recording
-tracer and with the null tracer; their loop lists must be identical —
-observability is strictly read-only.
+The offline and streaming detectors are run with a profile carrying a
+recording tracer and with the null profile; their loop lists must be
+identical — observability is strictly read-only.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
+from repro.obs.perf import PipelineProfile
 from repro.obs.tracing import Tracer, spans
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
@@ -30,6 +31,11 @@ def trace():
     return builder.build()
 
 
+def profile_for(tracer):
+    """A profile whose stages and loops go to ``tracer``."""
+    return PipelineProfile(tracer=tracer)
+
+
 def loop_rows(loops):
     return [(str(l.prefix), l.start, l.end, l.replica_count) for l in loops]
 
@@ -38,12 +44,12 @@ class TestOfflineDetector:
     def test_tracer_does_not_change_output(self, trace):
         plain = LoopDetector().detect(trace)
         tracer = Tracer()
-        traced = LoopDetector(tracer=tracer).detect(trace)
+        traced = LoopDetector(profile=profile_for(tracer)).detect(trace)
         assert loop_rows(traced.loops) == loop_rows(plain.loops)
 
     def test_phase_spans_cover_pipeline(self, trace):
         tracer = Tracer()
-        result = LoopDetector(tracer=tracer).detect(trace)
+        result = LoopDetector(profile=profile_for(tracer)).detect(trace)
         names = {r["name"] for r in tracer.records if r["type"] == "span"}
         assert {"detect.replicas", "detect.validate",
                 "detect.merge"} <= names
@@ -51,7 +57,7 @@ class TestOfflineDetector:
 
     def test_loop_spans_carry_trace_time(self, trace):
         tracer = Tracer()
-        result = LoopDetector(tracer=tracer).detect(trace)
+        result = LoopDetector(profile=profile_for(tracer)).detect(trace)
         for span, loop in zip(spans(tracer.records, "loop"), result.loops):
             assert span["t0"] == loop.start
             assert span["t1"] == loop.end
@@ -59,7 +65,7 @@ class TestOfflineDetector:
 
     def test_phase_spans_are_wall_clock_tagged(self, trace):
         tracer = Tracer()
-        LoopDetector(tracer=tracer).detect(trace)
+        LoopDetector(profile=profile_for(tracer)).detect(trace)
         for record in spans(tracer.records, "detect.replicas"):
             assert record["attrs"]["clock"] == "wall"
 
@@ -70,14 +76,14 @@ class TestStreamingDetector:
         plain = StreamingLoopDetector(config).process_trace(trace)
         tracer = Tracer()
         traced = StreamingLoopDetector(
-            config, tracer=tracer
+            config, profile=profile_for(tracer)
         ).process_trace(trace)
         assert loop_rows(traced) == loop_rows(plain)
 
     def test_emits_process_and_loop_spans(self, trace):
         tracer = Tracer()
         loops = StreamingLoopDetector(
-            DetectorConfig(), tracer=tracer
+            DetectorConfig(), profile=profile_for(tracer)
         ).process_trace(trace)
         assert len(spans(tracer.records, "streaming.process_trace")) == 1
         assert len(spans(tracer.records, "loop")) == len(loops)

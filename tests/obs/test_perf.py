@@ -22,6 +22,7 @@ from repro.obs.perf import (
     validate_bench,
     write_bench,
 )
+from repro.obs.tracing import NULL_TRACER, Tracer, spans
 
 
 def make_profile(**kwargs) -> PipelineProfile:
@@ -128,6 +129,58 @@ class TestPipelineProfile:
         with profile.stage("a"):
             pass
         assert profile.stage_seconds() == {"a": 0.5}
+
+
+class TestStageSpans:
+    """With an enabled tracer, each stage is also one trace span."""
+
+    def test_stage_is_one_wall_clock_span_with_noted_attrs(self):
+        tracer = Tracer()
+        profile = make_profile(tracer=tracer)
+        with profile.stage("detect.replicas") as stage:
+            stage.add(records=40)
+            stage.note(candidates=17, kernel="columnar")
+        (record,) = tracer.records
+        (stats,) = profile.snapshot()["stages"]
+        assert record["name"] == stats["name"] == "detect.replicas"
+        assert record["t1"] - record["t0"] == stats["seconds"] == 0.5
+        assert record["attrs"] == {"clock": "wall", "records": 40,
+                                   "candidates": 17, "kernel": "columnar"}
+
+    def test_nested_stages_nest_their_spans(self):
+        tracer = Tracer()
+        profile = make_profile(tracer=tracer)
+        with profile.stage("outer"):
+            with profile.stage("inner"):
+                pass
+            with profile.stage("inner"):
+                pass
+        outer, first, second = spans(tracer.records)
+        assert outer["name"] == "outer"
+        assert outer["parent"] == 0
+        assert first["parent"] == second["parent"] == outer["id"]
+        assert first["id"] != second["id"]
+
+    def test_stage_span_closes_when_the_stage_raises(self):
+        tracer = Tracer()
+        profile = make_profile(tracer=tracer)
+        with pytest.raises(RuntimeError):
+            with profile.stage("detect.merge"):
+                raise RuntimeError("boom")
+        (record,) = tracer.records
+        assert record["name"] == "detect.merge"
+        assert "unclosed" not in record["attrs"]
+
+    def test_null_tracer_and_null_profile_are_inert(self):
+        profile = make_profile()
+        assert profile.tracer is NULL_TRACER
+        with profile.stage("x") as stage:
+            stage.note(a=1)
+        with NULL_PROFILE.stage("y") as stage:
+            stage.note(b=2)
+        assert NULL_PROFILE.tracer is NULL_TRACER
+        assert NULL_TRACER.records == ()
+        assert [s["name"] for s in profile.snapshot()["stages"]] == ["x"]
 
 
 class TestSamplingProfiler:

@@ -112,18 +112,6 @@ class TestSpans:
         assert record["attrs"]["unclosed"] is True
 
 
-class TestPhase:
-    def test_phase_context_manager(self):
-        tracer, clock = make_tracer()
-        with tracer.phase("detect.replicas", clock="wall") as phase:
-            clock.advance(2.0)
-            phase.note(candidates=17)
-        (record,) = tracer.records
-        assert record["name"] == "detect.replicas"
-        assert record["t1"] - record["t0"] == 2.0
-        assert record["attrs"] == {"clock": "wall", "candidates": 17}
-
-
 class TestSink:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -245,8 +233,6 @@ class TestNullTracer:
         assert span == 0
         NULL_TRACER.end(span)
         assert NULL_TRACER.span("x", 0.0, 1.0) == 0
-        with NULL_TRACER.phase("x", a=1) as phase:
-            phase.note(b=2)
         NULL_TRACER.flush()
         NULL_TRACER.close()
         assert NULL_TRACER.records == ()

@@ -20,11 +20,22 @@ inside its retention floor identically.
 :func:`reference_detect` runs the oracle step 1 and the oracle index
 under the product's steps 2 and 3 over a materialized trace, for
 whole-pipeline comparisons (library, CLI).
+
+:class:`ReferenceForwardingEngine` is the simulator's forwarding engine
+as it was before the resolved-route cache and the allocation-free hot
+path: per-hop longest-prefix match with per-probe mask computation
+(:func:`lookup_reference`), ``topology.link_between`` resolution, one
+closure per scheduled event and a full checksum recompute per tapped
+crossing.  The cached :class:`~repro.routing.forwarding.ForwardingEngine`
+must produce byte-identical monitor traces, packet audits and
+telemetry; the equivalence tests and the simulator throughput benchmark
+compare the two.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -43,8 +54,17 @@ from repro.core.replica import (
     stream_sort_key,
 )
 from repro.core.streams import validate_streams
-from repro.net.addr import IPv4Prefix
+from repro.net.addr import IPv4Address, IPv4Prefix
+from repro.net.packet import Packet
 from repro.net.trace import Trace
+from repro.routing.fib import Fib, FibEntry
+from repro.routing.forwarding import (
+    ForwardingEngine,
+    PacketFate,
+    _DirectionState,
+    _Transit,
+)
+from repro.routing.topology import Link
 
 _DST_STRUCT = Struct(">I")
 
@@ -352,3 +372,104 @@ def reference_detect(trace: Trace,
         loops=loops,
         scan_stats=scan_stats,
     )
+
+
+def lookup_reference(fib: Fib, address: IPv4Address) -> FibEntry | None:
+    """Longest-prefix match with per-probe mask computation: the
+    pre-optimization :meth:`~repro.routing.fib.Fib.lookup`, returning
+    the same entry for any address."""
+    value = address.value
+    for length in fib._lengths_desc:
+        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
+        entry = fib._tables[length].get(value & mask)
+        if entry is not None:
+            return entry
+    return None
+
+
+class ReferenceForwardingEngine(ForwardingEngine):
+    """The forwarding engine without the route cache (see the module
+    docstring); its cache counters stay at zero."""
+
+    def _arrive_reference(self, transit: _Transit, router: str) -> None:
+        count = transit.visited.get(router, 0) + 1
+        transit.visited[router] = count
+        if count > 1 and transit.audit is not None:
+            transit.audit.looped = True
+
+        entry = lookup_reference(self.bgp.fib(router), transit.packet.ip.dst)
+        if entry is None:
+            self._finish(transit, router, PacketFate.NO_ROUTE)
+            return
+        egress = entry.next_hop
+        if egress == router:
+            self._finish(transit, router, PacketFate.DELIVERED)
+            return
+        next_router = self.igp.next_hop(router, egress, transit.flow_hash)
+        if next_router is None:
+            self._finish(transit, router, PacketFate.NO_ROUTE)
+            return
+        if transit.ttl <= 1:
+            self._expire(transit, router)
+            return
+        link = self.topology.link_between(router, next_router)
+        if not link.up:
+            # Failure not yet detected by the control plane: black hole.
+            self._finish(transit, router, PacketFate.LINK_DOWN)
+            return
+        self._transmit_reference(transit, router, next_router, link)
+
+    def _transmit_reference(self, transit: _Transit, router: str,
+                            next_router: str, link: Link) -> None:
+        now = self.scheduler.now
+        direction = self._directions.setdefault(
+            (router, next_router), _DirectionState()
+        )
+        queue_delay = max(0.0, direction.next_free - now)
+        minute = int(now // 60)
+        queue_delays = self._queue_delay_by_minute
+        queue_delays[minute] = queue_delays.get(minute, 0.0) + queue_delay
+        transmissions = self._transmissions_by_minute
+        transmissions[minute] = transmissions.get(minute, 0) + 1
+        if queue_delay > link.max_queue_delay:
+            self._finish(transit, router, PacketFate.QUEUE_DROP)
+            return
+        wire_bytes = transit.packet.ip.total_length
+        departure = now + queue_delay + link.transmission_delay(wire_bytes)
+        direction.next_free = departure
+
+        transit.ttl -= 1
+        if transit.audit is not None:
+            transit.audit.hops += 1
+            if self.record_crossings:
+                transit.audit.crossings.append(
+                    (departure, link.name, f"{router}->{next_router}",
+                     transit.ttl)
+                )
+
+        taps = self._taps.get((router, next_router))
+        if taps:
+            on_wire = self._materialize_reference(transit)
+            for tap in taps:
+                self.scheduler.schedule_at(
+                    departure,
+                    lambda cb=tap.callback, t=departure, p=on_wire: cb(t, p),
+                )
+
+        arrival = departure + link.propagation_delay
+        self.scheduler.schedule_at(
+            arrival, lambda tr=transit, r=next_router: self._arrive(tr, r)
+        )
+
+    def _materialize_reference(self, transit: _Transit) -> Packet:
+        """The packet as it appears on the wire right now, rebuilt from
+        scratch: TTL decremented and checksum cleared so serialization
+        recomputes it in full."""
+        packet = transit.packet
+        hops = packet.ip.ttl - transit.ttl
+        new_ip = replace(packet.ip, ttl=packet.ip.ttl - hops, checksum=None)
+        return Packet(ip=new_ip, l4=packet.l4, payload=packet.payload)
+
+    # Everything scheduled through ``self._arrive`` (injection included)
+    # takes the reference path.
+    _arrive = _arrive_reference

@@ -1,10 +1,10 @@
-"""The cached fast path is observationally identical to the reference path.
+"""The cached fast path is observationally identical to the reference engine.
 
 The forwarding engine's epoch-versioned route cache is a pure
 optimization: for any scenario — including convergence windows where
-transient loops form — the cached engine and the ``route_cache=False``
-reference engine must produce the same ``PacketAudit`` stream and
-byte-identical pcap output.  This is the property the whole PR rests on:
+transient loops form — the cached engine and the uncached
+``ReferenceForwardingEngine`` oracle must produce the same
+``PacketAudit`` stream and byte-identical pcap output.  This is the property the whole PR rests on:
 the paper's Table II counts come from the monitor trace, so a single
 divergent byte could change what the detector sees.
 """
@@ -16,10 +16,12 @@ import pytest
 from repro.core.detector import LoopDetector
 from repro.net.pcap import write_pcap
 from repro.routing.linkstate import LinkStateTimers
+from repro.sim import backbone
 from repro.sim.backbone import BackboneScenario, ScenarioConfig
+from tests.oracles import ReferenceForwardingEngine
 
 
-def _config(route_cache: bool) -> ScenarioConfig:
+def _config() -> ScenarioConfig:
     # A churn-heavy run: slow FIB installs widen the inconsistency
     # windows, IGP flaps and BGP withdrawals land while traffic flows, so
     # plenty of packets traverse mid-convergence state and loop.
@@ -38,7 +40,6 @@ def _config(route_cache: bool) -> ScenarioConfig:
         withdrawal_holdtime=15.0,
         igp_timers=LinkStateTimers(fib_update_delay=0.4,
                                    fib_update_jitter=1.2),
-        route_cache=route_cache,
     )
 
 
@@ -51,10 +52,11 @@ def _audit_stream(run):
 
 @pytest.fixture(scope="module")
 def runs():
-    return {
-        cached: BackboneScenario(_config(route_cache=cached)).run()
-        for cached in (True, False)
-    }
+    cached = BackboneScenario(_config()).run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backbone, "ForwardingEngine", ReferenceForwardingEngine)
+        reference = BackboneScenario(_config()).run()
+    return {True: cached, False: reference}
 
 
 class TestObservationalEquivalence:
@@ -65,8 +67,10 @@ class TestObservationalEquivalence:
         assert runs[True].ground_truth_looped == runs[False].ground_truth_looped
 
     def test_cache_flavours_as_configured(self, runs):
-        assert runs[True].engine.route_cache_stats()["enabled"]
-        assert not runs[False].engine.route_cache_stats()["enabled"]
+        assert not isinstance(runs[True].engine, ReferenceForwardingEngine)
+        assert isinstance(runs[False].engine, ReferenceForwardingEngine)
+        assert runs[True].engine.route_cache_stats()["hits"] > 0
+        assert runs[False].engine.route_cache_stats()["hits"] == 0
         # Churn means the cached run must also have invalidated entries.
         assert runs[True].engine.route_cache_stats()["invalidations"] > 0
 
