@@ -52,7 +52,7 @@ import pytest
 from repro.cli import _stream_with_monitor
 from repro.core.detector import DetectorConfig
 from repro.core.streaming import StreamingLoopDetector
-from repro.net.trace import TraceRecord
+from repro.net.trace import Trace, TraceRecord
 from repro.obs.live import LiveMonitor
 from repro.obs.metrics import MetricsRegistry, parse_prometheus, set_registry
 from repro.obs.server import MonitorServer
@@ -179,12 +179,13 @@ def _stream_monitored(records):
     registry = MetricsRegistry(enabled=True)
     detector.register_metrics(registry)
     monitor = LiveMonitor(registry=registry)
+    trace = Trace(records=records)
     with MonitorServer(monitor, port=0) as server:
         gc.collect()
         gc.disable()
         try:
             t0 = time.perf_counter()
-            loops = _stream_with_monitor(detector, records, monitor)
+            loops = _stream_with_monitor(detector, trace, monitor)
             wall = time.perf_counter() - t0
         finally:
             gc.enable()

@@ -53,7 +53,7 @@ from repro.core.replica import (
     mask_mutable_fields,
     stream_sort_key,
 )
-from repro.core.streams import validate_streams
+from repro.core.streams import member_set, validate_streams
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.packet import Packet
 from repro.net.trace import Trace
@@ -362,7 +362,7 @@ def reference_detect(trace: Trace,
         prefix_length=config.prefix_length,
         check_gap_consistency=config.check_gap_consistency,
         prefix_index=prefix_index,
-        candidates=candidates,
+        members=member_set(candidates),
     )
     return DetectionResult(
         trace=trace,

@@ -2,9 +2,10 @@
 
 Hypothesis drives adversarial layouts at the tiers — irregular strides,
 padded strides, zero-length bodies, exact duplicates, eviction-interval
-boundaries, mixed regular/irregular chunks — and asserts that the
-pure-python columnar and vectorized kernels return the same streams AND
-the same scan stats as the oracle in ``tests/oracles.py``.
+boundaries, mixed regular/irregular chunks, timestamps that tie or
+regress — and asserts that the pure-python columnar and vectorized
+kernels return the same streams AND the same scan stats as the oracle
+in ``tests/oracles.py``.
 
 Runs without numpy: the vectorized tier then falls back to the columnar
 kernel, and the suite degenerates to re-checking that the fallback is
@@ -43,10 +44,11 @@ def _run_tier(kernel_fn, chunks, params):
     )
 
 
-def _chunk(bodies, base_index, start_time, pad):
+def _chunk(bodies, base_index, start_time, pad, stamps=None):
     """One chunk; ``pad`` > 0 declares a padded stride when the bodies
     are uniform (the vectorized fast path), else the chunk is packed
-    irregularly (the fallback path)."""
+    irregularly (the fallback path).  Records are 3 ms apart from
+    ``start_time`` unless ``stamps`` gives their timestamps."""
     uniform = len(set(map(len, bodies))) == 1 and bodies
     stride = None
     slab = bytearray()
@@ -62,8 +64,9 @@ def _chunk(bodies, base_index, start_time, pad):
         stride = len(bodies[0]) + pad
     return ColumnarChunk(
         data=bytes(slab),
-        timestamps=array("d", [start_time + i * 0.003
-                               for i in range(len(bodies))]),
+        timestamps=array("d", stamps if stamps is not None else [
+            start_time + i * 0.003 for i in range(len(bodies))
+        ]),
         offsets=offsets,
         lengths=lengths,
         base_index=base_index,
@@ -97,14 +100,40 @@ layout = st.fixed_dictionaries({
 })
 
 
+# Steps between consecutive timestamps: ties, the chaining gaps, float
+# noise from the running sum, and regressions (which send the
+# vectorized tier to its columnar fallback).
+time_step = st.sampled_from([0.0, 0.001, 0.003, 0.05, 0.0499, 1.0,
+                             -0.002, -0.05])
+
+
 class TestKernelTierEquivalence:
     @given(layout)
     @settings(max_examples=60, deadline=None)
     def test_three_tiers_byte_identical(self, params):
+        self._check(params, None)
+
+    @given(layout, st.lists(time_step, min_size=150, max_size=150),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_three_tiers_byte_identical_any_timestamps(self, params,
+                                                        steps, regress):
+        if not regress:
+            steps = [abs(step) for step in steps]
+        self._check(params, steps)
+
+    def _check(self, params, steps):
         chunks = []
         base = 0
+        now = 0.0
         for bodies, pad in params["chunks"]:
-            chunks.append(_chunk(bodies, base, base * 0.003, pad))
+            stamps = None
+            if steps is not None:
+                stamps = []
+                for i in range(len(bodies)):
+                    now += steps[base + i]
+                    stamps.append(now)
+            chunks.append(_chunk(bodies, base, base * 0.003, pad, stamps))
             base += len(bodies)
         kernel_params = {
             "min_ttl_delta": params["min_ttl_delta"],
