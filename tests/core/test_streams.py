@@ -111,6 +111,8 @@ class TestPrefixConsistencyRule:
         assert len(result.valid) == 1
         assert result.rejected_too_small == 1
         assert result.rejected_prefix_conflict == 0
+        assert result.members == {r.index for s in candidates
+                                  for r in s.replicas}
 
     def test_check_can_be_disabled(self):
         builder = _build()
@@ -129,6 +131,7 @@ class TestPrefixConsistencyRule:
         result = validate_streams([], trace)
         assert result.valid == []
         assert result.rejected == 0
+        assert result.members == set()
 
 
 class TestPrefixIndex:
