@@ -13,6 +13,7 @@ import pytest
 
 from provenance import emit_bench, metric
 from repro.core.detector import LoopDetector
+from repro.core.merge import merge_streams
 from repro.core.replica import (
     detect_replicas,
     detect_replicas_columnar,
@@ -25,7 +26,14 @@ from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import PipelineProfile
 from repro.traffic.synthetic import SyntheticTraceBuilder
-from tests.oracles import reference_replicas
+from tests.conftest import storm_trace
+from tests.oracles import (
+    ReferencePrefixIndex,
+    member_set,
+    reference_merge,
+    reference_replicas,
+    reference_validate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +75,49 @@ def test_validation_throughput(big_trace, benchmark):
         iterations=1,
     )
     assert len(result.valid) == 80
+
+
+def test_table_steps_throughput(emit):
+    """Steps 2 and 3 as array programs over the stream table against
+    the object oracles of ``tests/oracles.py`` on a loop storm: the
+    same valid streams and loops first, then time (index builds not
+    timed)."""
+    trace = storm_trace(loops=300)
+    table = detect_replicas(trace)
+    streams = list(table)
+    index = PrefixIndex(trace, 24)
+    oracle_index = ReferencePrefixIndex(trace, 24)
+
+    def table_path():
+        validation = validate_streams(table, trace, prefix_index=index)
+        return validation, merge_streams(
+            validation.valid, trace, prefix_index=index,
+            members=validation.members)
+
+    def object_path():
+        valid, too_small, conflicts = reference_validate(
+            streams, oracle_index)
+        return valid, reference_merge(valid, oracle_index,
+                                      members=member_set(streams))
+
+    (table_s, object_s), ((validation, loops), (valid, expected)) = \
+        _best_many(5, [table_path, object_path])
+    assert list(validation.valid) == valid
+    assert ([(loop.prefix, loop.streams) for loop in loops]
+            == [(loop.prefix, loop.streams) for loop in expected])
+    assert len(valid) > 5000 and len(loops) >= 300
+
+    emit("table_steps", format_table(
+        ["Path", "Validate + merge s", "Streams/s"],
+        [["stream table (product)", f"{table_s:.4f}",
+          f"{len(streams) / table_s:,.0f}"],
+         ["object loops (oracle)", f"{object_s:.4f}",
+          f"{len(streams) / object_s:,.0f}"]],
+        title=(f"Steps 2-3 — {len(streams)} candidates, {len(loops)} "
+               f"loops, {len(trace)} records, best of 5"),
+    ))
+    # Typically ~8x on a 2-core host; the floor leaves room for noise.
+    assert object_s / table_s >= 3.0
 
 
 def _best_many(rounds, runners):

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.columnar import ColumnarTrace
 from repro.net.trace import Trace
@@ -22,6 +22,7 @@ from repro.core.merge import RoutingLoop, merge_streams
 from repro.core.replica import (  # noqa: F401
     ReplicaScanStats,
     ReplicaStream,
+    StreamTable,
     detect_replicas,
     detect_replicas_with_kernel,
     resolve_kernel,
@@ -61,21 +62,30 @@ class DetectorConfig:
             raise DetectorError("max_replica_gap must be positive")
         if self.merge_gap < 0:
             raise DetectorError("merge_gap must be non-negative")
+        if self.eviction_interval < 0:
+            raise DetectorError("eviction_interval must be >= 0 (0: never)")
 
 
 @dataclass(slots=True)
 class DetectionResult:
-    """Everything the pipeline produced for one trace."""
+    """Everything the pipeline produced for one trace.
+
+    ``candidate_streams`` (step 1's :class:`StreamTable`) and
+    ``validation.valid`` are read-only sequences of
+    :class:`ReplicaStream` over the candidates' columns: they support
+    ``len()``, iteration and indexing, and a stream is built on first
+    access.
+    """
 
     trace: Trace
     config: DetectorConfig
-    candidate_streams: list[ReplicaStream]
+    candidate_streams: StreamTable
     validation: ValidationResult
     loops: list[RoutingLoop]
     scan_stats: ReplicaScanStats
 
     @property
-    def streams(self) -> list[ReplicaStream]:
+    def streams(self):
         """The validated replica streams (Table II's first column)."""
         return self.validation.valid
 
@@ -97,14 +107,15 @@ class DetectionResult:
     @property
     def looped_record_count(self) -> int:
         """Trace records that are replicas of validated streams."""
-        return sum(stream.size for stream in self.validation.valid)
+        return int(self.validation.valid.size.sum())
 
 
 class LoopDetector:
     """Runs detect → validate → merge over a trace.
 
     ``profile`` (default: the shared null profile) times each pipeline
-    stage — ``detect.replicas``, ``detect.validate``, ``detect.merge`` —
+    stage — ``detect.replicas``, ``detect.index``, ``detect.validate``,
+    ``detect.merge`` —
     as one :class:`~repro.obs.perf.PipelineProfile` span, which also
     feeds the profile's registry and, when it has an enabled tracer, a
     ``clock="wall"`` trace span; detected loops go to ``profile.tracer``
@@ -131,9 +142,9 @@ class LoopDetector:
     def detect_columnar(self, ctrace) -> DetectionResult:
         """Run the full pipeline over a columnar trace.
 
-        Step 1 runs the vectorized kernel when numpy imports and the
-        pure-python columnar kernel otherwise; the prefix index is built
-        straight off the data slabs.  ``result.trace`` is the
+        Step 1 runs the vectorized kernel, which hands steps 2 and 3 a
+        :class:`StreamTable`; the prefix index is built straight off the
+        data slabs.  Needs numpy.  ``result.trace`` is the
         :class:`~repro.net.columnar.ColumnarTrace` itself, which carries
         the summary surface (record count, duration, bandwidth) the
         reports need.
@@ -152,13 +163,13 @@ class LoopDetector:
             stage.add(records=scan_stats.records_scanned)
             stage.note(candidates=len(candidates),
                        kernel=resolve_kernel("auto"))
-        needs_index = (config.check_prefix_consistency
-                       or config.check_gap_consistency)
         prefix_index = None
-        if needs_index:
-            prefix_index = PrefixIndex(prefix_length=config.prefix_length)
-            for chunk in ctrace.chunks:
-                prefix_index.add_chunk(chunk)
+        if config.check_prefix_consistency or config.check_gap_consistency:
+            with profile.stage("detect.index") as stage:
+                prefix_index = PrefixIndex(prefix_length=config.prefix_length)
+                for chunk in ctrace.chunks:
+                    prefix_index.add_chunk(chunk)
+                stage.add(records=prefix_index.indexed)
         empty = Trace()
         with profile.stage("detect.validate") as stage:
             validation = validate_streams(
@@ -182,9 +193,11 @@ class LoopDetector:
             )
             stage.note(loops=len(loops))
         tracer = profile.tracer
-        for loop in loops:
-            tracer.span("loop", loop.start, loop.end,
-                        prefix=str(loop.prefix), streams=loop.stream_count)
+        if tracer.enabled:
+            for loop in loops:
+                tracer.span("loop", loop.start, loop.end,
+                            prefix=str(loop.prefix),
+                            streams=loop.stream_count)
         return DetectionResult(
             trace=ctrace,
             config=config,

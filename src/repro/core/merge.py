@@ -17,12 +17,13 @@ last replica (Table II counts these; Fig. 9 plots their durations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
-from repro.core.replica import ReplicaStream, stream_sort_key
-from repro.core.streams import PrefixIndex, member_set
+from repro.core import vectorize
+from repro.core.replica import ReplicaStream, table_rows
+from repro.core.streams import PrefixIndex, prefix_index_for
 
 
 class MergeError(ValueError):
@@ -66,78 +67,85 @@ class RoutingLoop:
 
 
 def merge_streams(
-    streams: list[ReplicaStream],
-    trace: Trace,
+    streams,
+    trace: Trace | None,
     merge_gap: float = 60.0,
     prefix_length: int = 24,
     check_gap_consistency: bool = True,
     prefix_index: PrefixIndex | None = None,
-    members: set[int] | None = None,
+    members=None,
 ) -> list[RoutingLoop]:
     """Merge validated streams into routing loops.
 
-    The gap-quietness rule uses the same membership definition as
-    validation: a record counts as "looping" when it belongs to *any*
-    candidate replica stream, including 2-element ones that failed the
-    size rule — those packets did loop, they just are not independent
-    evidence.  Pass the validation result's ``members`` (the records of
-    the pre-validation candidates) to get that behaviour; it defaults
-    to the records of ``streams``.
+    ``streams`` is validation's ``valid`` sequence (or any sequence of
+    streams).  The gap-quietness rule uses the same membership
+    definition as validation: a record counts as "looping" when it
+    belongs to *any* candidate replica stream, including 2-element ones
+    that failed the size rule — those packets did loop, they just are
+    not independent evidence.  Pass the validation result's ``members``
+    (the records of the pre-validation candidates) to get that
+    behaviour; it defaults to the records of ``streams``.
 
-    Returns loops sorted by start time.
+    One array program: the streams are sorted by (prefix, start, first
+    record index).  Within a prefix, the running maximum of the earlier
+    streams' ends is where the loop being built ends, whatever merged
+    before: a loop that closed ended before every later stream started.
+    A stream joins that loop when it starts by then, or when the gap is
+    under ``merge_gap`` and :meth:`PrefixIndex.non_member_counts` finds
+    no non-member in it.
+
+    Returns loops sorted by start time, ties in the order their prefix
+    first appears in ``streams``.
     """
     if merge_gap < 0:
         raise MergeError(f"merge_gap must be non-negative: {merge_gap}")
-    if not streams:
+    if not len(streams):
         return []
-    if check_gap_consistency and prefix_index is None:
-        prefix_index = PrefixIndex(trace, prefix_length)
-
+    np = vectorize.np
+    table, rows = table_rows(streams)
     if members is None:
-        members = member_set(streams)
+        members = table.record_indices(rows)
 
-    by_prefix: dict[IPv4Prefix, list[ReplicaStream]] = {}
-    for stream in streams:
-        by_prefix.setdefault(stream.dst_prefix(prefix_length), []).append(stream)
+    prefix = table.prefixes(prefix_length)[rows]
+    start = table.start[rows]
+    order = np.lexsort((table.first_index[rows], start, prefix))
+    rows, prefix, start = rows[order], prefix[order], start[order]
+    end = table.end[rows]
+    n = len(rows)
+    new_prefix = np.ones(n, dtype=bool)
+    new_prefix[1:] = prefix[1:] != prefix[:-1]
+    group = np.cumsum(new_prefix) - 1
+    # The running maximum of end within each prefix, exact: over each
+    # end's rank, offset per prefix so that prefixes never mix.  A
+    # prefix's first row gets another prefix's value; it never joins.
+    ends, rank = np.unique(end, return_inverse=True)
+    offset = group * len(ends)
+    reach = np.maximum.accumulate(offset + rank)
+    before = start.copy()
+    before[1:] = ends[np.maximum(reach[:-1] - offset[1:], 0)]
 
+    overlap = start <= before
+    join = ~new_prefix & (overlap | (start - before < merge_gap))
+    if check_gap_consistency:
+        asked = np.flatnonzero(join & ~overlap)
+        if len(asked):
+            index = prefix_index_for(prefix_index, trace, prefix_length)
+            noisy = index.non_member_counts(
+                prefix[asked], before[asked], start[asked], members) > 0
+            join[asked[noisy]] = False
+
+    firsts = np.flatnonzero(~join)
+    # Ties in start between prefixes keep the prefix's first appearance.
+    seen = np.minimum.reduceat(order, np.flatnonzero(new_prefix))
+    by_start = np.lexsort((seen[group[firsts]], start[firsts]))
+    members_of = list(map(table.stream, rows.tolist()))
+    cuts = [*firsts.tolist(), n]
+    shift = 32 - prefix_length
     loops: list[RoutingLoop] = []
-    for prefix, group in by_prefix.items():
-        group.sort(key=stream_sort_key)
-        current: list[ReplicaStream] = [group[0]]
-        current_end = group[0].end
-        for stream in group[1:]:
-            if stream.start <= current_end:
-                # Overlap in time: same loop.
-                current.append(stream)
-                current_end = max(current_end, stream.end)
-                continue
-            gap = stream.start - current_end
-            if gap < merge_gap and _gap_is_quiet(
-                prefix, current_end, stream.start, members,
-                prefix_index, check_gap_consistency,
-            ):
-                current.append(stream)
-                current_end = max(current_end, stream.end)
-                continue
-            loops.append(RoutingLoop(prefix=prefix, streams=current))
-            current = [stream]
-            current_end = stream.end
-        loops.append(RoutingLoop(prefix=prefix, streams=current))
-
-    loops.sort(key=lambda loop: loop.start)
+    for k in by_start.tolist():
+        a, b = cuts[k], cuts[k + 1]
+        loops.append(RoutingLoop(
+            prefix=IPv4Prefix(int(prefix[a]) << shift, prefix_length),
+            streams=members_of[a:b],
+        ))
     return loops
-
-
-def _gap_is_quiet(
-    prefix: IPv4Prefix,
-    gap_start: float,
-    gap_end: float,
-    members: set[int],
-    prefix_index: PrefixIndex | None,
-    check: bool,
-) -> bool:
-    """True when no non-looped packet to ``prefix`` crossed in the gap."""
-    if not check:
-        return True
-    assert prefix_index is not None
-    return not prefix_index.has_non_member(prefix, gap_start, gap_end, members)

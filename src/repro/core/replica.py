@@ -18,11 +18,13 @@ is bounded by the loop window, not the trace length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from statistics import mode
 from typing import NamedTuple
 
+from repro.core import vectorize
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.net.trace import Trace
@@ -59,29 +61,97 @@ class Replica(NamedTuple):
 _new_replica = partial(tuple.__new__, Replica)
 
 
-@dataclass(slots=True)
 class ReplicaStream:
-    """All observations of one unique packet caught in a loop."""
+    """All observations of one unique packet caught in a loop.
 
-    key: bytes
-    replicas: list[Replica]
-    src: IPv4Address
-    dst: IPv4Address
-    protocol: int
-    first_data: bytes
+    Its fields are ``key`` (the masked first record), ``replicas``,
+    ``src``, ``dst``, ``protocol`` and ``first_data``.  A stream that
+    :class:`StreamTable` hands out reads its table row instead: its
+    ``key``, ``replicas``, ``src`` and ``dst`` are built on first
+    access, and until then the scalar properties read the table's
+    columns.  Streams compare equal by their fields either way.
+    """
+
+    __slots__ = ("protocol", "first_data", "_key", "_replicas", "_src",
+                 "_dst", "_table", "_row")
+    __hash__ = None  # equal by value, and its replica list is mutable
+
+    def __init__(self, key: bytes, replicas: list[Replica],
+                 src: IPv4Address, dst: IPv4Address, protocol: int,
+                 first_data: bytes) -> None:
+        self._key = key
+        self._replicas = replicas
+        self._src = src
+        self._dst = dst
+        self.protocol = protocol
+        self.first_data = first_data
+        self._table = None
+
+    @classmethod
+    def _from_table(cls, table: "StreamTable", row: int) -> "ReplicaStream":
+        data = table.first_data[row]
+        stream = cls(None, None, None, None, data[9], data)
+        stream._table = table
+        stream._row = row
+        return stream
+
+    @property
+    def key(self) -> bytes:
+        if self._key is None:
+            self._key = mask_mutable_fields(self.first_data)
+        return self._key
+
+    @property
+    def replicas(self) -> list[Replica]:
+        if self._replicas is None:
+            self._replicas = self._table.replicas_of(self._row)
+        return self._replicas
+
+    @property
+    def src(self) -> IPv4Address:
+        if self._src is None:
+            self._src = IPv4Address.from_bytes(self.first_data[12:16])
+        return self._src
+
+    @property
+    def dst(self) -> IPv4Address:
+        if self._dst is None:
+            self._dst = IPv4Address.from_bytes(self.first_data[16:20])
+        return self._dst
+
+    def _fields(self) -> tuple:
+        return (self.key, self.replicas, self.src, self.dst, self.protocol,
+                self.first_data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("key", "replicas", "src", "dst", "protocol", "first_data")
+        return "ReplicaStream(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, self._fields())
+        ) + ")"
 
     @property
     def size(self) -> int:
         """Number of replicas (Fig. 3's x-axis)."""
-        return len(self.replicas)
+        if self._replicas is None:
+            return self._table.size[self._row].item()
+        return len(self._replicas)
 
     @property
     def start(self) -> float:
-        return self.replicas[0].timestamp
+        if self._replicas is None:
+            return self._table.start[self._row].item()
+        return self._replicas[0].timestamp
 
     @property
     def end(self) -> float:
-        return self.replicas[-1].timestamp
+        if self._replicas is None:
+            return self._table.end[self._row].item()
+        return self._replicas[-1].timestamp
 
     @property
     def duration(self) -> float:
@@ -90,14 +160,21 @@ class ReplicaStream:
 
     @property
     def first_ttl(self) -> int:
-        return self.replicas[0].ttl
+        if self._replicas is None:
+            return self._table.first_ttl[self._row].item()
+        return self._replicas[0].ttl
 
     @property
     def last_ttl(self) -> int:
-        return self.replicas[-1].ttl
+        if self._replicas is None:
+            return self._table.last_ttl[self._row].item()
+        return self._replicas[-1].ttl
 
     def ttl_deltas(self) -> list[int]:
         """Per-step TTL decrements along the stream."""
+        if self._replicas is None:
+            ttls = self._table.row_slice("ttl", self._row)
+            return (ttls[:-1] - ttls[1:]).tolist()
         return [
             earlier.ttl - later.ttl
             for earlier, later in zip(self.replicas, self.replicas[1:])
@@ -115,6 +192,9 @@ class ReplicaStream:
 
     def spacings(self) -> list[float]:
         """Per-step inter-replica times."""
+        if self._replicas is None:
+            times = self._table.row_slice("timestamp", self._row)
+            return (times[1:] - times[:-1]).tolist()
         return [
             later.timestamp - earlier.timestamp
             for earlier, later in zip(self.replicas, self.replicas[1:])
@@ -134,6 +214,142 @@ class ReplicaStream:
 
     def member_indices(self) -> set[int]:
         return {replica.index for replica in self.replicas}
+
+
+class StreamTable(Sequence):
+    """Candidate replica streams as numpy columns: what step 1 hands to
+    steps 2 and 3.
+
+    One row per stream, in :func:`stream_sort_key` order.  Per stream
+    ``k``: ``start``, ``end``, ``size``, ``first_ttl``, ``last_ttl``,
+    ``first_index`` (its first record's index), ``dst`` (its destination
+    address as an int; :meth:`prefixes` gives the /N) and
+    ``first_data[k]`` (its first record's bytes).  Its replicas are rows
+    ``bounds[k]`` to ``bounds[k + 1] - 1`` of the replica columns
+    ``index`` (record index), ``timestamp`` and ``ttl``.
+
+    As a read-only sequence (``len()``, iteration, indexing; a slice is
+    a list) the table yields :class:`ReplicaStream` objects, each made
+    once, on first access.
+    """
+
+    def __init__(self, bounds, index, timestamp, ttl, first_data: list,
+                 dst, streams: list | None = None) -> None:
+        self.bounds = bounds
+        self.index = index
+        self.timestamp = timestamp
+        self.ttl = ttl
+        self.first_data = first_data
+        self.dst = dst
+        firsts, lasts = bounds[:-1], bounds[1:] - 1
+        self.start = timestamp[firsts]
+        self.end = timestamp[lasts]
+        self.size = bounds[1:] - firsts
+        self.first_ttl = ttl[firsts]
+        self.last_ttl = ttl[lasts]
+        self.first_index = index[firsts]
+        self._streams = streams or [None] * len(first_data)
+
+    @classmethod
+    def from_streams(cls, streams) -> "StreamTable":
+        """The table of ``streams`` (in the order given), handing out
+        the very same objects."""
+        np = vectorize.np
+        streams = list(streams)
+        rows = [replica for stream in streams for replica in stream.replicas]
+        index, timestamp, ttl = zip(*rows) if rows else ((), (), ())
+        sizes = [len(stream.replicas) for stream in streams]
+        return cls(
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            np.array(index, dtype=np.int64),
+            np.array(timestamp, dtype=np.float64),
+            np.array(ttl, dtype=np.int16),
+            [stream.first_data for stream in streams],
+            np.array([stream.dst.value for stream in streams],
+                     dtype=np.int64),
+            streams,
+        )
+
+    def __len__(self) -> int:
+        return len(self._streams)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(self.stream, range(len(self))[k]))
+        return self.stream(range(len(self))[k])
+
+    def __iter__(self):
+        return map(self.stream, range(len(self)))
+
+    def __repr__(self) -> str:
+        return f"<StreamTable: {len(self)} streams>"
+
+    def stream(self, row: int) -> ReplicaStream:
+        """The stream in row ``row`` (a non-negative int), made on first
+        access."""
+        stream = self._streams[row]
+        if stream is None:
+            stream = self._streams[row] = ReplicaStream._from_table(self, row)
+        return stream
+
+    def prefixes(self, length: int):
+        """Each stream's destination /``length`` prefix as an int."""
+        return self.dst >> (32 - length)
+
+    def record_indices(self, rows):
+        """The record index of every replica of the streams ``rows``."""
+        return self.index[vectorize.ranges(self.bounds[rows],
+                                           self.size[rows])]
+
+    def row_slice(self, column: str, row: int):
+        """Stream ``row``'s replicas in the replica column ``column``."""
+        return getattr(self, column)[self.bounds[row]:self.bounds[row + 1]]
+
+    def replicas_of(self, row: int) -> list[Replica]:
+        return list(map(_new_replica, zip(
+            self.row_slice("index", row).tolist(),
+            self.row_slice("timestamp", row).tolist(),
+            self.row_slice("ttl", row).tolist(),
+        )))
+
+
+class StreamRows(Sequence):
+    """A read-only sequence of some rows of a :class:`StreamTable`, in
+    the order of ``rows``."""
+
+    def __init__(self, table: StreamTable, rows) -> None:
+        self.table = table
+        self.rows = rows
+
+    @property
+    def size(self):
+        """The streams' sizes, one per row."""
+        return self.table.size[self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(self.table.stream, self.rows[k].tolist()))
+        return self.table[int(self.rows[k])]
+
+    def __iter__(self):
+        return map(self.table.stream, self.rows.tolist())
+
+    def __repr__(self) -> str:
+        return f"<StreamRows: {len(self)} of {len(self.table)} streams>"
+
+
+def table_rows(streams) -> tuple[StreamTable, object]:
+    """``(table, rows)`` for a :class:`StreamRows`, a whole
+    :class:`StreamTable`, or any other sequence of streams (tabled with
+    :meth:`StreamTable.from_streams`)."""
+    if isinstance(streams, StreamRows):
+        return streams.table, streams.rows
+    if not isinstance(streams, StreamTable):
+        streams = StreamTable.from_streams(streams)
+    return streams, vectorize.np.arange(len(streams))
 
 
 @dataclass(slots=True)
@@ -180,7 +396,7 @@ def detect_replicas(
     max_replica_gap: float = 5.0,
     eviction_interval: int = 100_000,
     stats: ReplicaScanStats | None = None,
-) -> list[ReplicaStream]:
+) -> StreamTable:
     """Scan ``trace`` and return all candidate replica streams (size >= 2).
 
     ``min_ttl_delta`` is the paper's "TTL values differ by at least two";
@@ -383,6 +599,10 @@ def detect_replicas_columnar(
         raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
     if max_replica_gap <= 0:
         raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
+    if eviction_interval < 0:
+        raise ReplicaError(
+            f"eviction_interval must be >= 0 (0: never): {eviction_interval}"
+        )
     if hasattr(chunks, "chunks"):
         chunks = chunks.chunks
 
@@ -566,7 +786,8 @@ def detect_replicas_columnar(
 
 #: The step-1 implementations.  ``auto`` — what every product entry
 #: point runs — resolves to ``vectorized`` when numpy imports and to
-#: its pure-python fallback ``columnar`` otherwise.
+#: its pure-python fallback ``columnar`` otherwise (offline steps 2
+#: and 3 need numpy either way).
 KERNEL_TIERS = ("auto", "columnar", "vectorized")
 
 #: numpy dtype per column itemsize, for viewing ``array``/``memoryview``
@@ -582,8 +803,6 @@ def resolve_kernel(kernel: str) -> str:
             f"{', '.join(KERNEL_TIERS)})"
         )
     if kernel == "auto":
-        from repro.core import vectorize
-
         return "vectorized" if vectorize.HAVE_NUMPY else "columnar"
     return kernel
 
@@ -594,12 +813,15 @@ def detect_replicas_vectorized(
     max_replica_gap: float = 5.0,
     eviction_interval: int = 100_000,
     stats: ReplicaScanStats | None = None,
-) -> list[ReplicaStream]:
-    """The numpy-vectorized step-1 kernel.
+) -> StreamTable:
+    """The numpy-vectorized step-1 kernel, the one every entry point
+    runs; it needs numpy.
 
-    Byte-identical to :func:`detect_replicas_columnar` (and to the
-    reference oracle) on the same records (streams *and* stats), but
-    the per-record Python work collapses to two passes:
+    Returns the candidates as a :class:`StreamTable`, built straight
+    from the survivor columns with no object per replica.  Its streams
+    and stats are byte-identical to :func:`detect_replicas_columnar`
+    (and to the reference oracle) on the same records, but the
+    per-record Python work collapses to two passes:
 
     **Pass 1 (vectorized).**  Each regular chunk's slab is masked by
     :func:`~repro.core.vectorize.masked_rows`; irregular chunks are
@@ -625,35 +847,38 @@ def detect_replicas_vectorized(
     the boundaries that fired between its two records, and then counts
     the singletons they evict, for any timestamp order.
 
-    Falls back wholesale to :func:`detect_replicas_columnar` when numpy
-    is absent, when no chunk has a regular layout (the pure-python
-    kernel is faster than per-record numpy hashing there), or when a
-    boundary would have evicted an entry the replay chained to — a
-    timestamp regression of more than the gap across a boundary, or a
-    float rounding corner — same output either way.
+    Falls back wholesale to :func:`detect_replicas_columnar`, whose
+    list is tabled by :meth:`StreamTable.from_streams`, when no chunk
+    has a regular layout (the pure-python kernel is faster than
+    per-record numpy hashing there), or when a boundary would have
+    evicted an entry the replay chained to — a timestamp regression of
+    more than the gap across a boundary, or a float rounding corner —
+    same output either way.
     """
     if min_ttl_delta < 1:
         raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
     if max_replica_gap <= 0:
         raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
-    from repro.core import vectorize
-
+    if eviction_interval < 0:
+        raise ReplicaError(
+            f"eviction_interval must be >= 0 (0: never): {eviction_interval}"
+        )
     np = vectorize.np
+    if np is None:
+        raise ImportError("offline replica detection needs numpy")
     if hasattr(chunks, "chunks"):
         chunks = chunks.chunks
     chunks = [chunk for chunk in chunks if len(chunk.timestamps)]
 
     def columnar():
-        return detect_replicas_columnar(
+        return StreamTable.from_streams(detect_replicas_columnar(
             chunks,
             min_ttl_delta=min_ttl_delta,
             max_replica_gap=max_replica_gap,
             eviction_interval=eviction_interval,
             stats=stats,
-        )
+        ))
 
-    if np is None:
-        return columnar()
     regular_flags = []
     for chunk in chunks:
         lengths = chunk.lengths
@@ -685,7 +910,7 @@ def detect_replicas_vectorized(
     survivors = _sort_survivors(np, chunks, infos, np.flatnonzero(keep),
                                 hashes, ts_all)
     # The masked slabs are dead from here on; drop them before the
-    # replay and the stream objects add to peak memory.
+    # replay and the stream table add to peak memory.
     del infos, hashes, inverse, counts
     streams, inserted, removal, links = _replay_survivors(
         np, survivors, len(ts_all), min_ttl_delta, max_replica_gap,
@@ -696,7 +921,7 @@ def detect_replicas_vectorized(
     )
     if evicted is None:
         return columnar()
-    finished = _build_streams(np, chunks, survivors, streams)
+    finished = _build_table(np, vectorize, chunks, survivors, streams)
 
     stats = stats if stats is not None else ReplicaScanStats()
     stats.records_scanned += len(ts_all)
@@ -878,10 +1103,10 @@ def _replay_survivors(np, survivors, total, min_ttl_delta,
                       max_replica_gap):
     """Chain each group of survivors, ignoring eviction.
 
-    Returns ``(streams, inserted, removal, links)``.  ``streams`` holds
-    ``(first row, end row, None)`` for a group that is one stream and
-    ``(first row, None, member rows)`` for a stream out of the
-    per-record replay.  ``inserted`` marks the rows stored as
+    Returns ``(streams, inserted, removal, links)``.  ``streams`` is
+    ``(firsts, ends, replayed)``: the first and end rows of the groups
+    that are one stream each, and the member rows of each stream out of
+    the per-record replay.  ``inserted`` marks the rows stored as
     singletons, and ``removal`` is the scan position of the record that
     takes each out of the store (``total``: none does).  ``links`` is
     the ``(earlier rows, later rows)`` pair of every chain made.
@@ -908,10 +1133,8 @@ def _replay_survivors(np, survivors, total, min_ttl_delta,
     inserted = (is_start & row_all) | np.repeat(chain_none, sizes)
     removal = np.full(n_surv, total, dtype=np.int64)
     removal[:-1] = np.where(is_start[1:], total, s.position[1:])
-    streams: list[tuple] = list(zip(starts[chain_all].tolist(),
-                                    ends[chain_all].tolist(),
-                                    [None] * int(chain_all.sum())))
-    replayed: list[tuple[int, int]] = []
+    replayed: list[list[int]] = []
+    chains: list[tuple[int, int]] = []
     mixed = np.flatnonzero(~(chain_all | chain_none)).tolist()
     if mixed:
         columns = (s.position.tolist(), s.timestamp.tolist(),
@@ -921,9 +1144,10 @@ def _replay_survivors(np, survivors, total, min_ttl_delta,
             removal[a:b] = total
             _replay_group(a, b, s.collision_keys.get(g), columns,
                           min_ttl_delta, max_replica_gap, inserted,
-                          removal, replayed, streams)
-    q, r = np.asarray(replayed, dtype=np.intp).reshape(-1, 2).T
+                          removal, chains, replayed)
+    q, r = np.asarray(chains, dtype=np.intp).reshape(-1, 2).T
     links = (np.concatenate((linked, q)), np.concatenate((linked + 1, r)))
+    streams = (starts[chain_all], ends[chain_all], replayed)
     return streams, inserted, removal, links
 
 
@@ -995,32 +1219,41 @@ def _evicted_before(np, fired, horizons, at, times, until):
     return evicted
 
 
-def _build_streams(np, chunks, survivors, streams):
-    """The :class:`ReplicaStream` objects, sorted by (start time, first
-    record index) like :func:`stream_sort_key`."""
+def _build_table(np, vectorize, chunks, survivors, streams):
+    """The :class:`StreamTable` of the replay's ``streams``, sorted by
+    (start time, first record index) like :func:`stream_sort_key`."""
     s = survivors
-    firsts = np.asarray([stream[0] for stream in streams], dtype=np.intp)
+    firsts, ends, replayed = streams
+    sizes = np.concatenate((ends - firsts, np.array(
+        [len(members) for members in replayed], dtype=np.int64)))
+    # Survivor rows of each stream, stream after stream, replay order.
+    rows = np.concatenate((
+        vectorize.ranges(firsts, ends - firsts),
+        np.fromiter((row for members in replayed for row in members),
+                    dtype=np.int64),
+    ))
+    at = np.cumsum(sizes) - sizes
+    firsts = rows[at]
     by_start = np.lexsort((s.index[firsts], s.timestamp[firsts]))
-    positions = s.position[firsts[by_start]]
+    sizes = sizes[by_start]
+    rows = rows[vectorize.ranges(at[by_start], sizes)]
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+    positions = s.position[rows[bounds[:-1]]]
     starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
     at_chunk = np.searchsorted(starts, positions, side="right") - 1
-    replicas = list(map(_new_replica, zip(
-        s.index.tolist(), s.timestamp.tolist(), s.ttl.tolist()
-    )))
     views = [memoryview(chunk.data) for chunk in chunks]
-    finished = []
-    for k, ci, li in zip(by_start.tolist(), at_chunk.tolist(),
-                         (positions - starts[at_chunk]).tolist()):
-        a, b, members = streams[k]
+    first_data = []
+    for ci, li in zip(at_chunk.tolist(),
+                      (positions - starts[at_chunk]).tolist()):
         chunk = chunks[ci]
         offset = chunk.offsets[li]
-        first_data = bytes(views[ci][offset:offset + chunk.lengths[li]])
-        finished.append(_new_stream(
-            mask_mutable_fields(first_data), first_data,
-            replicas[a:b] if members is None
-            else [replicas[m] for m in members],
-        ))
-    return finished
+        first_data.append(bytes(views[ci][offset:offset
+                                          + chunk.lengths[li]]))
+    dst = np.frombuffer(b"".join([data[16:20] for data in first_data]),
+                        dtype=">u4").astype(np.int64)
+    return StreamTable(bounds, s.index[rows], s.timestamp[rows],
+                       s.ttl[rows], first_data, dst)
 
 
 def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
@@ -1032,7 +1265,7 @@ def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
     key.  No eviction: :func:`_scan_evictions` checks afterwards that
     it would change no outcome.  Marks ``inserted`` and ``removal`` for
     each singleton, appends ``(row chained to, row)`` to ``chains`` and
-    ``(first row, None, member rows)`` to ``streams``.
+    each stream's member rows to ``streams``.
     """
     positions, times, ttls = columns
     state: dict = {}
@@ -1061,12 +1294,12 @@ def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
             entry[0] = k
             inserted[k] = True
     for _, opened in state.values():
-        streams.extend((members[0], None, members) for members in opened)
+        streams.extend(opened)
 
 
 #: Step 1 as every entry point runs it (the ``auto`` tier): the
 #: vectorized kernel, which falls back to the pure-python columnar
-#: kernel when numpy is absent — byte-identical streams and stats
+#: kernel where exactness needs it — byte-identical streams and stats
 #: either way.
 detect_replicas_with_kernel = detect_replicas_vectorized
 

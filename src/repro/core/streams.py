@@ -10,20 +10,20 @@ Two checks (Sec. IV-A.2):
    affected destination prefix.  If any packet to the stream's /24 crosses
    the link during the stream's lifetime without itself being part of a
    replica stream, the candidate cannot be a routing loop and is dropped.
+
+Both run as one array program over the candidates'
+:class:`~repro.core.replica.StreamTable`: the second check is a count of
+non-member records per window, answered by :class:`PrefixIndex`.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, le
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
-from repro.core.replica import ReplicaStream
+from repro.core import vectorize
+from repro.core.replica import StreamRows, table_rows
 
 #: Captured bytes a record needs for its IPv4 destination (bytes 16..20).
 _MIN_INDEXED = 20
@@ -31,14 +31,19 @@ _MIN_INDEXED = 20
 
 @dataclass(slots=True)
 class ValidationResult:
-    """Outcome of the validation pass."""
+    """Outcome of the validation pass.
 
-    valid: list[ReplicaStream] = field(default_factory=list)
+    ``valid`` is a read-only sequence of the surviving streams over the
+    candidates' table (a :class:`~repro.core.replica.StreamRows`).
+    """
+
+    valid: object
     rejected_too_small: int = 0
     rejected_prefix_conflict: int = 0
-    #: :func:`member_set` of the candidates: the records the
-    #: prefix-consistency check counts as looping, as merging does.
-    members: set[int] = field(default_factory=set, repr=False)
+    #: The record index of every replica of every candidate, one int64
+    #: per replica: the records the prefix-consistency check counts as
+    #: looping, as merging does.
+    members: object = field(default=(), repr=False)
 
     @property
     def rejected(self) -> int:
@@ -48,46 +53,50 @@ class ValidationResult:
 class PrefixIndex:
     """Columnar timestamp index of trace records, keyed by destination /N.
 
-    Answers the step-2 and step-3 question "did a packet to prefix P
-    cross the link in [t0, t1]?": validation asks it over a stream's
-    lifetime, merging over the gap between two streams.
+    Answers the step-2 and step-3 question "how many packets to prefix P
+    that are not replicas crossed the link in [t0, t1]?" for a whole
+    array of windows at once (:meth:`non_member_counts`): validation asks
+    it over each stream's lifetime, merging over the gaps between
+    streams.
 
     The index is built one :class:`~repro.net.columnar.ColumnarChunk` at
     a time (:meth:`add_chunk`; ``PrefixIndex(trace)`` feeds the chunks
-    of :meth:`ColumnarTrace.from_trace`).  Per chunk it keeps
+    of :meth:`ColumnarTrace.from_trace`).  Per chunk it keeps numpy
+    columns of its records ordered by (prefix, timestamp), ties in
+    capture order:
 
-    * ``times``, an ``array('d')`` of the chunk's timestamps ordered by
-      (prefix, timestamp), ties in capture order;
-    * ``indices``, an ``array('q')`` of the matching global record
-      indices (``base_index + i``);
-    * ``bounds``, ``{prefix: (lo, hi)}``: the slice of both columns
-      that holds the prefix;
+    * ``keys``, the chunk's distinct prefixes, ascending;
+    * ``times``, its timestamps, ascending (stably sorted, so a record's
+      rank ``r`` is its capture position when the chunk is time-ordered);
+    * ``ordinals``, one int64 per record: ``g * (len(times) + 1) + r`` for
+      a record of rank ``r`` in the ``g``-th prefix, ascending because
+      the records are in (prefix, timestamp) order;
+    * ``indices``, the matching global record indices;
     * the chunk's time range, from its minimum and maximum timestamp.
 
-    A query visits only the chunks whose time range overlaps the window
-    and bisects ``times`` within ``bounds[prefix]``: O(log n + answer)
-    per chunk visited.  Bisect over ``array`` columns is much cheaper
-    per query than one numpy ``searchsorted`` call.  With numpy
-    (through :mod:`repro.core.vectorize`) each chunk is ordered by one
-    stable argsort on the prefix column; without it, by a stable
-    counting sort.  Both build the same columns.  A chunk whose timestamps regress is
-    sorted by (prefix, timestamp) instead, so window answers stay exact
-    on any capture.  Records shorter than 20 bytes carry no destination
-    address and are not indexed.
+    A window ``[start, end]`` on prefix ``keys[g]`` covers exactly the
+    records at positions ``lo <= i < hi`` with ``lo`` and ``hi`` the
+    ``searchsorted`` positions of ``g * (len(times) + 1)`` plus
+    ``searchsorted(times, start, "left")`` and plus
+    ``searchsorted(times, end, "right")``: the ranks of ``start`` and
+    ``end`` among the chunk's timestamps make the float comparison
+    exact.  Each chunk is ordered by one stable argsort on the prefix
+    column; a chunk whose timestamps regress is sorted by time first,
+    so answers stay exact on any capture.  Records
+    shorter than 20 bytes carry no destination address and are not
+    indexed.  Needs numpy.
     """
 
     def __init__(self, trace: Trace | None = None,
                  prefix_length: int = 24) -> None:
         self.prefix_length = prefix_length
         self._shift = 32 - prefix_length
-        # One (first, last, bounds, times, indices) tuple per chunk.
-        self._chunks: list[tuple[float, float, dict, array, array]] = []
-        # Running maximum of the chunks' last timestamps: the chunks
-        # before bisect_left(_reach, t) all end before t.
-        self._reach: list[float] = []
-        # Whether every chunk starts at or after all earlier ones end;
-        # then a query can stop at the first chunk past its window.
-        self._ordered = True
+        # One (first, last, keys, times, ordinals, indices) per chunk.
+        self._chunks: list[tuple] = []
+        #: Records indexed so far.
+        self.indexed = 0
+        # One past the highest record index indexed.
+        self._limit = 0
         if trace is not None:
             from repro.net.columnar import ColumnarTrace
 
@@ -99,35 +108,17 @@ class PrefixIndex:
 
         Chunks may arrive in any time order; queries stay exact.
         """
-        from repro.core import vectorize
-
-        if not len(chunk):
-            return
-        if vectorize.HAVE_NUMPY:
-            columns = self._columns_numpy(chunk, vectorize)
-        else:
-            columns = self._columns_python(chunk)
-        if columns is None:
-            return
-        first, last, keys, starts, times, indices = columns
-        bounds = dict(zip(keys, zip(starts, [*starts[1:], len(times)])))
-        self._chunks.append((first, last, bounds, times, indices))
-        reach = self._reach
-        if reach:
-            self._ordered = self._ordered and first >= reach[-1]
-            last = max(last, reach[-1])
-        reach.append(last)
-
-    def _columns_numpy(self, chunk, vectorize):
         np = vectorize.np
         n = len(chunk)
+        if not n:
+            return
         stamps = np.asarray(chunk.timestamps, dtype=np.float64)
         lengths = np.asarray(chunk.lengths)
         keep = None
         if lengths.min() < _MIN_INDEXED:
             keep = np.flatnonzero(lengths >= _MIN_INDEXED)
             if not len(keep):
-                return None
+                return
         if chunk.stride is not None and keep is None:
             region = np.frombuffer(
                 chunk.data, dtype=np.uint8, offset=chunk.offsets[0],
@@ -147,130 +138,113 @@ class PrefixIndex:
             dst = slab[dst_at[:, None] + np.arange(4)].view(">u4").ravel()
             prefixes = (dst >> np.uint32(self._shift)).astype(np.int64)
         if (stamps[1:] >= stamps[:-1]).all():
+            # A record's capture position is its timestamp's rank.
+            times = stamps
             order = np.argsort(prefixes, kind="stable")
+            rank = order
         else:
-            order = np.lexsort((stamps, prefixes))
+            by_time = np.argsort(stamps, kind="stable")
+            times = stamps[by_time]
+            order = by_time[np.argsort(prefixes[by_time], kind="stable")]
+            rank = np.empty_like(by_time)
+            rank[by_time] = np.arange(len(by_time))
+            rank = rank[order]
         prefixes = prefixes[order]
-        starts = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        keys = prefixes[starts].tolist()
-        times = array("d")
-        times.frombytes(stamps[order].data.cast("B"))
+        new_key = np.concatenate(([True], prefixes[1:] != prefixes[:-1]))
+        group = np.cumsum(new_key) - 1
+        ordinals = group * (len(times) + 1) + rank
         # Chunk row of each sorted entry, for the index column.
         rows_at = order if keep is None else keep[order]
-        ids = rows_at + chunk.base_index
-        indices = array("q")
-        indices.frombytes(ids.astype(np.int64, copy=False).data.cast("B"))
-        return (float(stamps.min()), float(stamps.max()), keys,
-                starts.tolist(), times, indices)
+        indices = rows_at + chunk.base_index
+        self._chunks.append((float(stamps.min()), float(stamps.max()),
+                             prefixes[new_key], times, ordinals, indices))
+        self.indexed += len(indices)
+        self._limit = max(self._limit, int(indices.max()) + 1)
 
-    def _columns_python(self, chunk):
-        # A stable counting sort by prefix over array columns: apart
-        # from the time sort of a chunk whose timestamps regress, the
-        # build holds no Python object per record.
-        view = memoryview(chunk.data)
-        from_bytes = int.from_bytes
-        shift = self._shift
-        offsets = chunk.offsets
-        lengths = chunk.lengths
-        rows = range(len(chunk))
-        stamps = chunk.timestamps
-        if min(lengths) < _MIN_INDEXED:
-            rows = array("q", (i for i in rows
-                               if lengths[i] >= _MIN_INDEXED))
-            if not rows:
-                return None
-            stamps = array("d", map(stamps.__getitem__, rows))
-        prefixes = array("q", (
-            from_bytes(view[offsets[i] + 16:offsets[i] + 20], "big") >> shift
-            for i in rows
-        ))
-        visit = range(len(rows))
-        if not all(map(le, stamps, islice(stamps, 1, None))):
-            # Stable sorts: by time here, by prefix below.
-            visit = sorted(visit, key=stamps.__getitem__)
-        counts = Counter(prefixes)
-        keys = sorted(counts)
-        cursor = {}
-        starts = []
-        position = 0
-        for prefix in keys:
-            cursor[prefix] = position
-            starts.append(position)
-            position += counts[prefix]
-        order = array("q", bytes(8 * len(rows)))
-        for j in visit:
-            prefix = prefixes[j]
-            position = cursor[prefix]
-            order[position] = j
-            cursor[prefix] = position + 1
-        times = array("d", map(stamps.__getitem__, order))
-        row_of = rows.__getitem__
-        base = chunk.base_index
-        indices = array("q", (base + row_of(j) for j in order))
-        return min(stamps), max(stamps), keys, starts, times, indices
-
-    def _windows(self, prefix: IPv4Prefix, start: float, end: float):
-        """``(indices, lo, hi)``: per chunk, the slice of ``indices``
-        holding the records to ``prefix`` with start <= t <= end."""
-        if prefix.length != self.prefix_length:
-            raise ValueError(
-                f"index is /{self.prefix_length}, got /{prefix.length}"
-            )
-        key = prefix.network >> self._shift
-        chunks = self._chunks
-        ordered = self._ordered
-        for k in range(bisect_left(self._reach, start), len(chunks)):
-            first, last, bounds, times, indices = chunks[k]
-            if first > end:
-                if ordered:
-                    return
+    def _windows(self, prefixes, starts, ends):
+        """Per chunk: ``(ordinals, indices, stride, selected, group, lo,
+        hi)``, where window ``selected[j]`` covers ``indices[lo[j]:hi[j]]``
+        within the ``group[j]``-th prefix, whose ordinals start at
+        ``group[j] * stride``.  Windows on a prefix the chunk lacks, or
+        outside its time range, are left out."""
+        np = vectorize.np
+        for first, last, keys, times, ordinals, indices in self._chunks:
+            selected = np.flatnonzero((starts <= last) & (ends >= first))
+            wanted = prefixes[selected]
+            group = np.searchsorted(keys, wanted)
+            found = keys[np.minimum(group, len(keys) - 1)] == wanted
+            selected, group = selected[found], group[found]
+            if not len(selected):
                 continue
-            span = bounds.get(key)
-            if span is None or last < start:
-                continue
-            lo, hi = span
-            yield (indices, bisect_left(times, start, lo, hi),
-                   bisect_right(times, end, lo, hi))
+            stride = len(times) + 1
+            lo = np.searchsorted(ordinals, group * stride + np.searchsorted(
+                times, starts[selected], side="left"))
+            hi = np.searchsorted(ordinals, group * stride + np.searchsorted(
+                times, ends[selected], side="right"))
+            # An inverted window (end < start) is empty.
+            yield (ordinals, indices, stride, selected, group, lo,
+                   np.maximum(lo, hi))
 
     def records_in_window(
         self, prefix: IPv4Prefix, start: float, end: float
     ) -> list[int]:
         """Indices of records to ``prefix`` with start <= t <= end, in
         capture order when the chunks are time-ordered."""
+        if prefix.length != self.prefix_length:
+            raise ValueError(
+                f"index is /{self.prefix_length}, got /{prefix.length}"
+            )
+        np = vectorize.np
         found: list[int] = []
-        for indices, lo, hi in self._windows(prefix, start, end):
-            found.extend(indices[lo:hi])
+        for _, indices, _, _, _, lo, hi in self._windows(
+                np.array([prefix.network >> self._shift]),
+                np.array([start]), np.array([end])):
+            found.extend(indices[int(lo[0]):int(hi[0])].tolist())
         return found
 
-    def has_non_member(
-        self,
-        prefix: IPv4Prefix,
-        start: float,
-        end: float,
-        members: set[int],
-    ) -> bool:
-        """True if the window contains a record outside ``members``."""
-        return any(
-            not members.issuperset(indices[lo:hi])
-            for indices, lo, hi in self._windows(prefix, start, end)
-        )
+    def non_member_counts(self, prefixes, starts, ends, members):
+        """Per window ``j``: how many records to ``prefixes[j]`` (a /N
+        network shifted right by ``32 - N``) with
+        ``starts[j] <= t <= ends[j]`` have an index outside the int
+        array ``members``."""
+        np = vectorize.np
+        limit = max(self._limit, int(members.max()) + 1 if len(members)
+                    else 0)
+        member = np.zeros(limit, dtype=bool)
+        member[members] = True
+        counts = np.zeros(len(prefixes), dtype=np.int64)
+        for (ordinals, indices, stride, selected, group, lo,
+             hi) in self._windows(prefixes, starts, ends):
+            groups, slot = np.unique(group, return_inverse=True)
+            first = np.searchsorted(ordinals, groups * stride)
+            sizes = np.searchsorted(ordinals, (groups + 1) * stride) - first
+            if 2 * sizes.sum() < len(indices):
+                # Few prefixes asked about (a sparse trace): sum over
+                # their records only, one prefix after the other.
+                at = vectorize.ranges(first, sizes)
+                shift = (np.cumsum(sizes) - sizes - first)[slot]
+            else:
+                at, shift = slice(None), 0
+            outside = np.concatenate(([0], np.cumsum(~member[indices[at]])))
+            counts[selected] += outside[hi + shift] - outside[lo + shift]
+        return counts
 
 
-_index_of = attrgetter("index")
-
-
-def member_set(streams: list[ReplicaStream]) -> set[int]:
-    """The record index of every replica of every stream in ``streams``."""
-    members: set[int] = set()
-    for stream in streams:
-        members.update(map(_index_of, stream.replicas))
-    return members
+def prefix_index_for(prefix_index: PrefixIndex | None, trace: Trace | None,
+                     prefix_length: int) -> PrefixIndex:
+    """``prefix_index``, or a fresh one over ``trace``; either way at
+    ``prefix_length``."""
+    if prefix_index is None:
+        return PrefixIndex(trace, prefix_length)
+    if prefix_index.prefix_length != prefix_length:
+        raise ValueError(f"index is /{prefix_index.prefix_length}, "
+                         f"got /{prefix_length}")
+    return prefix_index
 
 
 def validate_streams(
-    candidates: list[ReplicaStream],
-    trace: Trace,
+    candidates,
+    trace: Trace | None,
     min_stream_size: int = 3,
     prefix_length: int = 24,
     check_prefix_consistency: bool = True,
@@ -278,30 +252,31 @@ def validate_streams(
 ) -> ValidationResult:
     """Apply the paper's two validation rules to candidate streams.
 
-    The membership set used for the prefix-consistency check contains every
-    replica of every *candidate* stream (including 2-element ones): the
-    paper's rule is about packets that show no looping behaviour at all,
-    not about streams that merely failed the size cut.  The result
-    keeps that set as ``members``.
-    """
-    result = ValidationResult()
-    if not candidates:
-        return result
-    if check_prefix_consistency and prefix_index is None:
-        prefix_index = PrefixIndex(trace, prefix_length)
-    members = result.members = member_set(candidates)
+    ``candidates`` is step 1's :class:`~repro.core.replica.StreamTable`
+    (or any sequence of streams, tabled on the way in).  The membership
+    used for the prefix-consistency check contains every replica of
+    every *candidate* stream (including 2-element ones): the paper's
+    rule is about packets that show no looping behaviour at all, not
+    about streams that merely failed the size cut.  The result keeps it
+    as ``members``.
 
-    for stream in candidates:
-        if stream.size < min_stream_size:
-            result.rejected_too_small += 1
-            continue
-        if check_prefix_consistency:
-            assert prefix_index is not None
-            prefix = stream.dst_prefix(prefix_length)
-            if prefix_index.has_non_member(
-                prefix, stream.start, stream.end, members
-            ):
-                result.rejected_prefix_conflict += 1
-                continue
-        result.valid.append(stream)
-    return result
+    A stream conflicts when its window ``[start, end]`` on its /N holds
+    a record outside ``members``: one :meth:`PrefixIndex.non_member_counts`
+    call for all candidates that pass the size rule.
+    """
+    table, rows = table_rows(candidates)
+    members = table.record_indices(rows)
+    kept = rows[table.size[rows] >= min_stream_size]
+    conflict = vectorize.np.zeros(len(kept), dtype=bool)
+    if check_prefix_consistency and len(kept):
+        prefix_index = prefix_index_for(prefix_index, trace, prefix_length)
+        conflict = prefix_index.non_member_counts(
+            table.prefixes(prefix_length)[kept], table.start[kept],
+            table.end[kept], members,
+        ) > 0
+    return ValidationResult(
+        valid=StreamRows(table, kept[~conflict]),
+        rejected_too_small=len(rows) - len(kept),
+        rejected_prefix_conflict=int(conflict.sum()),
+        members=members,
+    )

@@ -114,3 +114,13 @@ def dst_prefixes(masked, shift: int):
     dst = np.ascontiguousarray(masked[:, 16:20]).view(">u4").ravel()
     return (dst.astype(np.uint32) >> np.uint32(shift)).astype(np.int64)
 
+
+
+def ranges(starts, sizes):
+    """The concatenated ranges ``starts[k] .. starts[k] + sizes[k] - 1``
+    as one int64 array, in order of ``k``."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    shift = np.asarray(starts, dtype=np.int64) - (ends - sizes)
+    return np.arange(int(ends[-1]) if len(ends) else 0,
+                     dtype=np.int64) + np.repeat(shift, sizes)

@@ -71,6 +71,37 @@ def small_sim(seed: int = 7, pops: int = 6, rate: float = 400.0,
     return BackboneScenario(config).run()
 
 
+def storm_trace(seed: int = 0, loops: int = 60, packets: int = 20):
+    """A loop storm: ``loops`` concurrent loops, each catching
+    ``packets`` packets to its own /24, over background traffic,
+    link-layer duplicate pairs, two-replica streams (too small), and
+    one lone packet inside every tenth loop's window (a prefix
+    conflict)."""
+    from repro.traffic.synthetic import SyntheticTraceBuilder
+
+    builder = SyntheticTraceBuilder(rng=random.Random(seed))
+    rng = random.Random(seed + 1)
+    builder.add_background(loops * 40, 0.0, 60.0,
+                           prefixes=[IPv4Prefix.parse("198.51.100.0/24")])
+    for k in range(loops):
+        prefix = IPv4Prefix((10 << 24) | (k << 8), 24)
+        start = rng.uniform(1.0, 50.0)
+        builder.add_loop(start, prefix, ttl_delta=rng.choice((2, 2, 3, 4)),
+                         n_packets=packets,
+                         replicas_per_packet=rng.randint(3, 12),
+                         spacing=0.01, packet_gap=0.05,
+                         entry_ttl=rng.choice((60, 120, 250)))
+        if k % 10 == 0:
+            builder.add_background(1, start + 0.1, start + 0.2,
+                                   prefixes=[prefix])
+        if k % 15 == 0:
+            builder.add_loop(start, IPv4Prefix((11 << 24) | (k << 8), 24),
+                             n_packets=3, replicas_per_packet=2)
+    for _ in range(loops * 3):
+        builder.add_duplicate_pair(rng.uniform(0.0, 60.0))
+    return builder.build()
+
+
 @pytest.fixture(scope="session")
 def shared_run():
     """One medium simulated run shared across the test session."""

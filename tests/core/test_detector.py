@@ -40,6 +40,8 @@ class TestConfig:
             {"merge_gap": -1.0},
             {"max_replica_gap": 0},
             {"max_replica_gap": -1},
+            {"eviction_interval": -997},
+            {"eviction_interval": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -175,3 +177,29 @@ class TestOracleEquivalence:
         assert result.scan_stats == expected.scan_stats
         assert result.trace is trace
         assert self._fingerprint(result) == self._fingerprint(expected)
+
+
+class TestStageCoverage:
+    def test_stages_cover_detect_wall_time(self):
+        """The ``detect.*`` stages account for the pipeline's wall time:
+        nothing sizeable, such as the prefix index build, runs outside
+        them."""
+        import time
+
+        from repro.net.columnar import ColumnarTrace
+        from repro.obs.perf import PipelineProfile
+        from tests.conftest import storm_trace
+
+        ctrace = ColumnarTrace.from_trace(storm_trace(seed=3))
+        best = 0.0
+        for _ in range(3):
+            profile = PipelineProfile()
+            started = time.perf_counter()
+            LoopDetector(profile=profile).detect_columnar(ctrace)
+            wall = time.perf_counter() - started
+            stages = profile.snapshot()["stages"]
+            assert {stage["name"] for stage in stages} == {
+                "detect.replicas", "detect.index", "detect.validate",
+                "detect.merge"}
+            best = max(best, sum(stage["seconds"] for stage in stages) / wall)
+        assert best >= 0.9

@@ -53,7 +53,7 @@ class TestFragmentSemantics:
         trace = Trace()
         trace.capture(1.0, first)
         trace.capture(1.001, second)
-        assert detect_replicas(trace) == []
+        assert list(detect_replicas(trace)) == []
 
     def test_looping_fragments_form_parallel_streams(self):
         """Both fragments caught in the same loop each produce a stream;
@@ -85,4 +85,4 @@ class TestFragmentSemantics:
         trace = Trace()
         trace.capture(1.0, first)
         trace.capture(1.01, moved)
-        assert detect_replicas(trace) == []
+        assert list(detect_replicas(trace)) == []

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from repro.net.addr import IPv4Prefix
+from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.core.merge import MergeError, merge_streams
-from repro.core.replica import detect_replicas
+from repro.core.replica import (
+    Replica,
+    ReplicaStream,
+    detect_replicas,
+    mask_mutable_fields,
+)
 from repro.core.streams import validate_streams
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
@@ -45,7 +50,41 @@ class TestOverlapMerging:
         assert {loop.prefix for loop in loops} == {PREFIX, OTHER}
 
 
+def _stream(dst: str, times: list[float], first_index: int) -> ReplicaStream:
+    """A stream to ``dst`` with one replica at each of ``times``."""
+    data = bytes(16) + IPv4Address.parse(dst).value.to_bytes(4, "big")
+    data += bytes(20)
+    return ReplicaStream(
+        key=mask_mutable_fields(data),
+        replicas=[Replica(first_index + k, t, 60 - 2 * k)
+                  for k, t in enumerate(times)],
+        src=IPv4Address.from_bytes(data[12:16]),
+        dst=IPv4Address.from_bytes(data[16:20]),
+        protocol=data[9],
+        first_data=data,
+    )
+
+
 class TestGapMerging:
+    def test_gap_of_exactly_merge_gap_stays_separate(self):
+        streams = [_stream("10.0.1.1", [1.0, 2.0], 0),
+                   _stream("10.0.1.1", [4.0, 5.0], 10)]
+        for merge_gap, count in ((2.0, 2), (2.5, 1)):
+            loops = merge_streams(streams, None, merge_gap=merge_gap,
+                                  check_gap_consistency=False)
+            assert len(loops) == count
+
+    def test_other_prefix_never_bridges_a_gap(self):
+        """A long stream to a lower prefix must not count as the end of
+        the loop being built for the next prefix."""
+        streams = [_stream("10.0.0.1", [0.0, 10.0], 0),
+                   _stream("10.0.1.1", [0.0, 1.0], 20),
+                   _stream("10.0.1.1", [5.0, 6.0], 40)]
+        loops = merge_streams(streams, None, merge_gap=2.0,
+                              check_gap_consistency=False)
+        assert [(str(loop.prefix), loop.stream_count) for loop in loops] \
+            == [("10.0.0.0/24", 1), ("10.0.1.0/24", 1), ("10.0.1.0/24", 1)]
+
     def test_nearby_streams_merge_across_quiet_gap(self):
         builder = SyntheticTraceBuilder(rng=random.Random(2))
         builder.add_loop(1.0, PREFIX, n_packets=1, replicas_per_packet=5,

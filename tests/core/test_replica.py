@@ -70,7 +70,7 @@ class TestDetection:
     def test_background_yields_no_streams(self):
         builder = SyntheticTraceBuilder(rng=random.Random(1))
         builder.add_background(500, 0.0, 10.0)
-        assert detect_replicas(builder.build()) == []
+        assert list(detect_replicas(builder.build())) == []
 
     def test_multiple_packets_multiple_streams(self):
         trace, _ = _trace_with_loop(n_packets=4)
@@ -81,11 +81,11 @@ class TestDetection:
         """Identical TTLs (delta 0) never form a stream."""
         builder = SyntheticTraceBuilder(rng=random.Random(2))
         builder.add_duplicate_pair(1.0)
-        assert detect_replicas(builder.build()) == []
+        assert list(detect_replicas(builder.build())) == []
 
     def test_min_ttl_delta_respected(self):
         trace, _ = _trace_with_loop(ttl_delta=2)
-        assert detect_replicas(trace, min_ttl_delta=3) == []
+        assert list(detect_replicas(trace, min_ttl_delta=3)) == []
 
     def test_larger_delta_accepted(self):
         trace, _ = _trace_with_loop(ttl_delta=5, entry_ttl=50)
@@ -98,7 +98,7 @@ class TestDetection:
                                     entry_ttl=40)
         # 10-second spacing exceeds the default 5-second chaining gap.
         streams = detect_replicas(trace, max_replica_gap=5.0)
-        assert streams == []
+        assert list(streams) == []
         streams = detect_replicas(trace, max_replica_gap=30.0)
         assert len(streams) == 1
 
@@ -107,13 +107,13 @@ class TestDetection:
         low = sample_tcp_packet.forwarded(10)
         trace.capture(1.0, low)
         trace.capture(1.1, sample_tcp_packet)  # higher TTL after
-        assert detect_replicas(trace) == []
+        assert list(detect_replicas(trace)) == []
 
     def test_short_records_skipped(self):
         trace = Trace()
         trace.append(TraceRecord(timestamp=0.0, data=b"\x45\x00", wire_length=2))
         stats = ReplicaScanStats()
-        assert detect_replicas(trace, stats=stats) == []
+        assert list(detect_replicas(trace, stats=stats)) == []
         assert stats.records_skipped_short == 1
 
     def test_streams_sorted_by_start(self):

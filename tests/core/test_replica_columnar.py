@@ -12,7 +12,11 @@ import random
 import pytest
 
 from repro.core.detector import DetectorConfig, LoopDetector
-from repro.core.replica import ReplicaScanStats, detect_replicas_columnar
+from repro.core.replica import (
+    ReplicaError,
+    ReplicaScanStats,
+    detect_replicas_columnar,
+)
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
@@ -93,6 +97,11 @@ class TestColumnarKernelEquivalence:
                 detect_replicas_columnar(ctrace.chunks, **kwargs),
                 reference_replicas(loop_trace, **kwargs),
             )
+
+    def test_negative_eviction_interval_rejected(self, loop_trace):
+        chunks = ColumnarTrace.from_trace(loop_trace).chunks
+        with pytest.raises(ReplicaError):
+            detect_replicas_columnar(chunks, eviction_interval=-997)
 
     def test_scan_stats_match(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)

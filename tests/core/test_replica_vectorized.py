@@ -203,13 +203,17 @@ class TestVectorizedKernelEquivalence:
         )
 
     def test_empty_input(self):
-        assert detect_replicas_vectorized([]) == []
+        assert list(detect_replicas_vectorized([])) == []
 
     def test_parameter_validation(self):
         with pytest.raises(ReplicaError):
             detect_replicas_vectorized([], min_ttl_delta=0)
         with pytest.raises(ReplicaError):
             detect_replicas_vectorized([], max_replica_gap=-1.0)
+        with pytest.raises(ReplicaError):
+            detect_replicas_vectorized([], eviction_interval=-997)
+        # 0 keeps meaning "never evict".
+        assert list(detect_replicas_vectorized([], eviction_interval=0)) == []
 
 
 class TestTierDispatch:
@@ -227,13 +231,13 @@ class TestTierDispatch:
         monkeypatch.setattr(vectorize, "HAVE_NUMPY", False)
         assert resolve_kernel("auto") == "columnar"
 
-    def test_vectorized_falls_back_without_numpy(self, monkeypatch):
+    def test_vectorized_needs_numpy(self, monkeypatch):
         trace = _loop_trace(seed=17, background=100)
         ctrace = ColumnarTrace.from_trace(trace, chunk_records=64)
-        expected = _fps(detect_replicas_columnar(ctrace.chunks))
         monkeypatch.setattr(vectorize, "np", None)
         monkeypatch.setattr(vectorize, "HAVE_NUMPY", False)
-        assert _fps(detect_replicas_vectorized(ctrace.chunks)) == expected
+        with pytest.raises(ImportError, match="needs numpy"):
+            detect_replicas_vectorized(ctrace.chunks)
 
     def test_with_kernel_accepts_trace_and_chunk_list(self):
         trace = _loop_trace(seed=19, background=100)

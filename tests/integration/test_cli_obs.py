@@ -119,6 +119,9 @@ class TestTraceOut:
                         if key.startswith(prefix)}
         assert span_names
         assert span_names == stage_labels
+        if not extra:
+            assert span_names == {"detect.replicas", "detect.index",
+                                  "detect.validate", "detect.merge"}
 
     def test_simulate_trace_and_lifecycle(self, tmp_path, capsys):
         out = tmp_path / "sim.jsonl"

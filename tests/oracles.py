@@ -17,9 +17,15 @@ detector's step-2 history, member indices and pruning included; the
 detector's deque of columnar slices must answer every window query
 inside its retention floor identically.
 
-:func:`reference_detect` runs the oracle step 1 and the oracle index
-under the product's steps 2 and 3 over a materialized trace, for
-whole-pipeline comparisons (library, CLI).
+:func:`reference_validate` and :func:`reference_merge` are steps 2 and
+3 as plain loops over :class:`~repro.core.replica.ReplicaStream`
+objects, one window query per stream or gap; the product's array
+programs over the stream table (:func:`~repro.core.streams.
+validate_streams`, :func:`~repro.core.merge.merge_streams`) must give
+the same valid streams, rejection counts and loops.
+:func:`reference_detect` runs the oracle step 1, the oracle index and
+these two over a materialized trace, for whole-pipeline comparisons
+(library, CLI).
 
 :class:`ReferenceForwardingEngine` is the simulator's forwarding engine
 as it was before the resolved-route cache and the allocation-free hot
@@ -40,7 +46,7 @@ from struct import Struct
 from typing import Iterable, Iterator
 
 from repro.core.detector import DetectionResult, DetectorConfig
-from repro.core.merge import merge_streams
+from repro.core.merge import MergeError, RoutingLoop
 from repro.core.replica import (
     _MIN_CAPTURE,
     _TTL_OFFSET,
@@ -48,12 +54,13 @@ from repro.core.replica import (
     ReplicaError,
     ReplicaScanStats,
     ReplicaStream,
+    StreamTable,
     _finalize,
     _OpenStream,
     mask_mutable_fields,
     stream_sort_key,
 )
-from repro.core.streams import member_set, validate_streams
+from repro.core.streams import ValidationResult
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.packet import Packet
 from repro.net.trace import Trace
@@ -330,10 +337,85 @@ class ReferenceStreamingHistory:
                    for bucket in self._by_prefix.values())
 
 
+def member_set(streams) -> set[int]:
+    """The record index of every replica of every stream in ``streams``."""
+    return {replica.index for stream in streams
+            for replica in stream.replicas}
+
+
+def reference_validate(
+    candidates: list[ReplicaStream],
+    prefix_index,
+    min_stream_size: int = 3,
+    prefix_length: int = 24,
+    check_prefix_consistency: bool = True,
+) -> tuple[list[ReplicaStream], int, int]:
+    """Step 2 one stream at a time: ``(valid, rejected_too_small,
+    rejected_prefix_conflict)``.  Members are the records of every
+    candidate, 2-element streams included."""
+    members = member_set(candidates)
+    valid: list[ReplicaStream] = []
+    too_small = conflicts = 0
+    for stream in candidates:
+        if stream.size < min_stream_size:
+            too_small += 1
+            continue
+        if check_prefix_consistency and prefix_index.has_non_member(
+                stream.dst_prefix(prefix_length), stream.start, stream.end,
+                members):
+            conflicts += 1
+            continue
+        valid.append(stream)
+    return valid, too_small, conflicts
+
+
+def reference_merge(
+    streams: list[ReplicaStream],
+    prefix_index,
+    merge_gap: float = 60.0,
+    prefix_length: int = 24,
+    check_gap_consistency: bool = True,
+    members: set[int] | None = None,
+) -> list[RoutingLoop]:
+    """Step 3 one stream at a time: per destination prefix, in
+    :func:`stream_sort_key` order, a stream joins the current loop when
+    it overlaps it, or when the gap is under ``merge_gap`` and holds no
+    record outside ``members`` (default: the records of ``streams``).
+    Loops sorted by start, stably."""
+    if merge_gap < 0:
+        raise MergeError(f"merge_gap must be non-negative: {merge_gap}")
+    if members is None:
+        members = member_set(streams)
+    by_prefix: dict[IPv4Prefix, list[ReplicaStream]] = {}
+    for stream in streams:
+        by_prefix.setdefault(stream.dst_prefix(prefix_length),
+                             []).append(stream)
+    loops: list[RoutingLoop] = []
+    for prefix, group in by_prefix.items():
+        group.sort(key=stream_sort_key)
+        current = [group[0]]
+        current_end = group[0].end
+        for stream in group[1:]:
+            if stream.start <= current_end or (
+                stream.start - current_end < merge_gap
+                and not (check_gap_consistency
+                         and prefix_index.has_non_member(
+                             prefix, current_end, stream.start, members))
+            ):
+                current.append(stream)
+                current_end = max(current_end, stream.end)
+                continue
+            loops.append(RoutingLoop(prefix=prefix, streams=current))
+            current = [stream]
+            current_end = stream.end
+        loops.append(RoutingLoop(prefix=prefix, streams=current))
+    loops.sort(key=lambda loop: loop.start)
+    return loops
+
+
 def reference_detect(trace: Trace,
                      config: DetectorConfig | None = None) -> DetectionResult:
-    """Oracle step 1, then :func:`validate_streams` and
-    :func:`merge_streams` over the oracle index — what
+    """Oracle steps 1 to 3 over the oracle index — what
     :meth:`LoopDetector.detect` must return on ``trace``."""
     config = config or DetectorConfig()
     scan_stats = ReplicaScanStats()
@@ -344,31 +426,29 @@ def reference_detect(trace: Trace,
         eviction_interval=config.eviction_interval,
         stats=scan_stats,
     )
-    prefix_index = None
-    if config.check_prefix_consistency or config.check_gap_consistency:
-        prefix_index = ReferencePrefixIndex(trace, config.prefix_length)
-    validation = validate_streams(
-        candidates,
-        trace,
+    prefix_index = ReferencePrefixIndex(trace, config.prefix_length)
+    valid, too_small, conflicts = reference_validate(
+        candidates, prefix_index,
         min_stream_size=config.min_stream_size,
         prefix_length=config.prefix_length,
         check_prefix_consistency=config.check_prefix_consistency,
-        prefix_index=prefix_index,
     )
-    loops = merge_streams(
-        validation.valid,
-        trace,
+    loops = reference_merge(
+        valid, prefix_index,
         merge_gap=config.merge_gap,
         prefix_length=config.prefix_length,
         check_gap_consistency=config.check_gap_consistency,
-        prefix_index=prefix_index,
         members=member_set(candidates),
     )
     return DetectionResult(
         trace=trace,
         config=config,
-        candidate_streams=candidates,
-        validation=validation,
+        candidate_streams=StreamTable.from_streams(candidates),
+        validation=ValidationResult(
+            valid=StreamTable.from_streams(valid),
+            rejected_too_small=too_small,
+            rejected_prefix_conflict=conflicts,
+        ),
         loops=loops,
         scan_stats=scan_stats,
     )
