@@ -2,10 +2,9 @@
 
 ``test_batched_streaming_speedup`` times one link's detector fed
 record-by-record vs. chunk-by-chunk (the batched tier) over the same
-trace, asserts exactness, and asserts the >= 2x single-link floor when
-the vectorized tier is available.  It emits the ``repro-bench/1``
-document ``BENCH_streaming_batched`` for the bench-provenance
-trajectory.
+trace, asserts exactness, and asserts the >= 2x single-link floor.
+It emits the ``repro-bench/1`` document ``BENCH_streaming_batched``
+for the bench-provenance trajectory.
 """
 
 import random
@@ -14,7 +13,6 @@ import time
 import pytest
 
 from provenance import emit_bench, metric
-from repro.core import vectorize
 from repro.core.report import format_table
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -104,8 +102,7 @@ def test_batched_streaming_speedup(big_trace, emit):
             ["batched process_chunk()", f"{fast_seconds:.3f}",
              f"{fast_rate:,.0f}", f"{speedup:.2f}"],
         ],
-        title=(f"Streaming batched tier — {len(big_trace)} records, "
-               f"numpy={'yes' if vectorize.HAVE_NUMPY else 'no'}"),
+        title=f"Streaming batched tier — {len(big_trace)} records",
     ))
     emit_bench("streaming_batched", {
         "per_record_records_per_s": metric(ref_rate, "records/s"),
@@ -113,8 +110,7 @@ def test_batched_streaming_speedup(big_trace, emit):
         "batched_speedup": metric(speedup, "x"),
     })
 
-    if vectorize.HAVE_NUMPY:
-        # The PR's single-link acceptance floor.
-        assert speedup >= 2.0, (
-            f"batched tier below the 2x floor: {speedup:.2f}x"
-        )
+    # The single-link acceptance floor.
+    assert speedup >= 2.0, (
+        f"batched tier below the 2x floor: {speedup:.2f}x"
+    )

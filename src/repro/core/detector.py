@@ -25,7 +25,6 @@ from repro.core.replica import (  # noqa: F401
     StreamTable,
     detect_replicas,
     detect_replicas_with_kernel,
-    resolve_kernel,
 )
 from repro.core.streams import PrefixIndex, ValidationResult, validate_streams
 
@@ -144,7 +143,7 @@ class LoopDetector:
 
         Step 1 runs the vectorized kernel, which hands steps 2 and 3 a
         :class:`StreamTable`; the prefix index is built straight off the
-        data slabs.  Needs numpy.  ``result.trace`` is the
+        data slabs.  ``result.trace`` is the
         :class:`~repro.net.columnar.ColumnarTrace` itself, which carries
         the summary surface (record count, duration, bandwidth) the
         reports need.
@@ -161,8 +160,7 @@ class LoopDetector:
                 stats=scan_stats,
             )
             stage.add(records=scan_stats.records_scanned)
-            stage.note(candidates=len(candidates),
-                       kernel=resolve_kernel("auto"))
+            stage.note(candidates=len(candidates))
         prefix_index = None
         if config.check_prefix_consistency or config.check_gap_consistency:
             with profile.stage("detect.index") as stage:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
-from repro.core import vectorize
 from repro.core.replica import ReplicaStream, table_rows
 from repro.core.streams import PrefixIndex, prefix_index_for
 
@@ -101,7 +102,6 @@ def merge_streams(
         raise MergeError(f"merge_gap must be non-negative: {merge_gap}")
     if not len(streams):
         return []
-    np = vectorize.np
     table, rows = table_rows(streams)
     if members is None:
         members = table.record_indices(rows)

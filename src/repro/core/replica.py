@@ -24,6 +24,8 @@ from functools import partial
 from statistics import mode
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.core import vectorize
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.columnar import ColumnarTrace
@@ -254,7 +256,6 @@ class StreamTable(Sequence):
     def from_streams(cls, streams) -> "StreamTable":
         """The table of ``streams`` (in the order given), handing out
         the very same objects."""
-        np = vectorize.np
         streams = list(streams)
         rows = [replica for stream in streams for replica in stream.replicas]
         index, timestamp, ttl = zip(*rows) if rows else ((), (), ())
@@ -349,7 +350,7 @@ def table_rows(streams) -> tuple[StreamTable, object]:
         return streams.table, streams.rows
     if not isinstance(streams, StreamTable):
         streams = StreamTable.from_streams(streams)
-    return streams, vectorize.np.arange(len(streams))
+    return streams, np.arange(len(streams))
 
 
 @dataclass(slots=True)
@@ -416,7 +417,7 @@ def detect_replicas(
 
 
 def _evict_stale(singletons, open_streams, horizon, finished) -> int:
-    """The eviction pass, shared by both kernel tiers.
+    """The eviction pass of the per-record scan.
 
     Drops singletons last seen before ``horizon`` and closes open
     streams whose newest replica predates it.  Returns the number of
@@ -439,129 +440,16 @@ def _evict_stale(singletons, open_streams, horizon, finished) -> int:
     return len(stale)
 
 
-def _scan_regular_segment(
-    records,
-    masked: bytes,
-    length: int,
-    buf_id: int,
-    buffers: list,
-    singletons: dict,
-    open_streams: dict,
-    min_ttl_delta: int,
-    max_replica_gap: float,
-) -> None:
-    """Tight inner loop over one eviction-free run of a regular chunk.
-
-    ``records`` yields ``(local_offset, timestamp, index, ttl)``;
-    ``masked`` is the chunk region with every record's TTL and checksum
-    already zeroed, so the masked key is one ``bytes`` slice.  No
-    position tracking, no length checks, no eviction tests — the caller
-    guarantees uniform record length >= IP header size and no eviction
-    boundary inside the segment.
-
-    Singletons store ``buf_id`` (an index into ``buffers``) rather than
-    the buffer itself: a tuple of scalars is untracked by the cyclic GC
-    after its first collection, while one holding a memoryview keeps
-    ~every record's tuple on the GC's walk list — measurably doubling
-    kernel time on large traces.
-    """
-    singletons_get = singletons.get
-    open_streams_get = open_streams.get
-    setdefault = open_streams.setdefault
-    replica = Replica
-    for local, timestamp, index, ttl in records:
-        key = masked[local:local + length]
-
-        if open_streams:
-            streams = open_streams_get(key)
-            if streams is not None:
-                attached = False
-                for stream in reversed(streams):
-                    last = stream.replicas[-1]
-                    if (last.ttl - ttl >= min_ttl_delta
-                            and timestamp - last.timestamp
-                            <= max_replica_gap):
-                        stream.replicas.append(
-                            replica(index, timestamp, ttl)
-                        )
-                        attached = True
-                        break
-                if attached:
-                    continue
-
-        previous = singletons_get(key)
-        if previous is not None:
-            if (previous[2] - ttl >= min_ttl_delta
-                    and timestamp - previous[1] <= max_replica_gap):
-                prev_index, prev_time, prev_ttl, prev_buf, prev_off = \
-                    previous
-                prev_raw = buffers[prev_buf]
-                setdefault(key, []).append(_OpenStream(
-                    key=key,
-                    first_data=bytes(
-                        prev_raw[prev_off:prev_off + length]
-                    ),
-                    replicas=[
-                        replica(prev_index, prev_time, prev_ttl),
-                        replica(index, timestamp, ttl),
-                    ],
-                ))
-                del singletons[key]
-                continue
-        singletons[key] = (index, timestamp, ttl, buf_id, local)
-
-
-def _scan_boundary_record(
-    local: int,
-    timestamp: float,
-    index: int,
-    ttl: int,
-    masked: bytes,
-    length: int,
-    buf_id: int,
-    buffers: list,
-    singletons: dict,
-    open_streams: dict,
-    finished: list,
-    min_ttl_delta: int,
-    max_replica_gap: float,
-) -> int:
-    """One record sitting exactly on an eviction boundary.
-
-    Same record logic as the tight segment loop, plus the eviction
-    pass — which fires only when the record falls through to the
-    singleton store, as in the per-record loop of
-    :func:`detect_replicas_columnar`.
-    Returns the number of singletons evicted.
-    """
-    key = masked[local:local + length]
-    streams = open_streams.get(key)
-    if streams is not None:
-        for stream in reversed(streams):
-            last = stream.replicas[-1]
-            if (last.ttl - ttl >= min_ttl_delta
-                    and timestamp - last.timestamp <= max_replica_gap):
-                stream.replicas.append(Replica(index, timestamp, ttl))
-                return 0
-    previous = singletons.get(key)
-    if previous is not None:
-        prev_index, prev_time, prev_ttl, prev_buf, prev_off = previous
-        if (prev_ttl - ttl >= min_ttl_delta
-                and timestamp - prev_time <= max_replica_gap):
-            prev_raw = buffers[prev_buf]
-            open_streams.setdefault(key, []).append(_OpenStream(
-                key=key,
-                first_data=bytes(prev_raw[prev_off:prev_off + length]),
-                replicas=[
-                    Replica(prev_index, prev_time, prev_ttl),
-                    Replica(index, timestamp, ttl),
-                ],
-            ))
-            del singletons[key]
-            return 0
-    singletons[key] = (index, timestamp, ttl, buf_id, local)
-    return _evict_stale(singletons, open_streams,
-                        timestamp - max_replica_gap, finished)
+def _check_parameters(min_ttl_delta, max_replica_gap,
+                      eviction_interval) -> None:
+    if min_ttl_delta < 1:
+        raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
+    if max_replica_gap <= 0:
+        raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
+    if eviction_interval < 0:
+        raise ReplicaError(
+            f"eviction_interval must be >= 0 (0: never): {eviction_interval}"
+        )
 
 
 def detect_replicas_columnar(
@@ -571,38 +459,22 @@ def detect_replicas_columnar(
     eviction_interval: int = 100_000,
     stats: ReplicaScanStats | None = None,
 ) -> list[ReplicaStream]:
-    """The batched step-1 kernel over columnar chunks.
+    """The per-record step-1 scan over columnar chunks: the exactness
+    fallback of :func:`detect_replicas_vectorized`.
 
-    Behaviourally identical to a plain per-record scan of the same
-    records (the equivalence suites compare it against the reference
-    oracle in ``tests/oracles.py``), but batched: for a chunk whose
-    producer declared a uniform record ``stride``, the whole region is
-    copied once into a ``bytearray``, every record's TTL column is
-    pulled out with one strided slice, and all TTL/checksum bytes are
-    zeroed with three C-speed strided slice assignments — so the
-    per-record cost collapses to one ``bytes`` slice for the masked key
-    plus the dictionary probes.  Eviction
-    boundaries are computed up front and the runs between them scan in
-    a loop with no position arithmetic at all.
-
-    Chunks without a declared stride (or with mixed record lengths, or
-    records too short for an IP header) fall back to a per-record loop
-    with a reusable masking scratch — same results, just slower.
+    One record at a time, in scan order, masked into a reusable
+    scratch, with the eviction pass every ``eviction_interval`` scanned
+    records — the scan the equivalence suites compare against the
+    reference oracle in ``tests/oracles.py``.  The vectorized kernel
+    runs it when no chunk has a regular layout, or when an eviction
+    boundary would change what its grouped replay chained.
 
     ``chunks`` is an iterable of :class:`~repro.net.columnar.
     ColumnarChunk` (or a :class:`~repro.net.columnar.ColumnarTrace`).
-    Eviction runs every ``eviction_interval`` scanned records and only
-    discards state that could never chain again (older than the
-    chaining gap), so its cadence never changes the result.
+    Eviction only discards state that could never chain again (older
+    than the chaining gap) when timestamps never decrease.
     """
-    if min_ttl_delta < 1:
-        raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
-    if max_replica_gap <= 0:
-        raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
-    if eviction_interval < 0:
-        raise ReplicaError(
-            f"eviction_interval must be >= 0 (0: never): {eviction_interval}"
-        )
+    _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
     if hasattr(chunks, "chunks"):
         chunks = chunks.chunks
 
@@ -610,8 +482,10 @@ def detect_replicas_columnar(
     # key -> most recent singleton observation, shaped
     # (index, timestamp, ttl, buf_id, offset) — buf_id indexes
     # ``buffers`` and the pair defers materializing first_data until a
-    # stream actually forms.  Scalars only: see _scan_regular_segment on
-    # why the tuple must stay GC-untrackable.
+    # stream actually forms.  Scalars only: a tuple of scalars is
+    # untracked by the cyclic GC after its first collection, while one
+    # holding a memoryview keeps ~every record's tuple on the GC's walk
+    # list — measurably doubling kernel time on large traces.
     singletons: dict[bytes, tuple] = {}
     open_streams: dict[bytes, list[_OpenStream]] = {}
     finished: list[ReplicaStream] = []
@@ -627,83 +501,10 @@ def detect_replicas_columnar(
         n = len(timestamps)
         if not n:
             continue
-        buf = chunk.data
         offsets = chunk.offsets
         lengths = chunk.lengths
-        stride = chunk.stride
         index_src = range(chunk.base_index, chunk.base_index + n)
-        length = lengths[0]
-        chunk_start = position + 1
-
-        if (stride is not None and length >= _MIN_CAPTURE
-                and stride >= length
-                and min(lengths) == max(lengths)):
-            # Regular chunk: bulk-mask the whole region at C speed.
-            first = offsets[0]
-            region_end = first + (n - 1) * stride + length
-            raw = buf[first:region_end]
-            buf_id = len(buffers)
-            buffers.append(raw)
-            masked = bytearray(raw)
-            last_local = (n - 1) * stride
-            ttls = bytes(masked[8:last_local + 9:stride])
-            zeros = bytes(n)
-            masked[8:last_local + 9:stride] = zeros
-            masked[10:last_local + 11:stride] = zeros
-            masked[11:last_local + 12:stride] = zeros
-            masked = bytes(masked)
-            # Record j starts at local offset j * stride — iterate a
-            # range instead of shifting the offsets column per record.
-            locals_range = range(0, n * stride, stride)
-
-            if eviction_interval:
-                first_multiple = (-(-chunk_start // eviction_interval)
-                                  * eviction_interval) or eviction_interval
-                boundaries = range(first_multiple - chunk_start, n,
-                                   eviction_interval)
-            else:
-                boundaries = ()
-            seg_start = 0
-            for boundary in boundaries:
-                if boundary > seg_start:
-                    _scan_regular_segment(
-                        zip(locals_range[seg_start:boundary],
-                            timestamps[seg_start:boundary],
-                            index_src[seg_start:boundary],
-                            ttls[seg_start:boundary]),
-                        masked, length, buf_id, buffers, singletons,
-                        open_streams, min_ttl_delta, max_replica_gap,
-                    )
-                evicted += _scan_boundary_record(
-                    locals_range[boundary], timestamps[boundary],
-                    index_src[boundary], ttls[boundary],
-                    masked, length, buf_id, buffers, singletons,
-                    open_streams, finished, min_ttl_delta,
-                    max_replica_gap,
-                )
-                seg_start = boundary + 1
-            if seg_start == 0:
-                _scan_regular_segment(
-                    zip(locals_range, timestamps, index_src, ttls),
-                    masked, length, buf_id, buffers, singletons,
-                    open_streams, min_ttl_delta, max_replica_gap,
-                )
-            elif seg_start < n:
-                _scan_regular_segment(
-                    zip(locals_range[seg_start:], timestamps[seg_start:],
-                        index_src[seg_start:], ttls[seg_start:]),
-                    masked, length, buf_id, buffers, singletons,
-                    open_streams, min_ttl_delta, max_replica_gap,
-                )
-            position = chunk_start + n - 1
-            continue
-
-        # Irregular chunk (no declared stride, mixed lengths, or
-        # sub-IP-header records): per-record masking into a scratch.
-        # Singletons store buf_id, never the memoryview itself — both so
-        # the tuple stays GC-untrackable and so a singleton stored here
-        # can be promoted by the regular path (and vice versa).
-        view = memoryview(buf)
+        view = memoryview(chunk.data)
         buf_id = len(buffers)
         buffers.append(view)
         singletons_get = singletons.get
@@ -785,9 +586,8 @@ def detect_replicas_columnar(
 
 
 #: The step-1 implementations.  ``auto`` — what every product entry
-#: point runs — resolves to ``vectorized`` when numpy imports and to
-#: its pure-python fallback ``columnar`` otherwise (offline steps 2
-#: and 3 need numpy either way).
+#: point runs — resolves to ``vectorized``, which runs its per-record
+#: fallback ``columnar`` itself where exactness needs it.
 KERNEL_TIERS = ("auto", "columnar", "vectorized")
 
 #: numpy dtype per column itemsize, for viewing ``array``/``memoryview``
@@ -803,7 +603,7 @@ def resolve_kernel(kernel: str) -> str:
             f"{', '.join(KERNEL_TIERS)})"
         )
     if kernel == "auto":
-        return "vectorized" if vectorize.HAVE_NUMPY else "columnar"
+        return "vectorized"
     return kernel
 
 
@@ -815,7 +615,7 @@ def detect_replicas_vectorized(
     stats: ReplicaScanStats | None = None,
 ) -> StreamTable:
     """The numpy-vectorized step-1 kernel, the one every entry point
-    runs; it needs numpy.
+    runs.
 
     Returns the candidates as a :class:`StreamTable`, built straight
     from the survivor columns with no object per replica.  Its streams
@@ -849,23 +649,13 @@ def detect_replicas_vectorized(
 
     Falls back wholesale to :func:`detect_replicas_columnar`, whose
     list is tabled by :meth:`StreamTable.from_streams`, when no chunk
-    has a regular layout (the pure-python kernel is faster than
-    per-record numpy hashing there), or when a boundary would have
-    evicted an entry the replay chained to — a timestamp regression of
-    more than the gap across a boundary, or a float rounding corner —
-    same output either way.
+    has a regular layout (the per-record scan is faster than per-record
+    numpy hashing there), or when a boundary would have evicted an
+    entry the replay chained to — a timestamp regression of more than
+    the gap across a boundary, or a float rounding corner — same output
+    either way.
     """
-    if min_ttl_delta < 1:
-        raise ReplicaError(f"min_ttl_delta must be >= 1: {min_ttl_delta}")
-    if max_replica_gap <= 0:
-        raise ReplicaError(f"max_replica_gap must be positive: {max_replica_gap}")
-    if eviction_interval < 0:
-        raise ReplicaError(
-            f"eviction_interval must be >= 0 (0: never): {eviction_interval}"
-        )
-    np = vectorize.np
-    if np is None:
-        raise ImportError("offline replica detection needs numpy")
+    _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
     if hasattr(chunks, "chunks"):
         chunks = chunks.chunks
     chunks = [chunk for chunk in chunks if len(chunk.timestamps)]
@@ -900,28 +690,26 @@ def detect_replicas_vectorized(
         for chunk in chunks
     ])
 
-    infos, hashes, ok_all, skipped_short = _hash_chunks(
-        np, vectorize, chunks, regular_flags
-    )
+    infos, hashes, ok_all, skipped_short = _hash_chunks(chunks, regular_flags)
     _, inverse, counts = np.unique(
         hashes, return_inverse=True, return_counts=True
     )
     keep = (counts[inverse] > 1) & ok_all
-    survivors = _sort_survivors(np, chunks, infos, np.flatnonzero(keep),
+    survivors = _sort_survivors(chunks, infos, np.flatnonzero(keep),
                                 hashes, ts_all)
     # The masked slabs are dead from here on; drop them before the
     # replay and the stream table add to peak memory.
     del infos, hashes, inverse, counts
     streams, inserted, removal, links = _replay_survivors(
-        np, survivors, len(ts_all), min_ttl_delta, max_replica_gap,
+        survivors, len(ts_all), min_ttl_delta, max_replica_gap,
     )
     evicted = _scan_evictions(
-        np, survivors, inserted, removal, links, ok_all, keep, ts_all,
+        survivors, inserted, removal, links, ok_all, keep, ts_all,
         max_replica_gap, eviction_interval,
     )
     if evicted is None:
         return columnar()
-    finished = _build_table(np, vectorize, chunks, survivors, streams)
+    finished = _build_table(chunks, survivors, streams)
 
     stats = stats if stats is not None else ReplicaScanStats()
     stats.records_scanned += len(ts_all)
@@ -931,7 +719,7 @@ def detect_replicas_vectorized(
     return finished
 
 
-def _hash_chunks(np, vectorize, chunks, regular_flags):
+def _hash_chunks(chunks, regular_flags):
     """Pass 1: mask and hash every record.
 
     Returns ``(infos, hashes, ok, skipped_short)``: per chunk
@@ -1015,7 +803,7 @@ class _Survivors(NamedTuple):
     collision_keys: dict
 
 
-def _sort_survivors(np, chunks, infos, survivors, hashes, ts_all):
+def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
     """Gather the survivor columns and group them by masked key."""
     n_surv = len(survivors)
     starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
@@ -1099,8 +887,7 @@ def _sort_survivors(np, chunks, infos, survivors, hashes, ts_all):
     )
 
 
-def _replay_survivors(np, survivors, total, min_ttl_delta,
-                      max_replica_gap):
+def _replay_survivors(survivors, total, min_ttl_delta, max_replica_gap):
     """Chain each group of survivors, ignoring eviction.
 
     Returns ``(streams, inserted, removal, links)``.  ``streams`` is
@@ -1151,7 +938,7 @@ def _replay_survivors(np, survivors, total, min_ttl_delta,
     return streams, inserted, removal, links
 
 
-def _scan_evictions(np, survivors, inserted, removal, links, ok_all, keep,
+def _scan_evictions(survivors, inserted, removal, links, ok_all, keep,
                     ts_all, max_replica_gap, eviction_interval):
     """``singletons_evicted`` of the scan the grouped replay stands for,
     or ``None`` when that scan would evict an entry one of ``links``
@@ -1176,7 +963,7 @@ def _scan_evictions(np, survivors, inserted, removal, links, ok_all, keep,
         return 0
     horizons = ts_all[fired] - max_replica_gap
     earlier, later = links
-    if _evicted_before(np, fired, horizons, s.position[earlier],
+    if _evicted_before(fired, horizons, s.position[earlier],
                        s.timestamp[earlier], s.position[later]).any():
         return None
 
@@ -1193,12 +980,12 @@ def _scan_evictions(np, survivors, inserted, removal, links, ok_all, keep,
         evicted += (int(np.count_nonzero(stale & ok_all[lo:hi]))
                     - int(np.count_nonzero(stale & keep[lo:hi])))
     return evicted + int(np.count_nonzero(_evicted_before(
-        np, fired, horizons, s.position[inserted], s.timestamp[inserted],
+        fired, horizons, s.position[inserted], s.timestamp[inserted],
         removal[inserted],
     )))
 
 
-def _evicted_before(np, fired, horizons, at, times, until):
+def _evicted_before(fired, horizons, at, times, until):
     """Per entry stored at scan position ``at`` with timestamp
     ``times``: whether a boundary fired after ``at`` and before
     ``until`` with a horizon above ``times``.
@@ -1219,7 +1006,7 @@ def _evicted_before(np, fired, horizons, at, times, until):
     return evicted
 
 
-def _build_table(np, vectorize, chunks, survivors, streams):
+def _build_table(chunks, survivors, streams):
     """The :class:`StreamTable` of the replay's ``streams``, sorted by
     (start time, first record index) like :func:`stream_sort_key`."""
     s = survivors
@@ -1298,8 +1085,8 @@ def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
 
 
 #: Step 1 as every entry point runs it (the ``auto`` tier): the
-#: vectorized kernel, which falls back to the pure-python columnar
-#: kernel where exactness needs it — byte-identical streams and stats
+#: vectorized kernel, which falls back to the per-record columnar
+#: scan where exactness needs it — byte-identical streams and stats
 #: either way.
 detect_replicas_with_kernel = detect_replicas_vectorized
 

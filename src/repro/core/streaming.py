@@ -32,6 +32,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.net.addr import IPv4Address
 from repro.net.columnar import ColumnarTrace
 from repro.obs.perf import NULL_PROFILE
@@ -280,12 +282,12 @@ class StreamingLoopDetector:
         is bulk-inserted.  The result is byte-identical to a
         record-by-record :meth:`process` feed — same loops, stats,
         eviction cadence, and state — which the equivalence and property
-        suites assert.  Irregular chunks (or a numpy-less interpreter)
-        fall back to the per-record path: records are fed as zero-copy
-        ``memoryview`` slices of the chunk's data slab, and the chaining
-        state materializes ``bytes`` only when a stream actually forms.
+        suites assert.  Irregular chunks fall back to the per-record
+        path: records are fed as zero-copy ``memoryview`` slices of the
+        chunk's data slab, and the chaining state materializes ``bytes``
+        only when a stream actually forms.
         """
-        if len(chunk) and vectorize.HAVE_NUMPY and chunk.stride is not None:
+        if len(chunk) and chunk.stride is not None:
             loops = self._process_chunk_batched(chunk)
             if loops is not None:
                 return loops
@@ -329,7 +331,6 @@ class StreamingLoopDetector:
         ``now``-aware scans — so loops, stats, eviction cadence, and
         snapshots stay byte-identical to the reference.
         """
-        np = vectorize.np
         n = len(chunk)
         if n < 32:
             # The vectorized pre-pass costs more than it saves on tiny
@@ -578,7 +579,6 @@ class StreamingLoopDetector:
         """Promote every live sidecar singleton into the exact state —
         a per-record feed (or snapshot restore) is about to probe
         ``_singletons`` directly."""
-        np = vectorize.np
         now = self._now
         for batch in self._bulk_batches:
             start = int(np.searchsorted(batch.dl, now, side="right"))
@@ -589,7 +589,6 @@ class StreamingLoopDetector:
 
     def _bulk_live_count(self) -> int:
         """Sidecar singletons still pending eviction at ``_now``."""
-        np = vectorize.np
         now = self._now
         count = 0
         for batch in self._bulk_batches:
@@ -604,7 +603,6 @@ class StreamingLoopDetector:
         batches (and the in-flight chunk's columns) for a live singleton
         on this prefix inside the merge window.  Tombstoned entries have
         ``pf == -1`` and can never match a real prefix."""
-        np = vectorize.np
         for batch in self._bulk_batches:
             start = int(np.searchsorted(batch.dl, now, side="right"))
             if start == len(batch.pf):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
 from repro.core import vectorize
@@ -84,7 +86,7 @@ class PrefixIndex:
     column; a chunk whose timestamps regress is sorted by time first,
     so answers stay exact on any capture.  Records
     shorter than 20 bytes carry no destination address and are not
-    indexed.  Needs numpy.
+    indexed.
     """
 
     def __init__(self, trace: Trace | None = None,
@@ -108,7 +110,6 @@ class PrefixIndex:
 
         Chunks may arrive in any time order; queries stay exact.
         """
-        np = vectorize.np
         n = len(chunk)
         if not n:
             return
@@ -167,7 +168,6 @@ class PrefixIndex:
         within the ``group[j]``-th prefix, whose ordinals start at
         ``group[j] * stride``.  Windows on a prefix the chunk lacks, or
         outside its time range, are left out."""
-        np = vectorize.np
         for first, last, keys, times, ordinals, indices in self._chunks:
             selected = np.flatnonzero((starts <= last) & (ends >= first))
             wanted = prefixes[selected]
@@ -194,7 +194,6 @@ class PrefixIndex:
             raise ValueError(
                 f"index is /{self.prefix_length}, got /{prefix.length}"
             )
-        np = vectorize.np
         found: list[int] = []
         for _, indices, _, _, _, lo, hi in self._windows(
                 np.array([prefix.network >> self._shift]),
@@ -207,7 +206,6 @@ class PrefixIndex:
         network shifted right by ``32 - N``) with
         ``starts[j] <= t <= ends[j]`` have an index outside the int
         array ``members``."""
-        np = vectorize.np
         limit = max(self._limit, int(members.max()) + 1 if len(members)
                     else 0)
         member = np.zeros(limit, dtype=bool)
@@ -267,7 +265,7 @@ def validate_streams(
     table, rows = table_rows(candidates)
     members = table.record_indices(rows)
     kept = rows[table.size[rows] >= min_stream_size]
-    conflict = vectorize.np.zeros(len(kept), dtype=bool)
+    conflict = np.zeros(len(kept), dtype=bool)
     if check_prefix_consistency and len(kept):
         prefix_index = prefix_index_for(prefix_index, trace, prefix_length)
         conflict = prefix_index.non_member_counts(

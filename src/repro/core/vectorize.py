@@ -1,12 +1,5 @@
-"""numpy building blocks for the vectorized step-1 kernel tier.
-
-Everything here is optional: the module imports cleanly without numpy
-(``np`` is then ``None`` and ``HAVE_NUMPY`` is ``False``), and every
-caller — the vectorized kernel, the prefix index, the batched
-streaming tier — falls back to its pure-python path when numpy is
-absent.  Nothing outside this module imports numpy directly, so "does
-the repo work without numpy" is checkable by uninstalling it and
-running the tier-equivalence suite (CI does exactly that).
+"""numpy building blocks for the vectorized step-1 kernel, the prefix
+index and the batched streaming tier.
 
 The central primitive is :func:`hash_rows`, a per-row 64-bit hash of a
 2-D ``uint8`` array, used by the vectorized kernel's duplicate filter.
@@ -19,12 +12,7 @@ correctness rests on; collisions merely cost a little pass-2 work (see
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: Seed of the hash weight table.  The hash is process-internal (it
 #: never crosses a process boundary and nothing observable depends on
@@ -38,7 +26,7 @@ _WEIGHT_SEED = 0x51F15EED
 #: agree even when one was computed before the table grew.
 _WEIGHT_BLOCK = 64
 
-_weights = np.empty(0, dtype=np.uint64) if HAVE_NUMPY else None
+_weights = np.empty(0, dtype=np.uint64)
 
 
 def hash_weights(words: int):
@@ -113,7 +101,6 @@ def dst_prefixes(masked, shift: int):
     ``int.from_bytes(data[16:20], "big") >> shift``."""
     dst = np.ascontiguousarray(masked[:, 16:20]).view(">u4").ravel()
     return (dst.astype(np.uint32) >> np.uint32(shift)).astype(np.int64)
-
 
 
 def ranges(starts, sizes):

@@ -61,9 +61,9 @@ class ColumnarChunk:
     base_index: int = 0
     #: Producer's guarantee of a regular layout: when not ``None``,
     #: ``offsets[i] == offsets[0] + i * stride`` for every record.  The
-    #: batched kernel uses it to mask TTL/checksum bytes for a whole
-    #: chunk with three C-speed strided slice assignments instead of a
-    #: per-record Python loop.  Never set it on a chunk whose offsets
+    #: vectorized step-1 kernel and the streaming batched tier use it to
+    #: view the whole chunk as one strided record matrix instead of
+    #: masking record by record.  Never set it on a chunk whose offsets
     #: you have not laid out yourself — ``None`` always stays correct.
     stride: int | None = None
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from repro.core import vectorize
+import numpy as np
+
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.trace import SNAPLEN_40, Trace, TraceRecord
 from repro.obs.log import get_logger
@@ -211,8 +212,7 @@ def _mmap_pcap(path: str | Path) -> mmap.mmap:
 
 
 def _run_decoder(buf: memoryview, header: _PcapHeader):
-    """The vectorized header decoder for ``buf``, or ``None`` without
-    numpy.
+    """The vectorized header decoder for ``buf``.
 
     The returned ``decode_run(position, limit, columns)`` decodes the
     run of complete records starting at ``position`` that share its
@@ -226,9 +226,6 @@ def _run_decoder(buf: memoryview, header: _PcapHeader):
     per-record loop.  The view spans at most ``limit`` records, so one
     call costs O(``limit``).
     """
-    if not vectorize.HAVE_NUMPY:
-        return None
-    np = vectorize.np
     record_struct = header.record_struct
     field = record_struct.format[0] + "u4"
     dtype = np.dtype([("seconds", field), ("fraction", field),
@@ -290,13 +287,12 @@ def iter_pcap_columnar(
     is referenced (the mapping closes only once every view is garbage
     collected).
 
-    With numpy, each chunk's leading run of equal captured length (a
-    fixed snaplen makes that the whole chunk) decodes through one
-    strided structured-dtype view; the rest of the chunk after the
-    first irregular record, a truncated tail, and numpy-less
-    interpreters take the per-record ``struct.unpack_from`` loop.  Both
-    produce identical chunks — boundaries, columns, ``stride`` and
-    warnings.
+    Each chunk's leading run of equal captured length (a fixed snaplen
+    makes that the whole chunk) decodes through one strided
+    structured-dtype view; the rest of the chunk after the first
+    irregular record and a truncated tail take the per-record
+    ``struct.unpack_from`` loop.  Both produce identical chunks —
+    boundaries, columns, ``stride`` and warnings.
 
     Records are numbered exactly as :func:`read_pcap` loads them
     (``base_index`` anchors each chunk), including records too short to
@@ -321,7 +317,7 @@ def iter_pcap_columnar(
     base_index = 0
     count = 0
     # Whether the current chunk's leading run is still to be decoded.
-    vector_pending = decode_run is not None
+    vector_pending = True
     columns = (array("d"), array("Q"), array("I"), array("I"))
     timestamps, offsets, lengths, wire_lengths = columns
     # Bound-method hoists: the loop below runs once per record on the
@@ -390,7 +386,7 @@ def iter_pcap_columnar(
             yield flush()
             base_index += count
             count = 0
-            vector_pending = decode_run is not None
+            vector_pending = True
             columns = (array("d"), array("Q"), array("I"), array("I"))
             timestamps, offsets, lengths, wire_lengths = columns
             ts_append = timestamps.append

@@ -27,7 +27,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from repro.core import vectorize
+import numpy as np
+
 from repro.obs.alerts import Alert, AlertEngine
 from repro.obs.recorder import WindowedRecorder
 from repro.obs.tracing import NULL_TRACER
@@ -308,15 +309,12 @@ def feed_chunk(streaming, monitor: LiveMonitor, chunk) -> list:
 
     Unsorted chunks, chunks that start before the detector's last
     record (which it rejects — the per-record feed samples exactly the
-    seconds before the offending record) and numpy-less interpreters
-    delegate to :func:`feed_pairs`.
+    seconds before the offending record) delegate to
+    :func:`feed_pairs`.
     """
     n = len(chunk)
     if n == 0:
         return []
-    if not vectorize.HAVE_NUMPY:
-        return feed_pairs(streaming, monitor, chunk.iter_views())
-    np = vectorize.np
     ts = np.frombuffer(chunk.timestamps, dtype=np.float64, count=n)
     if ts[0] < streaming.now or (n > 1 and bool((np.diff(ts) < 0).any())):
         return feed_pairs(streaming, monitor, chunk.iter_views())

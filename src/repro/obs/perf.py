@@ -47,6 +47,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, IO
 
+import numpy as np
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 
@@ -418,12 +420,7 @@ class BenchSchemaError(ValueError):
 
 def env_fingerprint() -> dict[str, Any]:
     """The environment a benchmark ran under: python, platform, CPU
-    count, numpy presence/version, git sha (each ``None`` if unknown)."""
-    try:
-        import numpy
-        numpy_version: str | None = numpy.__version__
-    except ImportError:
-        numpy_version = None
+    count, numpy version, git sha (``None`` if unknown)."""
     try:
         git_sha: str | None = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -437,7 +434,7 @@ def env_fingerprint() -> dict[str, Any]:
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": np.__version__,
         "git_sha": git_sha,
     }
 

@@ -1,12 +1,12 @@
 """The vectorized kernel's grouped exact replay, case by case.
 
-With numpy, ``detect_replicas_vectorized`` chains the hash survivors per
+``detect_replicas_vectorized`` chains the hash survivors per
 masked key rather than in scan order, classifies each key's group as
 chain-all, chain-none or mixed, and counts evictions with
 ``searchsorted``.  Each test here drives one of the cases that argument
 has to get right and compares the streams, their ``first_data`` and all
 four scan stats against the reference oracle (``tests/oracles.py``) and
-the pure-python columnar tier:
+the per-record columnar scan:
 
 * forced hash collisions (``hash_rows`` patched to a low-entropy hash),
   so collision groups and mixed groups take the per-group replay;
@@ -16,15 +16,13 @@ the pure-python columnar tier:
   horizon, which the replay answers itself, and the two ways a boundary
   can evict an entry the replay chained to (a regression across it, and
   a float corner of its horizon), which must take the columnar fallback.
-
-Without numpy the vectorized tier is the columnar kernel, and the file
-still checks it against the oracle (the no-numpy CI job runs it).
 """
 
 import math
 import random
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.core import replica as replica_mod
@@ -36,10 +34,6 @@ from repro.core.replica import (
 )
 from repro.net.columnar import ColumnarChunk
 from tests.oracles import chunk_triples, detect_replicas_indexed
-
-needs_numpy = pytest.mark.skipif(not vectorize.HAVE_NUMPY,
-                                 reason="needs numpy")
-
 
 def _body(flow: int, ttl: int, length: int = 40) -> bytes:
     """An IPv4-shaped record: TTL at byte 8, flow id in the addresses."""
@@ -222,13 +216,11 @@ class TestGroupedReplay:
                       eviction_interval=2)
 
 
-@needs_numpy
 class TestForcedCollisions:
     @pytest.mark.parametrize("buckets", [1, 3])
     @pytest.mark.parametrize("eviction_interval", [0, 3, 7, 100_000])
     def test_low_entropy_hash(self, monkeypatch, buckets,
                               eviction_interval):
-        np = vectorize.np
 
         def weak_hash(rows):
             return (rows.sum(axis=1, dtype=np.uint64)
@@ -243,7 +235,6 @@ class TestForcedCollisions:
 
     def test_collisions_across_lengths_and_irregular_chunks(
             self, monkeypatch):
-        np = vectorize.np
         monkeypatch.setattr(
             vectorize, "hash_rows",
             lambda rows: np.zeros(len(rows), dtype=np.uint64),
@@ -273,7 +264,7 @@ class TestEvictionCheck:
         stamps[10], stamps[11] = stamps[11], stamps[10]
         _assert_exact(_chunks(bodies, stamps), max_replica_gap=0.05,
                       eviction_interval=3)
-        assert len(fallback_calls) == (0 if vectorize.HAVE_NUMPY else 1)
+        assert not fallback_calls
 
     @pytest.mark.parametrize("jitter", [0.02, 0.1, 0.2])
     @pytest.mark.parametrize("eviction_interval", [2, 5, 11])
@@ -305,7 +296,7 @@ class TestEvictionCheck:
         )
         assert [[r[0] for r in s[2]] for s in streams] == [[3, 5]]
         assert stats[2] == 4
-        assert len(fallback_calls) == (0 if vectorize.HAVE_NUMPY else 1)
+        assert not fallback_calls
 
     def test_regression_across_a_boundary_cuts_a_chain(
             self, fallback_calls):
@@ -321,7 +312,6 @@ class TestEvictionCheck:
         assert streams == [] and stats[2] == 2
         assert len(fallback_calls) == 1
 
-    @needs_numpy
     def test_monotone_storm_stays_vectorized(self, fallback_calls):
         bodies, stamps = _storm()
         _assert_exact(_chunks(bodies, stamps), max_replica_gap=0.05,

@@ -6,18 +6,17 @@ Three contracts:
   equal; the hash weight table is prefix-stable as it grows);
 * ``detect_replicas_vectorized`` returns byte-identical streams AND
   scan stats to the reference oracle (``tests/oracles.py``) and the
-  pure-python columnar kernel on every layout — regular, padded
+  per-record columnar scan on every layout — regular, padded
   strides, irregular, mixed, heavy eviction;
 * tier dispatch: ``resolve_kernel`` / ``detect_replicas_with_kernel``
-  route correctly and ``auto`` degrades to ``columnar`` without numpy.
+  route correctly and ``auto`` always resolves to ``vectorized``.
 """
 
 import random
 from array import array
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core import vectorize
 from repro.core.replica import (
@@ -225,19 +224,6 @@ class TestTierDispatch:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ReplicaError):
             resolve_kernel("simd")
-
-    def test_auto_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vectorize, "np", None)
-        monkeypatch.setattr(vectorize, "HAVE_NUMPY", False)
-        assert resolve_kernel("auto") == "columnar"
-
-    def test_vectorized_needs_numpy(self, monkeypatch):
-        trace = _loop_trace(seed=17, background=100)
-        ctrace = ColumnarTrace.from_trace(trace, chunk_records=64)
-        monkeypatch.setattr(vectorize, "np", None)
-        monkeypatch.setattr(vectorize, "HAVE_NUMPY", False)
-        with pytest.raises(ImportError, match="needs numpy"):
-            detect_replicas_vectorized(ctrace.chunks)
 
     def test_with_kernel_accepts_trace_and_chunk_list(self):
         trace = _loop_trace(seed=19, background=100)

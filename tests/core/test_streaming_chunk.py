@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import vectorize
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -21,11 +20,6 @@ from repro.traffic.synthetic import SyntheticTraceBuilder
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
 OTHER = IPv4Prefix.parse("198.51.100.0/24")
-
-needs_numpy = pytest.mark.skipif(
-    not vectorize.HAVE_NUMPY, reason="batched tier requires numpy"
-)
-
 
 def _loop_trace(seed=0, loops=2, background=500, span=400.0):
     builder = SyntheticTraceBuilder(rng=random.Random(seed))
@@ -73,13 +67,11 @@ def _assert_identical(trace, chunk_records, config=None):
 
 
 class TestEquivalence:
-    @needs_numpy
     @pytest.mark.parametrize("chunk_records", [64, 256, 4096])
     def test_chunked_feed_matches_per_record(self, chunk_records):
         loops = _assert_identical(_loop_trace(), chunk_records)
         assert len(loops) == 2
 
-    @needs_numpy
     def test_mid_chunk_evictions(self):
         # Sparse background across a long span: singleton deadlines
         # expire mid-chunk, exercising the arithmetic eviction against
@@ -88,7 +80,6 @@ class TestEquivalence:
                             span=4000.0)
         _assert_identical(trace, 256)
 
-    @needs_numpy
     def test_cross_chunk_streams_promote(self):
         # Replica spacing ~ chunk boundary: a loop's streams straddle
         # chunks, so sidecar singletons from chunk k must be promoted
@@ -97,7 +88,6 @@ class TestEquivalence:
         loops = _assert_identical(trace, 48)
         assert len(loops) == 2
 
-    @needs_numpy
     def test_offline_detector_agrees(self):
         trace = _loop_trace(seed=3)
         detector, loops = _feed_chunked(trace, 128)
@@ -106,27 +96,19 @@ class TestEquivalence:
         assert sorted(map(_loop_key, loops)) \
             == sorted(map(_loop_key, offline.loops))
 
-    @needs_numpy
     def test_custom_config_flows_through(self):
         config = DetectorConfig(merge_gap=200.0)
         loops = _assert_identical(_loop_trace(), 256, config)
         assert len(loops) == 1  # 150 s apart: merged under the big gap
 
-    def test_fallback_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vectorize, "HAVE_NUMPY", False)
-        loops = _assert_identical(_loop_trace(), 256)
-        assert len(loops) == 2
-
 
 class TestTierSelection:
-    @needs_numpy
     def test_batched_tier_parks_singletons(self):
         trace = _loop_trace(seed=1, loops=0, background=200, span=60.0)
         detector = StreamingLoopDetector()
         detector.process_chunk(ColumnarTrace.from_trace(trace).chunks[0])
         assert detector._bulk_batches  # sidecar engaged, not _singletons
 
-    @needs_numpy
     def test_tiny_chunks_take_the_fallback(self):
         trace = _loop_trace(seed=1, loops=0, background=31, span=10.0)
         detector = StreamingLoopDetector()
@@ -135,7 +117,6 @@ class TestTierSelection:
         detector.process_chunk(chunk)
         assert not detector._bulk_batches
 
-    @needs_numpy
     def test_irregular_chunks_take_the_fallback(self):
         trace = _loop_trace(seed=1, loops=0, background=64, span=20.0)
         chunk = ColumnarTrace.from_trace(trace).chunks[0]
@@ -150,7 +131,6 @@ class TestTierSelection:
         ref, _ = _feed_per_record(trace)
         assert detector.state_snapshot() == ref.state_snapshot()
 
-    @needs_numpy
     def test_sidecar_cap_materializes(self):
         # >64 live batches would make the per-chunk hash probes
         # super-linear; the safety valve folds the sidecar back.
@@ -165,7 +145,6 @@ class TestTierSelection:
 
 
 class TestInterleaving:
-    @needs_numpy
     def test_chunk_then_per_record(self):
         trace = _loop_trace(seed=4)
         split = len(trace.records) // 2
@@ -185,7 +164,6 @@ class TestInterleaving:
             == list(map(_loop_key, ref_loops))
         assert detector.state_snapshot() == ref.state_snapshot()
 
-    @needs_numpy
     def test_time_regression_rejected_identically(self):
         trace = _loop_trace(seed=6, loops=0, background=64, span=20.0)
         chunk = ColumnarTrace.from_trace(trace).chunks[0]

@@ -12,18 +12,16 @@ timestamp ties at the floor, inclusive window edges, and mid-chunk
 queries that must not see the current record or anything after it.
 
 The tail is shrunk to a few records here so that sealing, multi-slice
-queries and pruning also run on the per-record path (and so without
-numpy, where every feed takes it).
+queries and pruning also run on the per-record path.
 """
 
 import random
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import streaming, vectorize
+from repro.core import streaming
 from repro.core.detector import DetectorConfig
 from repro.core.streaming import StreamingLoopDetector, _OpenLoop
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
@@ -38,11 +36,6 @@ ABSENT = 11
 #: lands exactly on a grid timestamp and ties at the floor happen.
 CONFIG = DetectorConfig(merge_gap=1.5, max_replica_gap=0.5)
 HORIZON = CONFIG.merge_gap + CONFIG.max_replica_gap
-
-needs_numpy = pytest.mark.skipif(
-    not vectorize.HAVE_NUMPY, reason="batched tier requires numpy"
-)
-
 
 def _record(timestamp, prefix_net, serial):
     """A bare 20-byte IPv4 header to ``prefix_net``/24; the serial in the
@@ -59,8 +52,8 @@ def _record(timestamp, prefix_net, serial):
 
 def _feed(records, cuts, config=None, tail=3):
     """Feed ``records`` in chunks of the ``cuts`` sizes (the last chunk
-    takes the rest): chunks of 32 or more take the batched tier when
-    numpy is present, the others the per-record path."""
+    takes the rest): chunks of 32 or more take the batched tier, the
+    others the per-record path."""
     detector = StreamingLoopDetector(config)
     reference = ReferenceStreamingHistory()
     for index, record in enumerate(records):
@@ -138,7 +131,6 @@ class TestWindowHasNonMember:
         assert not StreamingLoopDetector()._window_has_non_member(
             PREFIX, 0.0, 10.0)
 
-    @needs_numpy
     @given(feed=feeds(), start=grid_time, end=grid_time,
            cut=st.integers(0, 40))
     @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ chaining gap, and stream state lives as long as its stream.  Each feed
 below is built before tracing starts; what the detector still holds
 afterwards is divided by the records inside the horizon.  The same
 bounds hold on the batched tier and on the per-record path that
-numpy-free interpreters take.
+irregular chunks take.
 """
 
 import gc

@@ -127,8 +127,8 @@ class TestFleetConfig:
         assert not link.detector.check_gap_consistency
 
     def test_detector_bad_kernel_rejected(self):
-        # The step-1 tier is picked by whether numpy imports; the
-        # retired ``kernel`` key is refused like any unknown key.
+        # There is one step-1 kernel, so the retired ``kernel`` key
+        # is refused like any unknown key.
         data = minimal()
         data["links"][0]["detector"] = {"kernel": "columnar"}
         with pytest.raises(FleetConfigError, match="kernel"):

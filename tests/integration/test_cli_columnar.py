@@ -5,8 +5,7 @@ The CLI reads pcaps through the zero-copy columnar pipeline; the
 expected output here is rendered from a materialized trace run through
 ``tests/oracles.py`` (offline commands) or through the per-record
 streaming feed (streaming and monitor commands).  Every output mode
-must match byte for byte.  Runs with and without numpy, so both
-step-1 kernel tiers are held to the same oracle.
+must match byte for byte.
 """
 
 import json

@@ -7,7 +7,6 @@ import pytest
 import math
 from bisect import bisect_left
 
-from repro.core import vectorize
 from repro.core.serialize import loop_to_dict
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -357,8 +356,6 @@ class TestChunkFeed:
         assert seen[0] == seen[1]
 
     def test_one_call_per_capped_slice_between_minutes(self, monkeypatch):
-        if not vectorize.HAVE_NUMPY:
-            pytest.skip("without numpy feed_chunk feeds record by record")
         import random
 
         from repro.traffic.synthetic import SyntheticTraceBuilder

@@ -1,15 +1,12 @@
-"""Property suite: both step-1 kernel tiers match the reference oracle.
+"""Property suite: the step-1 kernel and its fallback match the
+reference oracle.
 
-Hypothesis drives adversarial layouts at the tiers — irregular strides,
-padded strides, zero-length bodies, exact duplicates, eviction-interval
-boundaries, mixed regular/irregular chunks, timestamps that tie or
-regress — and asserts that the pure-python columnar and vectorized
-kernels return the same streams AND the same scan stats as the oracle
-in ``tests/oracles.py``.
-
-Runs without numpy: the vectorized tier then falls back to the columnar
-kernel, and the suite degenerates to re-checking that the fallback is
-wired (the no-numpy CI job runs exactly this file).
+Hypothesis drives adversarial layouts at the kernel — irregular
+strides, padded strides, zero-length bodies, exact duplicates,
+eviction-interval boundaries, mixed regular/irregular chunks,
+timestamps that tie or regress — and asserts that the vectorized
+kernel and its per-record columnar fallback return the same streams AND
+the same scan stats as the oracle in ``tests/oracles.py``.
 """
 
 from array import array

@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import vectorize
 from repro.core.detector import LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -72,8 +70,6 @@ def raw_pcaps(draw):
     }
 
 
-@pytest.mark.skipif(not vectorize.HAVE_NUMPY,
-                    reason="vectorized decode requires numpy")
 class TestColumnarDecodeProperty:
     @given(pcap=raw_pcaps())
     @settings(max_examples=150, deadline=None)

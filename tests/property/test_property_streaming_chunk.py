@@ -11,21 +11,14 @@ every generated trace, the same ordered records go through
 and all three must agree: same loop set, and for the two streaming
 feeds identical stats and ``state_snapshot`` documents both before and
 after the flush.
-
-Every example runs twice: once as imported (numpy present on CI's main
-matrix) and once with the vectorized tier force-disabled, so the
-per-record fallback is exercised against the same adversarial inputs.
-The no-numpy CI job runs this file with numpy genuinely absent.
 """
 
 import random
 from dataclasses import asdict
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import vectorize
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -122,8 +115,3 @@ class TestChunkTierEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_three_feeds_byte_identical(self, p):
         _check_example(p)
-        if vectorize.HAVE_NUMPY:
-            # Same example through the per-record fallback: numpy
-            # present must not be a behavioral switch, only a speedup.
-            with mock.patch.object(vectorize, "HAVE_NUMPY", False):
-                _check_example(p)
