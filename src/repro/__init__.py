@@ -26,7 +26,7 @@ or simulate a backbone and detect loops in its monitor trace::
 
 from repro.core.detector import DetectionResult, DetectorConfig, LoopDetector
 from repro.core.merge import RoutingLoop
-from repro.core.replica import Replica, ReplicaStream, detect_replicas_columnar
+from repro.core.replica import Replica, ReplicaStream
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.pcap import (
@@ -57,6 +57,5 @@ __all__ = [
     "read_pcap_columnar",
     "write_pcap",
     "iter_pcap_columnar",
-    "detect_replicas_columnar",
     "__version__",
 ]

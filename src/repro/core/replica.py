@@ -11,13 +11,18 @@ Two captured packets are replicas of one looping packet when (Sec. IV-A.1):
   checksum exactly as the paper argues.
 
 A chain of such pairs is a *replica stream*: one packet's repeated
-crossings of the monitored link.  Detection is a single streaming pass;
-singletons older than the chaining gap are evicted periodically so memory
-is bounded by the loop window, not the trace length.
+crossings of the monitored link.  Detection is defined as a single pass
+over the records that evicts singletons older than the chaining gap
+every ``eviction_interval`` records (the oracle in ``tests/oracles.py``).
+Its one implementation here is a chaining engine over the records whose
+masked key repeats (:func:`_replay_survivors`), with that eviction
+exact inside it; the streaming detector's batched tier runs the same
+engine on each slice it is fed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -353,19 +358,6 @@ def table_rows(streams) -> tuple[StreamTable, object]:
     return streams, np.arange(len(streams))
 
 
-@dataclass(slots=True)
-class _OpenStream:
-    """Builder state for a stream still accepting replicas."""
-
-    key: bytes
-    first_data: bytes
-    replicas: list[Replica]
-
-    @property
-    def last(self) -> Replica:
-        return self.replicas[-1]
-
-
 def mask_mutable_fields(data: bytes) -> bytes:
     """Zero the TTL and IP-checksum bytes; everything else must match.
 
@@ -416,30 +408,6 @@ def detect_replicas(
     )
 
 
-def _evict_stale(singletons, open_streams, horizon, finished) -> int:
-    """The eviction pass of the per-record scan.
-
-    Drops singletons last seen before ``horizon`` and closes open
-    streams whose newest replica predates it.  Returns the number of
-    singletons evicted (the pass's ``singletons_evicted`` delta).
-    """
-    stale = [k for k, entry in singletons.items() if entry[1] < horizon]
-    for k in stale:
-        del singletons[k]
-    for k in list(open_streams):
-        remaining = []
-        for stream in open_streams[k]:
-            if stream.replicas[-1].timestamp < horizon:
-                finished.append(_finalize(stream))
-            else:
-                remaining.append(stream)
-        if remaining:
-            open_streams[k] = remaining
-        else:
-            del open_streams[k]
-    return len(stale)
-
-
 def _check_parameters(min_ttl_delta, max_replica_gap,
                       eviction_interval) -> None:
     if min_ttl_delta < 1:
@@ -452,143 +420,9 @@ def _check_parameters(min_ttl_delta, max_replica_gap,
         )
 
 
-def detect_replicas_columnar(
-    chunks,
-    min_ttl_delta: int = 2,
-    max_replica_gap: float = 5.0,
-    eviction_interval: int = 100_000,
-    stats: ReplicaScanStats | None = None,
-) -> list[ReplicaStream]:
-    """The per-record step-1 scan over columnar chunks: the exactness
-    fallback of :func:`detect_replicas_vectorized`.
-
-    One record at a time, in scan order, masked into a reusable
-    scratch, with the eviction pass every ``eviction_interval`` scanned
-    records — the scan the equivalence suites compare against the
-    reference oracle in ``tests/oracles.py``.  The vectorized kernel
-    runs it when no chunk has a regular layout, or when an eviction
-    boundary would change what its grouped replay chained.
-
-    ``chunks`` is an iterable of :class:`~repro.net.columnar.
-    ColumnarChunk` (or a :class:`~repro.net.columnar.ColumnarTrace`).
-    Eviction only discards state that could never chain again (older
-    than the chaining gap) when timestamps never decrease.
-    """
-    _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
-    if hasattr(chunks, "chunks"):
-        chunks = chunks.chunks
-
-    stats = stats if stats is not None else ReplicaScanStats()
-    # key -> most recent singleton observation, shaped
-    # (index, timestamp, ttl, buf_id, offset) — buf_id indexes
-    # ``buffers`` and the pair defers materializing first_data until a
-    # stream actually forms.  Scalars only: a tuple of scalars is
-    # untracked by the cyclic GC after its first collection, while one
-    # holding a memoryview keeps ~every record's tuple on the GC's walk
-    # list — measurably doubling kernel time on large traces.
-    singletons: dict[bytes, tuple] = {}
-    open_streams: dict[bytes, list[_OpenStream]] = {}
-    finished: list[ReplicaStream] = []
-    buffers: list = []
-
-    scratch = bytearray(40)
-    position = -1
-    skipped_short = 0
-    evicted = 0
-
-    for chunk in chunks:
-        timestamps = chunk.timestamps
-        n = len(timestamps)
-        if not n:
-            continue
-        offsets = chunk.offsets
-        lengths = chunk.lengths
-        index_src = range(chunk.base_index, chunk.base_index + n)
-        view = memoryview(chunk.data)
-        buf_id = len(buffers)
-        buffers.append(view)
-        singletons_get = singletons.get
-        open_streams_get = open_streams.get
-        replica = Replica
-        for i in range(n):
-            position += 1
-            length = lengths[i]
-            if length < _MIN_CAPTURE:
-                skipped_short += 1
-                continue
-            offset = offsets[i]
-            end = offset + length
-            if len(scratch) != length:
-                scratch = bytearray(length)
-            scratch[:] = view[offset:end]
-            scratch[8] = 0
-            scratch[10] = 0
-            scratch[11] = 0
-            key = bytes(scratch)
-            ttl = view[offset + 8]
-            timestamp = timestamps[i]
-            index = index_src[i]
-
-            streams = open_streams_get(key)
-            if streams is not None:
-                attached = False
-                for stream in reversed(streams):
-                    last = stream.replicas[-1]
-                    if (last.ttl - ttl >= min_ttl_delta
-                            and timestamp - last.timestamp
-                            <= max_replica_gap):
-                        stream.replicas.append(
-                            replica(index, timestamp, ttl)
-                        )
-                        attached = True
-                        break
-                if attached:
-                    continue
-
-            previous = singletons_get(key)
-            if previous is not None:
-                prev_index, prev_time, prev_ttl, prev_buf, prev_off = \
-                    previous
-                if (prev_ttl - ttl >= min_ttl_delta
-                        and timestamp - prev_time <= max_replica_gap):
-                    prev_raw = buffers[prev_buf]
-                    open_streams.setdefault(key, []).append(_OpenStream(
-                        key=key,
-                        first_data=bytes(
-                            prev_raw[prev_off:prev_off + length]
-                        ),
-                        replicas=[
-                            replica(prev_index, prev_time, prev_ttl),
-                            replica(index, timestamp, ttl),
-                        ],
-                    ))
-                    del singletons[key]
-                    continue
-            singletons[key] = (index, timestamp, ttl, buf_id, offset)
-
-            if (eviction_interval and position
-                    and position % eviction_interval == 0):
-                evicted += _evict_stale(
-                    singletons, open_streams,
-                    timestamp - max_replica_gap, finished,
-                )
-
-    for streams in open_streams.values():
-        for stream in streams:
-            finished.append(_finalize(stream))
-
-    stats.records_scanned += position + 1
-    stats.records_skipped_short += skipped_short
-    stats.singletons_evicted += evicted
-    finished.sort(key=stream_sort_key)
-    stats.candidate_streams = len(finished)
-    return finished
-
-
 #: The step-1 implementations.  ``auto`` — what every product entry
-#: point runs — resolves to ``vectorized``, which runs its per-record
-#: fallback ``columnar`` itself where exactness needs it.
-KERNEL_TIERS = ("auto", "columnar", "vectorized")
+#: point runs — resolves to ``vectorized``, the one kernel.
+KERNEL_TIERS = ("auto", "vectorized")
 
 #: numpy dtype per column itemsize, for viewing ``array``/``memoryview``
 #: length columns without copying.
@@ -607,6 +441,22 @@ def resolve_kernel(kernel: str) -> str:
     return kernel
 
 
+def _regular_length(chunk) -> int | None:
+    """The record length of a chunk that can be viewed as one strided
+    matrix (a declared stride, every record that long, and at least a
+    full IP header), else ``None``."""
+    lengths = chunk.lengths
+    stride = chunk.stride
+    if stride is None or not len(lengths):
+        return None
+    length = lengths[0]
+    if length < _MIN_CAPTURE or stride < length:
+        return None
+    lengths_np = np.frombuffer(lengths,
+                               dtype=_LENGTH_DTYPES[lengths.itemsize])
+    return length if bool((lengths_np == length).all()) else None
+
+
 def detect_replicas_vectorized(
     chunks,
     min_ttl_delta: int = 2,
@@ -614,14 +464,13 @@ def detect_replicas_vectorized(
     eviction_interval: int = 100_000,
     stats: ReplicaScanStats | None = None,
 ) -> StreamTable:
-    """The numpy-vectorized step-1 kernel, the one every entry point
-    runs.
+    """The step-1 kernel every entry point runs.
 
     Returns the candidates as a :class:`StreamTable`, built straight
     from the survivor columns with no object per replica.  Its streams
-    and stats are byte-identical to :func:`detect_replicas_columnar`
-    (and to the reference oracle) on the same records, but the
-    per-record Python work collapses to two passes:
+    and stats are byte-identical to the reference oracle's
+    (``tests/oracles.py``) on the same records, in any timestamp order,
+    and the per-record Python work collapses to two passes:
 
     **Pass 1 (vectorized).**  Each regular chunk's slab is masked by
     :func:`~repro.core.vectorize.masked_rows`; irregular chunks are
@@ -633,64 +482,27 @@ def detect_replicas_vectorized(
     one: equal keys always hash equal.
 
     **Pass 2 (grouped exact replay).**  The survivors are chained per
-    masked key rather than in scan order, and without eviction
-    (:func:`_replay_survivors`): a group whose consecutive pairs all
-    chain is one stream, a group where none chains makes none, and only
-    mixed groups and hash collisions run the per-record chaining
-    (:func:`_replay_group`).  Eviction only drops state, so it changes
-    an outcome only where it drops an entry that a later record chains
-    to.  When scan-order timestamps never decrease that cannot happen:
-    an entry evicted at boundary ``p`` is older than ``ts[p] - gap``,
-    and every later record is at least ``ts[p]``, so it could not chain
-    to that entry anyway.  Rather than trust that argument,
-    :func:`_scan_evictions` checks every chain the replay made against
-    the boundaries that fired between its two records, and then counts
-    the singletons they evict, for any timestamp order.
-
-    Falls back wholesale to :func:`detect_replicas_columnar`, whose
-    list is tabled by :meth:`StreamTable.from_streams`, when no chunk
-    has a regular layout (the per-record scan is faster than per-record
-    numpy hashing there), or when a boundary would have evicted an
-    entry the replay chained to — a timestamp regression of more than
-    the gap across a boundary, or a float rounding corner — same output
-    either way.
+    masked key rather than in scan order (:func:`_replay_survivors`): a
+    group whose consecutive pairs all chain is one stream, a group where
+    none chains makes none, and only mixed groups and hash collisions
+    run the per-record chaining (:func:`_replay_group`).  The scan's
+    eviction is settled inside the replay (:func:`_replay_evicting`).
     """
     _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
     if hasattr(chunks, "chunks"):
         chunks = chunks.chunks
     chunks = [chunk for chunk in chunks if len(chunk.timestamps)]
-
-    def columnar():
-        return StreamTable.from_streams(detect_replicas_columnar(
-            chunks,
-            min_ttl_delta=min_ttl_delta,
-            max_replica_gap=max_replica_gap,
-            eviction_interval=eviction_interval,
-            stats=stats,
-        ))
-
-    regular_flags = []
-    for chunk in chunks:
-        lengths = chunk.lengths
-        length = lengths[0]
-        stride = chunk.stride
-        flag = False
-        if (stride is not None and length >= _MIN_CAPTURE
-                and stride >= length):
-            lengths_np = np.frombuffer(
-                lengths, dtype=_LENGTH_DTYPES[lengths.itemsize]
-            )
-            flag = bool((lengths_np == length).all())
-        regular_flags.append(flag)
-    if not any(regular_flags):
-        return columnar()
+    stats = stats if stats is not None else ReplicaScanStats()
+    if not chunks:
+        stats.candidate_streams = 0
+        return StreamTable.from_streams(())
     ts_all = np.concatenate([
         np.frombuffer(chunk.timestamps, dtype=np.float64,
                       count=len(chunk.timestamps))
         for chunk in chunks
     ])
 
-    infos, hashes, ok_all, skipped_short = _hash_chunks(chunks, regular_flags)
+    infos, hashes, ok_all, skipped_short = _hash_chunks(chunks)
     _, inverse, counts = np.unique(
         hashes, return_inverse=True, return_counts=True
     )
@@ -700,18 +512,12 @@ def detect_replicas_vectorized(
     # The masked slabs are dead from here on; drop them before the
     # replay and the stream table add to peak memory.
     del infos, hashes, inverse, counts
-    streams, inserted, removal, links = _replay_survivors(
-        survivors, len(ts_all), min_ttl_delta, max_replica_gap,
+    streams, evicted = _replay_evicting(
+        survivors, ok_all, keep, ts_all, min_ttl_delta, max_replica_gap,
+        eviction_interval,
     )
-    evicted = _scan_evictions(
-        survivors, inserted, removal, links, ok_all, keep, ts_all,
-        max_replica_gap, eviction_interval,
-    )
-    if evicted is None:
-        return columnar()
     finished = _build_table(chunks, survivors, streams)
 
-    stats = stats if stats is not None else ReplicaScanStats()
     stats.records_scanned += len(ts_all)
     stats.records_skipped_short += skipped_short
     stats.singletons_evicted += evicted
@@ -719,7 +525,7 @@ def detect_replicas_vectorized(
     return finished
 
 
-def _hash_chunks(chunks, regular_flags):
+def _hash_chunks(chunks):
     """Pass 1: mask and hash every record.
 
     Returns ``(infos, hashes, ok, skipped_short)``: per chunk
@@ -735,13 +541,14 @@ def _hash_chunks(chunks, regular_flags):
     pending: dict[int, tuple[list, list]] = {}
     total = 0
     skipped_short = 0
-    for chunk, flag in zip(chunks, regular_flags):
+    for chunk in chunks:
         n = len(chunk.timestamps)
         offsets = chunk.offsets
         lengths = chunk.lengths
-        if flag:
+        length = _regular_length(chunk)
+        if length is not None:
             _, masked, ttls = vectorize.masked_rows(
-                chunk.data, offsets[0], n, chunk.stride, lengths[0]
+                chunk.data, offsets[0], n, chunk.stride, length
             )
             hash_parts.append(vectorize.hash_rows(masked))
             ok_parts.append(np.ones(n, dtype=bool))
@@ -797,6 +604,7 @@ class _Survivors(NamedTuple):
     index: object  # record index (base_index + row in chunk)
     group_start: object
     group_end: object
+    group_hash: object
     #: Per group: whether all its masked rows are byte-equal.
     exact: object
     #: Per group that is not exact: its rows' masked keys.
@@ -835,13 +643,9 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
                  else group_start)
 
     # Exact keys: every row must equal its group's first row.  Those
-    # first rows are gathered once per record length; the comparison
-    # runs chunk by chunk, on masked rows already in memory.
-    def masked_row(slot):
-        masked, ttls = infos[surv_chunk[slot]]
-        row = surv_row[slot]
-        return masked[row].tobytes() if ttls is not None else masked[row]
-
+    # first rows are gathered into one matrix per record length, with
+    # one fancy index per regular chunk; the comparison runs chunk by
+    # chunk, on masked rows already in memory.
     group = np.empty(n_surv, dtype=np.intp)
     group[order] = np.cumsum(is_start) - 1
     first_slot = order[group_start]
@@ -851,16 +655,30 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
     for length in np.unique(group_len).tolist():
         groups = np.flatnonzero(group_len == length)
         at_length[groups] = np.arange(len(groups))
-        first_rows[length] = np.frombuffer(b"".join(
-            map(masked_row, first_slot[groups].tolist())
-        ), dtype=np.uint8).reshape(len(groups), length)
+        first_rows[length] = np.empty((len(groups), length), dtype=np.uint8)
+    first_chunk = surv_chunk[first_slot]
+    by_chunk = np.argsort(first_chunk, kind="stable")
+    chunk_cuts = np.searchsorted(first_chunk[by_chunk],
+                                 np.arange(len(chunks) + 1)).tolist()
+    for ci, (masked, ttls) in enumerate(infos):
+        groups = by_chunk[chunk_cuts[ci]:chunk_cuts[ci + 1]]
+        rows = surv_row[first_slot[groups]]
+        if ttls is not None:
+            if len(groups):
+                first_rows[masked.shape[1]][at_length[groups]] = \
+                    masked[rows]
+        else:
+            for g, row in zip(groups.tolist(), rows.tolist()):
+                key = masked[row]
+                first_rows[len(key)][at_length[g]] = \
+                    np.frombuffer(key, dtype=np.uint8)
     exact_row = np.empty(n_surv, dtype=bool)
     for ci, (masked, ttls) in enumerate(infos):
         lo, hi = cuts[ci], cuts[ci + 1]
         if ttls is not None and lo < hi:
             exact_row[lo:hi] = (
                 masked[surv_row[lo:hi]]
-                == first_rows[len(masked[0])][at_length[group[lo:hi]]]
+                == first_rows[masked.shape[1]][at_length[group[lo:hi]]]
             ).all(axis=1)
         elif lo < hi:
             for slot in range(lo, hi):
@@ -870,6 +688,12 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
                     key == first_rows[len(key)][at_length[g]].tobytes()
     exact = (np.logical_and.reduceat(exact_row[order], group_start)
              if n_surv else np.empty(0, dtype=bool))
+
+    def masked_row(slot):
+        masked, ttls = infos[surv_chunk[slot]]
+        row = surv_row[slot]
+        return masked[row].tobytes() if ttls is not None else masked[row]
+
     collision_keys = {
         g: list(map(masked_row,
                     order[group_start[g]:group_end[g]].tolist()))
@@ -882,18 +706,36 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
     return _Survivors(
         position=s_pos, timestamp=ts_all[s_pos], ttl=surv_ttl[order],
         index=(bases - starts[:-1])[surv_chunk[order]] + s_pos,
-        group_start=group_start, group_end=group_end, exact=exact,
+        group_start=group_start, group_end=group_end,
+        group_hash=s_hash[group_start], exact=exact,
         collision_keys=collision_keys,
     )
 
 
-def _replay_survivors(survivors, total, min_ttl_delta, max_replica_gap):
-    """Chain each group of survivors, ignoring eviction.
+def _replay_survivors(survivors, total, min_ttl_delta, max_replica_gap, *,
+                      fired=None, live=False, seeds=None):
+    """The step-1 chaining engine: chain each group of survivors.
+
+    Eviction takes one of three rules.  By default nothing is evicted.
+    With ``fired``, the ``(positions, horizons)`` of the eviction
+    boundaries that fire, an entry is gone for a record once a boundary
+    between them has a horizon above the entry's timestamp (offline).
+    With ``live``, an entry is gone once a record reaches its deadline,
+    ``timestamp + max_replica_gap`` (the streaming detector's rule).
+
+    ``seeds`` carries chaining state in from earlier input:
+    ``(times, ttls, states)``.  ``times`` and ``ttls`` are the columns of
+    extra rows numbered from ``len(survivors.position)``, at scan
+    position -1.  ``states`` maps a group to its starting state, ``{key:
+    [singleton row or None, [member rows of each open stream]]}``, keyed
+    ``None`` in an exact group and by masked key in a collision group.
+    Seeded groups are replayed record by record.
 
     Returns ``(streams, inserted, removal, links)``.  ``streams`` is
     ``(firsts, ends, replayed)``: the first and end rows of the groups
     that are one stream each, and the member rows of each stream out of
-    the per-record replay.  ``inserted`` marks the rows stored as
+    the per-record replay (a seeded open stream's start with its extra
+    row, extended or not).  ``inserted`` marks the rows stored as
     singletons, and ``removal`` is the scan position of the record that
     takes each out of the store (``total``: none does).  ``links`` is
     the ``(earlier rows, later rows)`` pair of every chain made.
@@ -902,71 +744,164 @@ def _replay_survivors(survivors, total, min_ttl_delta, max_replica_gap):
     n_surv = len(s.position)
     starts, ends = s.group_start, s.group_end
     sizes = ends - starts
+    position, timestamp, ttl = s.position, s.timestamp, s.ttl
     is_start = np.zeros(n_surv, dtype=bool)
     is_start[starts] = True
     chains = ((~is_start[1:])
-              & (s.ttl[:-1] - s.ttl[1:] >= min_ttl_delta)
-              & (s.timestamp[1:] - s.timestamp[:-1] <= max_replica_gap))
+              & (ttl[:-1] - ttl[1:] >= min_ttl_delta)
+              & (timestamp[1:] - timestamp[:-1] <= max_replica_gap))
+    if live:
+        chains &= timestamp[:-1] + max_replica_gap > timestamp[1:]
+    elif fired is not None:
+        chains &= ~_evicted_before(*fired, position[:-1], timestamp[:-1],
+                                   position[1:])
     chained = np.concatenate(([0], np.cumsum(chains)))
     group_links = chained[ends - 1] - chained[starts]
-    chain_all = s.exact & (sizes >= 2) & (group_links == sizes - 1)
-    chain_none = s.exact & (group_links == 0)
+    simple = s.exact.copy()
+    extra_times, extra_ttls, states = seeds if seeds else ((), (), {})
+    simple[list(states)] = False
+    chain_all = simple & (sizes >= 2) & (group_links == sizes - 1)
+    chain_none = simple & (group_links == 0)
     row_all = np.repeat(chain_all, sizes)
     linked = np.flatnonzero(chains & row_all[1:])
 
     # In a chain-all group only the first record is a singleton insert,
     # in a chain-none group every record is; either way the next record
     # of the group removes it.
-    inserted = (is_start & row_all) | np.repeat(chain_none, sizes)
-    removal = np.full(n_surv, total, dtype=np.int64)
-    removal[:-1] = np.where(is_start[1:], total, s.position[1:])
+    size = n_surv + len(extra_times)
+    inserted = np.zeros(size, dtype=bool)
+    inserted[:n_surv] = (is_start & row_all) | np.repeat(chain_none, sizes)
+    removal = np.full(size, total, dtype=np.int64)
+    if n_surv:
+        removal[:n_surv - 1] = np.where(is_start[1:], total, position[1:])
     replayed: list[list[int]] = []
-    chains: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
     mixed = np.flatnonzero(~(chain_all | chain_none)).tolist()
     if mixed:
-        columns = (s.position.tolist(), s.timestamp.tolist(),
-                   s.ttl.tolist())
+        columns = (position.tolist() + [-1] * len(extra_times),
+                   timestamp.tolist() + list(extra_times),
+                   ttl.tolist() + list(extra_ttls))
+        dead = None
+        if live:
+            times = columns[1]
+
+            def dead(e, k):
+                return times[e] + max_replica_gap <= times[k]
+        elif fired is not None:
+            dead = _passed_by(fired, columns)
         for g in mixed:
             a, b = int(starts[g]), int(ends[g])
             removal[a:b] = total
             _replay_group(a, b, s.collision_keys.get(g), columns,
                           min_ttl_delta, max_replica_gap, inserted,
-                          removal, chains, replayed)
-    q, r = np.asarray(chains, dtype=np.intp).reshape(-1, 2).T
+                          removal, pairs, replayed, states.get(g, {}),
+                          dead)
+    q, r = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     links = (np.concatenate((linked, q)), np.concatenate((linked + 1, r)))
     streams = (starts[chain_all], ends[chain_all], replayed)
     return streams, inserted, removal, links
 
 
-def _scan_evictions(survivors, inserted, removal, links, ok_all, keep,
-                    ts_all, max_replica_gap, eviction_interval):
-    """``singletons_evicted`` of the scan the grouped replay stands for,
-    or ``None`` when that scan would evict an entry one of ``links``
-    chains to, so the replay does not stand for it.
+def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
+                  inserted, removal, pairs, streams, state, dead) -> None:
+    """The per-record chaining over sorted survivor rows ``a..b-1``.
 
-    A boundary fires where its record was a singleton insert
-    (non-survivors always are), with horizon ``ts - max_replica_gap``.
+    Rows are one key's records in scan order, or, when ``keys`` (their
+    masked bytes) is given, a hash collision's records, chained per
+    key.  ``state`` is the starting state per key (see
+    :func:`_replay_survivors`), and ``dead(e, k)``, when given, tells
+    whether entry ``e`` is evicted before row ``k``.  Marks ``inserted``
+    and ``removal`` for each singleton, appends ``(row chained to,
+    row)`` to ``pairs`` and each stream's member rows to ``streams``.
     """
-    total = len(ts_all)
-    if not eviction_interval or total <= eviction_interval:
-        return 0
+    positions, times, ttls = columns
+    for k in range(a, b):
+        key = None if keys is None else keys[k - a]
+        entry = state.get(key)
+        if entry is None:
+            entry = state[key] = [None, []]
+        single, opened = entry
+        ttl = ttls[k]
+        timestamp = times[k]
+        for members in reversed(opened):
+            last = members[-1]
+            if (ttls[last] - ttl >= min_ttl_delta
+                    and timestamp - times[last] <= max_replica_gap
+                    and (dead is None or not dead(last, k))):
+                members.append(k)
+                pairs.append((last, k))
+                break
+        else:
+            if single is not None:
+                removal[single] = positions[k]
+                if (ttls[single] - ttl >= min_ttl_delta
+                        and timestamp - times[single] <= max_replica_gap
+                        and (dead is None or not dead(single, k))):
+                    opened.append([single, k])
+                    pairs.append((single, k))
+                    entry[0] = None
+                    continue
+            entry[0] = k
+            inserted[k] = True
+    for _, opened in state.values():
+        streams.extend(opened)
+
+
+def _replay_evicting(survivors, ok_all, keep, ts_all, min_ttl_delta,
+                     max_replica_gap, eviction_interval):
+    """Pass 2 with the scan's eviction: ``(streams, singletons_evicted)``.
+
+    Boundary ``p``, every ``eviction_interval``-th scan position, fires
+    when record ``p`` is stored as a singleton (a non-survivor always
+    is) and evicts every entry older than its horizon ``ts[p] -
+    max_replica_gap``.  The replay first ignores eviction.  Eviction
+    only drops state, so it changes an outcome only where it drops an
+    entry a later record chains to; with time-ordered records that
+    cannot happen.  Where a fired boundary passes the earlier entry of
+    a chain the replay made (a timestamp regression of more than the
+    gap across it, or a float corner of its horizon), the chain is cut:
+    the replay runs again with the fired boundaries evicting, until the
+    set that fires settles.  Whether boundary ``p`` fires depends only
+    on the boundaries before it, so a round that has the first ``k``
+    right gets the ``k + 1``-th right, and the rounds end.
+    """
     s = survivors
+    total = len(ts_all)
+    streams, inserted, removal, links = _replay_survivors(
+        s, total, min_ttl_delta, max_replica_gap)
+    if not eviction_interval or total <= eviction_interval:
+        return streams, 0
     boundaries = np.arange(eviction_interval, total, eviction_interval,
                            dtype=np.intp)
-    surv_fire = s.position[inserted]
-    surv_fire = surv_fire[(surv_fire % eviction_interval == 0)
-                          & (surv_fire > 0)]
-    fired = np.sort(np.concatenate((
-        boundaries[ok_all[boundaries] & ~keep[boundaries]], surv_fire,
-    )))
+    always = boundaries[ok_all[boundaries] & ~keep[boundaries]]
+
+    def fire(inserted):
+        at = s.position[inserted[:len(s.position)]]
+        at = at[(at % eviction_interval == 0) & (at > 0)]
+        fired = np.sort(np.concatenate((always, at)))
+        return fired, ts_all[fired] - max_replica_gap
+
+    fired = fire(inserted)
+    earlier, later = links
+    if _evicted_before(*fired, s.position[earlier], s.timestamp[earlier],
+                       s.position[later]).any():
+        while True:
+            streams, inserted, removal, _ = _replay_survivors(
+                s, total, min_ttl_delta, max_replica_gap, fired=fired)
+            settled = fire(inserted)
+            if np.array_equal(settled[0], fired[0]):
+                break
+            fired = settled
+    return streams, _count_evictions(s, inserted, removal, ok_all, keep,
+                                     ts_all, *fired)
+
+
+def _count_evictions(survivors, inserted, removal, ok_all, keep, ts_all,
+                     fired, horizons) -> int:
+    """``singletons_evicted`` of the scan, given its fired boundaries."""
     if not len(fired):
         return 0
-    horizons = ts_all[fired] - max_replica_gap
-    earlier, later = links
-    if _evicted_before(fired, horizons, s.position[earlier],
-                       s.timestamp[earlier], s.position[later]).any():
-        return None
-
+    s = survivors
     # A non-survivor is never removed: it is evicted iff the highest
     # horizon among the boundaries after it passes it.  That bound only
     # falls with position, so the records split into runs sharing one.
@@ -1006,6 +941,19 @@ def _evicted_before(fired, horizons, at, times, until):
     return evicted
 
 
+def _passed_by(fired, columns):
+    """The per-record replay's form of :func:`_evicted_before`: whether
+    entry ``e`` is evicted before row ``k``."""
+    at, horizons = fired[0].tolist(), fired[1].tolist()
+    positions, times, _ = columns
+
+    def dead(e, k):
+        lo = bisect_right(at, positions[e])
+        hi = bisect_left(at, positions[k], lo)
+        return lo < hi and max(horizons[lo:hi]) > times[e]
+    return dead
+
+
 def _build_table(chunks, survivors, streams):
     """The :class:`StreamTable` of the replay's ``streams``, sorted by
     (start time, first record index) like :func:`stream_sort_key`."""
@@ -1043,72 +991,13 @@ def _build_table(chunks, survivors, streams):
                        s.ttl[rows], first_data, dst)
 
 
-def _replay_group(a, b, keys, columns, min_ttl_delta, max_replica_gap,
-                  inserted, removal, chains, streams) -> None:
-    """The per-record chaining over sorted survivor rows ``a..b-1``.
-
-    Rows are one key's records in scan order, or, when ``keys`` (their
-    masked bytes) is given, a hash collision's records, chained per
-    key.  No eviction: :func:`_scan_evictions` checks afterwards that
-    it would change no outcome.  Marks ``inserted`` and ``removal`` for
-    each singleton, appends ``(row chained to, row)`` to ``chains`` and
-    each stream's member rows to ``streams``.
-    """
-    positions, times, ttls = columns
-    state: dict = {}
-    for k in range(a, b):
-        entry = state.setdefault(None if keys is None else keys[k - a],
-                                 [None, []])
-        single, opened = entry
-        ttl = ttls[k]
-        timestamp = times[k]
-        for members in reversed(opened):
-            last = members[-1]
-            if (ttls[last] - ttl >= min_ttl_delta
-                    and timestamp - times[last] <= max_replica_gap):
-                members.append(k)
-                chains.append((last, k))
-                break
-        else:
-            if single is not None:
-                removal[single] = positions[k]
-                if (ttls[single] - ttl >= min_ttl_delta
-                        and timestamp - times[single] <= max_replica_gap):
-                    opened.append([single, k])
-                    chains.append((single, k))
-                    entry[0] = None
-                    continue
-            entry[0] = k
-            inserted[k] = True
-    for _, opened in state.values():
-        streams.extend(opened)
-
-
-#: Step 1 as every entry point runs it (the ``auto`` tier): the
-#: vectorized kernel, which falls back to the per-record columnar
-#: scan where exactness needs it — byte-identical streams and stats
-#: either way.
+#: Step 1 as every entry point runs it (the ``auto`` tier).
 detect_replicas_with_kernel = detect_replicas_vectorized
 
 
 def stream_sort_key(stream: ReplicaStream) -> tuple[float, int]:
     """Total order on streams: start time, ties broken by the first
-    replica's record index (unique across streams).  Both step-1 kernels
-    and the merge sort with it, so every path produces byte-identical
-    candidate lists."""
+    replica's record index (unique across streams).  The kernel, the
+    oracle and the merge sort with it, so every path produces
+    byte-identical candidate lists."""
     return (stream.start, stream.replicas[0].index)
-
-
-def _finalize(stream: _OpenStream) -> ReplicaStream:
-    return _new_stream(stream.key, stream.first_data, stream.replicas)
-
-
-def _new_stream(key: bytes, data: bytes, replicas: list) -> ReplicaStream:
-    return ReplicaStream(
-        key=key,
-        replicas=replicas,
-        src=IPv4Address.from_bytes(data[12:16]),
-        dst=IPv4Address.from_bytes(data[16:20]),
-        protocol=data[9],
-        first_data=data,
-    )

@@ -9,8 +9,9 @@ ends, with memory bounded by the loop window rather than the trace.
 event-driven pipeline:
 
 * replicas chain exactly as offline (masked-byte key, TTL delta >= 2,
-  bounded chaining gap), with deadline heaps evicting stale singletons
-  and completing quiescent streams;
+  bounded chaining gap), record by record or, for a batched slice,
+  through the offline chaining engine; singletons are evicted and
+  quiescent streams completed at their deadlines;
 * a completed stream validates against a sliding step-2 history of
   recent records (the same all-packets-loop rule): a deque of per-slice
   columns sorted by /24, dropped whole once no query can reach them;
@@ -30,6 +31,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -41,9 +44,12 @@ from repro.core import vectorize
 from repro.core.detector import DetectorConfig
 from repro.core.merge import RoutingLoop
 from repro.core.replica import (
-    _LENGTH_DTYPES,
     Replica,
     ReplicaStream,
+    _new_replica,
+    _regular_length,
+    _replay_survivors,
+    _sort_survivors,
     mask_mutable_fields,
 )
 
@@ -107,38 +113,155 @@ class _Slice:
 
 
 @dataclass(slots=True)
-class _BulkBatch:
-    """Columnar sidecar of singletons inserted by the batched tier.
+class _Carry:
+    """The batched tier's singleton store, one column per field: each
+    entry's masked-key hash, record index, timestamp, TTL and /N
+    prefix, and its record's bytes ``data[offset:offset + length]``.
+    At most one entry per masked key, in no particular order."""
 
-    A bulk record's singleton never interacts with anything unless a
-    later record carries the same masked key — and equal keys always
-    hash equal — so the batched tier parks whole chunks of singletons
-    here as parallel arrays instead of paying the per-record dict, set,
-    and heap maintenance.  Entries are *promoted* into the real
-    ``_singletons`` state the moment a later chunk's hash matches (or a
-    per-record feed resumes); eviction is a vectorized comparison
-    against the ascending ``dl`` column instead of a heap pop.
+    hash: np.ndarray
+    index: np.ndarray
+    ts: np.ndarray
+    ttl: np.ndarray
+    prefix: np.ndarray
+    length: np.ndarray
+    offset: np.ndarray
+    data: np.ndarray
 
-    Per-record columns cover the WHOLE source chunk (indexed by chunk
-    position); ``pf`` is ``-1`` at replayed and promoted (tombstoned)
-    positions, so only live bulk entries match a prefix.
-    ``hsorted``/``hpos`` cover just the bulk entries: their row hashes
-    in sorted order and the chunk position behind each sorted slot.
-    """
+    @classmethod
+    def empty(cls) -> "_Carry":
+        return cls(np.empty(0, dtype=np.uint64),
+                   *(np.empty(0, dtype=dtype) for dtype in (
+                       np.int64, np.float64, np.int16, np.int64, np.int64,
+                       np.int64, np.uint8)))
 
-    keys: bytes        # packed masked rows, ``length`` bytes per record
-    ts: object         # float64 record timestamps, ascending
-    dl: object         # float64 eviction deadlines (ts + gap), ascending
-    ttls: object       # uint8 original TTL column
-    pf: object         # int64 dst prefixes; -1 = replayed or tombstoned
-    hsorted: object    # uint64 bulk-entry row hashes, sorted
-    hpos: object       # chunk position of each ``hsorted`` slot
-    dl_last: float     # final deadline (batch is all-dead past this)
-    data: object       # the chunk's data slab (kept alive for promotion)
-    first: int         # slab offset of chunk record 0
-    stride: int
-    length: int
-    index0: int        # global index of chunk record 0
+    def __len__(self) -> int:
+        return len(self.hash)
+
+    def record(self, i: int) -> bytes:
+        offset = int(self.offset[i])
+        return self.data[offset:offset + int(self.length[i])].tobytes()
+
+    def then(self, keep, hashes, index, ts, ttl, prefix, rows) -> "_Carry":
+        """The entries where the mask ``keep`` is set, followed by new
+        entries whose records are the rows of the uint8 matrix ``rows``.
+        Built a column at a time, so the transient is a column, not a
+        second store."""
+        n = len(self)
+        if n and bool((self.length == self.length[0]).all()):
+            # Records are packed in entry order, so equal lengths make
+            # the store a matrix: no per-byte index to build.
+            kept = self.data.reshape(n, -1)[keep].reshape(-1)
+        else:
+            kept = self.data[vectorize.ranges(self.offset[keep],
+                                              self.length[keep])]
+        length = np.concatenate((self.length[keep],
+                                 np.full(len(rows), rows.shape[1])))
+        return _Carry(
+            np.concatenate((self.hash[keep], hashes)),
+            np.concatenate((self.index[keep], index)),
+            np.concatenate((self.ts[keep], ts)),
+            np.concatenate((self.ttl[keep], ttl)),
+            np.concatenate((self.prefix[keep], prefix)),
+            length, np.cumsum(length) - length,
+            np.concatenate((kept, rows.reshape(-1))),
+        )
+
+
+
+
+class _LiveSingletons:
+    """The singletons of a batched slice in flight, for the merge-window
+    check: the carry's, taken out at slice position ``carry_removed``
+    (``n``: not taken out), and the slice's own, stored where ``stored``
+    is set and taken out at ``removed``.  Indexed by prefix on the first
+    check; most slices have none."""
+
+    __slots__ = ("parts", "gap", "_columns")
+
+    def __init__(self, carry, carry_removed, prefixes, ts, stored,
+                 removed, index0, gap) -> None:
+        self.parts = (carry, carry_removed, prefixes, ts, stored, removed,
+                      index0)
+        self.gap = gap
+        self._columns = None
+
+    def _index(self) -> tuple:
+        carry, carry_removed, prefixes, ts, stored, removed, index0 = \
+            self.parts
+        at = np.flatnonzero(stored)
+        prefix = np.concatenate((carry.prefix, prefixes[at]))
+        order = np.argsort(prefix, kind="stable")
+        columns = (
+            np.concatenate((carry.ts, ts[at])),
+            # Record index each entry is stored at (-1: carried in) and
+            # the one that takes it out (past the slice: none).
+            np.concatenate((np.full(len(carry), -1, dtype=np.int64),
+                            at + index0)),
+            np.concatenate((carry_removed, removed[at])) + index0,
+        )
+        return (prefix[order],) + tuple(column[order] for column in columns)
+
+    def may_merge(self, prefix_net: int, visible: int, now: float,
+                  horizon: float) -> bool:
+        """Whether one on ``prefix_net`` older than ``horizon`` is live
+        when record ``visible`` arrives at time ``now``."""
+        if self._columns is None:
+            self._columns = self._index()
+        prefix, ts, stored, removed = self._columns
+        lo, hi = np.searchsorted(prefix,
+                                 (prefix_net, prefix_net + 1)).tolist()
+        if lo == hi:
+            return False
+        ts = ts[lo:hi]
+        return bool(((stored[lo:hi] < visible) & (removed[lo:hi] >= visible)
+                     & (ts + self.gap > now) & (ts < horizon)).any())
+
+
+def _seeds(s, masked, carry, singles, streams, stream_hashes):
+    """The engine's ``seeds`` for a slice: the carried singletons
+    ``singles`` (carry entries) and open ``streams`` whose key a survivor
+    group has, as extra rows starting that group's state.  Returns
+    ``(seeds, owners)``, ``owners`` naming the carry entry or the stream
+    behind each extra row."""
+    n_surv = len(s.position)
+    times: list[float] = []
+    ttls: list[int] = []
+    states: dict[int, dict] = {}
+    owners: list = []
+
+    def state_of(key_hash, key):
+        g = int(np.searchsorted(s.group_hash, key_hash))
+        if g == len(s.group_hash) or s.group_hash[g] != key_hash:
+            return None
+        keys = s.collision_keys.get(g)
+        if keys is None:
+            if masked[s.position[s.group_start[g]]].tobytes() != key:
+                return None
+            key = None
+        elif key not in keys:
+            return None
+        group = states.setdefault(g, {})
+        entry = group.get(key)
+        if entry is None:
+            entry = group[key] = [None, []]
+        return entry
+
+    for stream, key_hash in zip(streams, stream_hashes):
+        entry = state_of(key_hash, stream.key)
+        if entry is not None:
+            entry[1].append([n_surv + len(owners)])
+            owners.append(stream)
+            times.append(stream.last.timestamp)
+            ttls.append(stream.last.ttl)
+    for c in singles.tolist():
+        entry = state_of(carry.hash[c], mask_mutable_fields(carry.record(c)))
+        if entry is not None:
+            entry[0] = n_surv + len(owners)
+            owners.append(c)
+            times.append(float(carry.ts[c]))
+            ttls.append(int(carry.ttl[c]))
+    return (times, ttls, states), owners
 
 
 @dataclass(slots=True)
@@ -199,12 +322,11 @@ class StreamingLoopDetector:
         self._open_loops: dict[int, _OpenLoop] = {}
         self._loop_deadlines: list[tuple[float, int, int]] = []
 
-        # Batched-tier sidecar: bulk singletons parked in columnar
-        # batches, probed by sorted row hash for cross-chunk matching.
-        self._bulk_batches: list[_BulkBatch] = []
-        # In-flight chunk columns for mid-chunk merge-window scans: (ts,
-        # deadlines, prefixes, bulk mask, index0), valid below _visible.
-        self._chunk_scan: tuple | None = None
+        # The batched tier's singletons (``None`` while the per-record
+        # state above holds them; one store is live at a time), and the
+        # in-flight slice's for the merge-window check.
+        self._carry: _Carry | None = None
+        self._live: _LiveSingletons | None = None
 
         self._emitted: list[RoutingLoop] = []
 
@@ -222,10 +344,8 @@ class StreamingLoopDetector:
             raise ValueError(
                 f"records must be time-ordered: {timestamp} < {self._now}"
             )
-        if self._bulk_batches:
-            # A per-record feed probes ``_singletons`` directly; fold the
-            # batched tier's sidecar back into the exact state first.
-            self._materialize_bulk()
+        if self._carry is not None:
+            self._fold_carry()
         self._now = timestamp
         self._emitted = []
         self.stats.records += 1
@@ -275,17 +395,15 @@ class StreamingLoopDetector:
     def process_chunk(self, chunk) -> list[RoutingLoop]:
         """Feed one :class:`~repro.net.columnar.ColumnarChunk`.
 
-        Stride-regular chunks take the batched fast tier
-        (:meth:`_process_chunk_batched`): one vectorized pre-pass masks
-        the whole slab, hashes every record, and picks out the few
-        records that could interact with detector state; everything else
-        is bulk-inserted.  The result is byte-identical to a
-        record-by-record :meth:`process` feed — same loops, stats,
-        eviction cadence, and state — which the equivalence and property
-        suites assert.  Irregular chunks fall back to the per-record
-        path: records are fed as zero-copy ``memoryview`` slices of the
-        chunk's data slab, and the chaining state materializes ``bytes``
-        only when a stream actually forms.
+        Stride-regular chunks of 32 records or more take the batched
+        tier (:meth:`_process_chunk_batched`), which chains the whole
+        slice in one call of the step-1 engine; the result is
+        byte-identical to a record-by-record :meth:`process` feed — same
+        loops, stats and state — which the equivalence and property
+        suites assert.  Other chunks are fed record by record, as
+        zero-copy ``memoryview`` slices of the chunk's data slab; the
+        chaining state materializes ``bytes`` only when a stream
+        actually forms.
         """
         if len(chunk) and chunk.stride is not None:
             loops = self._process_chunk_batched(chunk)
@@ -297,142 +415,101 @@ class StreamingLoopDetector:
         return loops
 
     def _process_chunk_batched(self, chunk) -> list[RoutingLoop] | None:
-        """The chunk-level fast tier; ``None`` means "take the fallback".
+        """The batched tier; ``None`` means "feed record by record".
 
-        The per-record machine does four things per record: validate
-        time order, expire due deadlines, append to the /24 history, and
-        chain against key-level state.  For a stride-regular chunk the
-        first three vectorize, and chaining only matters for records
-        that can actually touch state:
+        The slice is masked and hashed in bulk.  Its *survivors* are the
+        records whose masked hash repeats in the slice or is that of a
+        carried singleton or an open stream (equal keys always hash
+        equal, so no record that could chain is missed).  One call of
+        the step-1 engine (:func:`~repro.core.replica._replay_survivors`,
+        live eviction rule) chains them per key, starting from the
+        carried state of their keys.  Every other record is a singleton
+        and goes to the carry as a column entry.
 
-        * records whose masked hash repeats within the chunk (the PR 7
-          pass-1 filter; equal keys always hash equal, so every
-          potential in-chunk pair survives),
-        * records whose /24 prefix has an open stream or an open
-          (unemitted) loop — key equality implies prefix equality (the
-          dst bytes survive masking), so any record that could chain
-          against pre-chunk stream state is caught by its prefix.
-          Prefixes with only *history* need no replay: plain-history
-          records can neither chain nor block a loop — or
-        * records whose masked hash matches a pending singleton's (the
-          sidecar's sorted hashes, or those of the real ``_singletons``).
+        What is left per record is the events, in record order:
 
-        Those "survivors" replay through the exact per-record code.  The
-        rest — in steady traffic, nearly everything — are counted in bulk
-        stretches bounded by the next due stream/loop deadline or
-        survivor, and their singletons parked as one columnar
-        :class:`_BulkBatch`.  The chunk's history is one sealed
-        :class:`_Slice`, built up front and revealed to window queries
-        record by record (``_visible``).  Sidecar entries are *promoted*
-        into the exact state the moment a later chunk's hash matches
-        (equal keys always hash equal, so no interaction can be missed),
-        evicted arithmetically against the ascending deadline column, and
-        consulted by ``_singleton_may_merge``/``state_snapshot`` with
-        ``now``-aware scans — so loops, stats, eviction cadence, and
-        snapshots stay byte-identical to the reference.
+        * stream completions, at the first record with ``ts >= last +
+          max_replica_gap``, in the deadline heap's order (deadline,
+          then the index of the stream's last replica); each is
+          validated against the history visible before that record;
+        * loop deadlines.  A loop stays open while its prefix has an
+          open stream, or while a live singleton sits inside its merge
+          window (:class:`_LiveSingletons`).
+
+        Streams open at their second replica's record, walked in order
+        between the events.  Their members are marked up front: a query
+        at a record only reaches records at least ``max_replica_gap``
+        older, and a singleton that old can no longer chain there.
         """
         n = len(chunk)
         if n < 32:
-            # The vectorized pre-pass costs more than it saves on tiny
-            # chunks; the per-record fallback folds the sidecar back
-            # into exact state and stays correct.
+            # The bulk passes cost more than they save on tiny slices.
             return None
-        lengths = chunk.lengths
-        length = lengths[0]
-        stride = chunk.stride
-        if length < _MIN_CAPTURE or stride < length:
-            return None
-        lengths_np = np.frombuffer(
-            lengths, dtype=_LENGTH_DTYPES[lengths.itemsize]
-        )
-        if not bool((lengths_np == length).all()):
+        length = _regular_length(chunk)
+        if length is None:
             return None
         ts_np = np.frombuffer(chunk.timestamps, dtype=np.float64, count=n)
         if ts_np[0] < self._now:
-            return None  # fallback raises at the offending record
-        if n > 1 and bool((np.diff(ts_np) < 0).any()):
+            return None  # the per-record feed raises at the offending record
+        if bool((np.diff(ts_np) < 0).any()):
             return None
-
+        if self._carry is None:
+            self._fold_singletons()
+        carry = self._carry
         config = self.config
         gap = config.max_replica_gap
 
         rows, masked, ttls = vectorize.masked_rows(
-            chunk.data, chunk.offsets[0], n, stride, length
+            chunk.data, chunk.offsets[0], n, chunk.stride, length
         )
         hashes = vectorize.hash_rows(masked)
         prefixes = vectorize.dst_prefixes(masked, self._shift)
-        dl_np = ts_np + gap
-
-        _, inverse, counts = np.unique(
-            hashes, return_inverse=True, return_counts=True
-        )
-        replay_np = counts[inverse] > 1
-        # Prefix-level gating is reserved for open streams and open
-        # loops; pending singletons gate by hash below — in steady
-        # traffic nearly every prefix holds *some* singleton, so gating
-        # them by prefix would replay everything.
-        active = {prefix_net
-                  for prefix_net, count in self._open_stream_count.items()
-                  if count > 0}
-        active.update(self._open_loops)
-        if active:
-            replay_np |= np.isin(
-                prefixes, np.fromiter(active, dtype=np.int64, count=len(active))
-            )
-
-        if len(self._bulk_batches) >= 64:
-            # Safety valve for feeds whose chunks are much shorter than
-            # the chaining gap (hundreds of live batches would make the
-            # per-chunk hash probes super-linear): fold the sidecar back
-            # into exact state and start fresh.  Promotion preserves
-            # byte-identical behavior; only the speedup degrades.
-            self._materialize_bulk()
-        if self._bulk_batches:
-            # Records matching a sidecar singleton's hash replay through
-            # the exact machine, and every matching sidecar entry is
-            # promoted into the real state first so the probes see it.
-            # A hash collision just promotes and replays spuriously —
-            # both harmless.  Dead (evicted) entries stay parked.
-            now = self._now
-            minimum = np.minimum
-            for batch in self._bulk_batches:
-                if batch.dl_last <= now:
-                    continue  # all evicted; retired by the end-of-chunk GC
-                hsorted = batch.hsorted
-                slots = np.searchsorted(hsorted, hashes)
-                hits = hsorted[minimum(slots, len(hsorted) - 1)] == hashes
-                if bool(hits.any()):
-                    replay_np |= hits
-                    for slot in np.unique(slots[hits]).tolist():
-                        pos = int(batch.hpos[slot])
-                        if batch.pf[pos] >= 0 and batch.dl[pos] > now:
-                            self._promote(batch, pos)
-
-        # Likewise records hashing like a REAL-state singleton (replay-
-        # inserted or just promoted).  Probing at chunk start
-        # over-approximates: a singleton evicted or consumed mid-chunk,
-        # or a hash collision, just costs a harmless extra replay.
-        keys = [key for key in self._singletons if len(key) == length]
-        if keys:
-            probe = np.sort(vectorize.hash_rows(np.frombuffer(
-                b"".join(keys), dtype=np.uint8).reshape(len(keys), length)))
-            slots = np.minimum(np.searchsorted(probe, hashes), len(keys) - 1)
-            replay_np |= probe[slots] == hashes
-
-        # Per-record python values, materialized once at C speed.
-        ts_list = ts_np.tolist()
-        ttl_list = ttls.tolist()
-        masked_bytes = masked.tobytes()
-        bulk_mask = ~replay_np
-        view = memoryview(chunk.data)
-        first = chunk.offsets[0]
         index0 = self._index
         self._index = index0 + n
 
-        # The chunk's history slice, hidden from window queries until
-        # each record's turn comes.
+        opened = [stream for streams in self._open_streams.values()
+                  for stream in streams if len(stream.key) == length]
+        opened_hashes = vectorize.hash_rows(np.frombuffer(
+            b"".join([stream.key for stream in opened]), dtype=np.uint8,
+        ).reshape(len(opened), length))
+        m, k = len(carry), len(opened)
+        _, inverse, counts = np.unique(
+            np.concatenate((carry.hash, opened_hashes, hashes)),
+            return_inverse=True, return_counts=True,
+        )
+        shared = counts[inverse] > 1
+        s = _sort_survivors([chunk], [(masked, ttls)],
+                            np.flatnonzero(shared[m + k:]), hashes, ts_np)
+        s = s._replace(index=s.position + index0)
+        hit = np.flatnonzero(shared[m:m + k]).tolist()
+        seeds, owners = _seeds(
+            s, masked, carry,
+            np.flatnonzero(shared[:m] & (carry.length == length)),
+            [opened[j] for j in hit], opened_hashes[hit],
+        )
+        streams, inserted, removal, _ = _replay_survivors(
+            s, n, config.min_ttl_delta, gap, live=True, seeds=seeds,
+        )
+        formed, members = self._take_streams(chunk, s, masked, prefixes,
+                                             carry, streams, owners)
+
+        n_surv = len(s.position)
+        stored = np.ones(n, dtype=bool)
+        stored[s.position] = inserted[:n_surv]
+        removed = np.full(n, n, dtype=np.int64)
+        removed[s.position] = removal[:n_surv]
+        carry_removed = np.full(m, n, dtype=np.int64)
+        for row, owner in enumerate(owners, n_surv):
+            if type(owner) is int:
+                carry_removed[owner] = removal[row]
+        self._live = _LiveSingletons(carry, carry_removed, prefixes, ts_np,
+                                     stored, removed, index0, gap)
+
+        # The slice's history, hidden from window queries until each
+        # record's turn comes.
         if self._tail is not None:
             self._seal_tail()
+        ts_list = ts_np.tolist()
         order = np.argsort(prefixes, kind="stable")
         self._slices.append(_Slice(
             index0, ts_list[0], ts_list[-1],
@@ -440,195 +517,160 @@ class StreamingLoopDetector:
             array("d", ts_np[order].tobytes()),
             array("q", (order + index0).tobytes()), set(),
         ))
-        self._visible = index0
-
-        replay_positions = replay_np.nonzero()[0].tolist()
-        replay_positions.append(n)
-        rpi = 0
+        self._add_members(members)
 
         emitted: list[RoutingLoop] = []
         self._emitted = emitted
-        stats = self.stats
         stream_deadlines = self._stream_deadlines
         loop_deadlines = self._loop_deadlines
-        # Bulk singletons inserted so far this chunk (indices below
-        # _visible) are visible to mid-chunk merge-window scans through
-        # these columns before the batch object exists.
-        self._chunk_scan = (ts_np, dl_np, prefixes, bulk_mask, index0)
-
-        pos = 0
-        while pos < n:
-            # A bulk stretch runs until the next stream/loop deadline or
-            # replay survivor.  Singleton evictions never break
-            # stretches: real-heap entries are drained lazily at the next
-            # event (and at chunk end), and sidecar entries are evicted
-            # arithmetically — indistinguishable from the reference,
-            # because a pending-eviction key can only be probed or
-            # re-inserted by a replayed record, and
-            # ``_singleton_may_merge`` only runs inside loop-close events
-            # after the drain.
-            stop = n
-            bound = None
-            if stream_deadlines:
-                bound = stream_deadlines[0][0]
-            if loop_deadlines and (bound is None
-                                   or loop_deadlines[0][0] < bound):
+        inf = float("inf")
+        pos = fi = 0
+        while True:
+            bound = stream_deadlines[0][0] if stream_deadlines else inf
+            if loop_deadlines and loop_deadlines[0][0] < bound:
                 bound = loop_deadlines[0][0]
-            if bound is not None:
-                stop = bisect_left(ts_list, bound, pos)
-            if replay_positions[rpi] < stop:
-                stop = replay_positions[rpi]
+            r = bisect_left(ts_list, bound, pos)
+            if r >= n:
+                break
+            while fi < len(formed) and formed[fi][0] < r:
+                self._open_stream(*formed[fi][1:])
+                fi += 1
+            now = self._now = ts_list[r]
+            self._visible = index0 + r
+            self._expire(now)
+            pos = r + 1
+        for _, stream, prefix_net in formed[fi:]:
+            self._open_stream(stream, prefix_net)
+        self._live = None
+        self._visible = inf
+        now = self._now = ts_list[-1]
+        self.stats.records += n
 
-            if stop > pos:
-                # Bulk records: only counters update here; the singleton
-                # bookkeeping is deferred to the sidecar batch built at
-                # chunk end.  Nothing in a stretch can pair, complete,
-                # or expire before ``stop``.
-                stats.records += stop - pos
-                self._deadline_seq += stop - pos
-                self._now = ts_list[stop - 1]
-                pos = stop
-                continue
-
-            # Event record: replicate process() exactly — expire with
-            # the history visible up to (not including) this record,
-            # then chain (or count a deferred bulk insert when the
-            # record only stopped here for a deadline).
-            timestamp = ts_list[pos]
-            self._now = timestamp
-            stats.records += 1
-            self._visible = index0 + pos
-            self._expire(timestamp)
-            if pos == replay_positions[rpi]:
-                rpi += 1
-                off = first + pos * stride
-                key_off = pos * length
-                self._chain(index0 + pos, timestamp,
-                            view[off:off + length],
-                            key=masked_bytes[key_off:key_off + length],
-                            ttl=ttl_list[pos])
-            else:
-                self._deadline_seq += 1
-            pos += 1
-
-        # Park this chunk's bulk singletons as one columnar batch.  The
-        # per-record columns stay full-chunk (replay positions read -1
-        # in ``pf``, so they are dead by construction); only the hash
-        # probe columns are compacted to the bulk entries.
-        if bool(bulk_mask.any()):
-            bulk_hashes = hashes[bulk_mask]
-            order = np.argsort(bulk_hashes)
-            batch = _BulkBatch(
-                keys=masked_bytes,
-                ts=ts_np,
-                dl=dl_np,
-                ttls=ttls,
-                pf=np.where(bulk_mask, prefixes, np.int64(-1)),
-                hsorted=bulk_hashes[order],
-                hpos=bulk_mask.nonzero()[0][order],
-                dl_last=float(dl_np[-1]),
-                data=chunk.data,
-                first=first,
-                stride=stride,
-                length=length,
-                index0=index0,
-            )
-            self._bulk_batches.append(batch)
-        self._chunk_scan = None
-        self._visible = float("inf")
-
-        # Catch-up drain: the reference ran the singleton sweep at every
-        # record, so by the last record everything due has been evicted.
-        now = self._now
-        self._evict_singletons(now)
-
-        # Retire batches whose every entry is past its deadline, and
-        # history no query can reach any more.
-        batches = self._bulk_batches
-        while batches and batches[0].dl_last <= now:
-            batches.pop(0)
+        # The carry after the slice: its entries and the slice's
+        # singletons that no record took out and that are still live.
+        fresh = stored & (removed == n) & (ts_np + gap > now)
+        self._carry = carry.then(
+            (carry_removed == n) & (carry.ts + gap > now),
+            hashes[fresh], np.flatnonzero(fresh) + index0, ts_np[fresh],
+            ttls[fresh], prefixes[fresh], rows[fresh],
+        )
         if now > self._prune_at:
             self._prune_history(now)
         return emitted
 
-    # -- batched-tier sidecar ---------------------------------------------------
-
-    def _promote(self, batch: _BulkBatch, pos: int) -> None:
-        """Move one live sidecar singleton into the exact per-record
-        state (dict, prefix set, deadline heap), tombstoning the sidecar
-        entry.  The heap push is valid at any time: heap operations
-        never assume global ordering of pushed values."""
-        length = batch.length
-        key_off = pos * length
-        key = batch.keys[key_off:key_off + length]
-        index = batch.index0 + pos
-        off = batch.first + pos * batch.stride
-        data = memoryview(batch.data)[off:off + length]
-        self._singletons[key] = (
-            index, float(batch.ts[pos]), int(batch.ttls[pos]), data
-        )
-        self._singleton_prefixes.setdefault(
-            int(batch.pf[pos]), set()
-        ).add(key)
-        heapq.heappush(
-            self._singleton_deadlines, (float(batch.dl[pos]), key, index)
-        )
-        batch.pf[pos] = -1
-
-    def _materialize_bulk(self) -> None:
-        """Promote every live sidecar singleton into the exact state —
-        a per-record feed (or snapshot restore) is about to probe
-        ``_singletons`` directly."""
-        now = self._now
-        for batch in self._bulk_batches:
-            start = int(np.searchsorted(batch.dl, now, side="right"))
-            live = np.flatnonzero(batch.pf[start:] >= 0)
-            for pos in (live + start).tolist():
-                self._promote(batch, pos)
-        self._bulk_batches.clear()
-
-    def _bulk_live_count(self) -> int:
-        """Sidecar singletons still pending eviction at ``_now``."""
-        now = self._now
-        count = 0
-        for batch in self._bulk_batches:
-            start = int(np.searchsorted(batch.dl, now, side="right"))
-            if start < len(batch.pf):
-                count += int((batch.pf[start:] >= 0).sum())
-        return count
-
-    def _bulk_singleton_may_merge(self, prefix_net: int, horizon: float,
-                                  now: float) -> bool:
-        """Sidecar arm of :meth:`_singleton_may_merge`: scan parked
-        batches (and the in-flight chunk's columns) for a live singleton
-        on this prefix inside the merge window.  Tombstoned entries have
-        ``pf == -1`` and can never match a real prefix."""
-        for batch in self._bulk_batches:
-            start = int(np.searchsorted(batch.dl, now, side="right"))
-            if start == len(batch.pf):
+    def _take_streams(self, chunk, s, masked, prefixes, carry, streams,
+                      owners) -> list[tuple]:
+        """Apply the engine's streams: extend the open streams it
+        extended and push their deadlines and those of the new ones.
+        Returns ``(formed, members)``: the new streams as ``(slice
+        position of the second replica, stream, prefix)``, in that
+        order, and the record index of every member."""
+        firsts, ends, replayed = streams
+        n_surv = len(s.position)
+        heads: list = [None] * len(firsts)
+        parts = []
+        for members in replayed:
+            head = members[0]
+            if head < n_surv:
+                heads.append(None)
+                parts.append(members)
+            elif len(members) > 1:
+                heads.append(owners[head - n_surv])
+                parts.append(members[1:])
+        sizes = (ends - firsts).tolist() + [len(part) for part in parts]
+        rows = np.concatenate((
+            vectorize.ranges(firsts, ends - firsts),
+            np.fromiter(chain.from_iterable(parts), dtype=np.int64),
+        ))
+        indices = s.index[rows].tolist()
+        positions = s.position[rows].tolist()
+        replicas = list(map(_new_replica, zip(
+            indices, s.timestamp[rows].tolist(), s.ttl[rows].tolist())))
+        members = indices
+        view = memoryview(chunk.data)
+        first, stride, length = chunk.offsets[0], chunk.stride, masked.shape[1]
+        formed = []
+        at = 0
+        for head, size in zip(heads, sizes):
+            tail = replicas[at:at + size]
+            if isinstance(head, _OpenStream):
+                head.replicas.extend(tail)
+                self._push_stream_deadline(head)
+                at += size
                 continue
-            if bool(((batch.pf[start:] == prefix_net)
-                     & (batch.ts[start:] < horizon)).any()):
-                return True
-        scan = self._chunk_scan
-        if scan is not None:
-            ts_np, dl_np, prefixes, bulk_mask, index0 = scan
-            upto = self._visible - index0
-            if upto and bool((bulk_mask[:upto]
-                              & (prefixes[:upto] == prefix_net)
-                              & (dl_np[:upto] > now)
-                              & (ts_np[:upto] < horizon)).any()):
-                return True
-        return False
+            if head is None:
+                p = positions[at]
+                offset = first + p * stride
+                data = bytes(view[offset:offset + length])
+                key = masked[p].tobytes()
+                since = positions[at + 1]
+                prefix_net = int(prefixes[p])
+            else:  # a carried singleton starts the stream
+                data = carry.record(head)
+                key = mask_mutable_fields(data)
+                first_replica = _new_replica((int(carry.index[head]),
+                                              float(carry.ts[head]),
+                                              int(carry.ttl[head])))
+                tail.insert(0, first_replica)
+                members.append(first_replica.index)
+                since = positions[at]
+                prefix_net = int(carry.prefix[head])
+            stream = _OpenStream(key=key, first_data=data, replicas=tail)
+            self._push_stream_deadline(stream)
+            formed.append((since, stream, prefix_net))
+            at += size
+        formed.sort(key=itemgetter(0))
+        return formed, members
+
+    # -- the two singleton stores ------------------------------------------------
+
+    def _fold_singletons(self) -> None:
+        """Move the per-record feed's singletons into the carry, which
+        the batched tier reads instead."""
+        entries = list(self._singletons.values())
+        self._singletons.clear()
+        self._singleton_prefixes.clear()
+        self._singleton_deadlines.clear()
+        by_length: dict[int, list] = {}
+        for entry in entries:
+            by_length.setdefault(len(entry[3]), []).append(entry)
+        carry = _Carry.empty()
+        for length, group in by_length.items():
+            index, ts, ttl, data = zip(*group)
+            rows = np.frombuffer(b"".join(map(bytes, data)),
+                                 dtype=np.uint8).reshape(len(group), length)
+            masked = rows.copy()
+            masked[:, [8, 10, 11]] = 0
+            carry = carry.then(
+                np.ones(len(carry), dtype=bool), vectorize.hash_rows(masked),
+                np.array(index, dtype=np.int64), np.array(ts),
+                np.array(ttl, dtype=np.int16),
+                vectorize.dst_prefixes(masked, self._shift), rows,
+            )
+        self._carry = carry
+
+    def _fold_carry(self) -> None:
+        """Move the carry into the per-record feed's singleton state
+        (dict, prefix sets and deadline heap) before it probes them."""
+        carry, self._carry = self._carry, None
+        gap = self.config.max_replica_gap
+        for i, (index, timestamp, ttl, prefix_net) in enumerate(zip(
+                carry.index.tolist(), carry.ts.tolist(),
+                carry.ttl.tolist(), carry.prefix.tolist())):
+            data = carry.record(i)
+            key = mask_mutable_fields(data)
+            self._singletons[key] = (index, timestamp, ttl, data)
+            self._singleton_prefixes.setdefault(prefix_net, set()).add(key)
+            heapq.heappush(self._singleton_deadlines,
+                           (timestamp + gap, key, index))
 
     def flush(self) -> list[RoutingLoop]:
         """End of input: complete every open stream and close every loop."""
         self._emitted = []
+        # Every carried singleton is past its deadline at +inf, like the
+        # per-record singletons the sweep below evicts.
+        self._carry = None
         self._expire(float("inf"))
-        if self._bulk_batches:
-            # Every sidecar singleton is past its deadline at +inf —
-            # the arithmetic twin of the eviction sweep above.
-            self._bulk_batches.clear()
         return self._emitted
 
     def state_snapshot(self) -> dict:
@@ -643,6 +685,7 @@ class StreamingLoopDetector:
         ``tracked_prefixes`` counts the /24s with a record since ``now -
         (merge_gap + max_replica_gap)``.
         """
+        carry = self._carry  # read once: the feeding thread replaces it
         open_streams = [
             {
                 "replicas": len(stream.replicas),
@@ -665,7 +708,7 @@ class StreamingLoopDetector:
         ]
         return {
             "now": None if self._now == float("-inf") else self._now,
-            "singletons": len(self._singletons) + self._bulk_live_count(),
+            "singletons": len(self._singletons if carry is None else carry),
             "open_streams": open_streams,
             "open_loops": open_loops,
             "tracked_prefixes": self._tracked_prefixes(),
@@ -683,15 +726,10 @@ class StreamingLoopDetector:
 
     # -- step 1: chaining -------------------------------------------------------
 
-    def _chain(self, index: int, timestamp: float, data: bytes,
-               key: bytes | None = None, ttl: int | None = None) -> None:
+    def _chain(self, index: int, timestamp: float, data: bytes) -> None:
         config = self.config
-        if key is None:
-            # The batched tier passes the key and TTL it already
-            # extracted from the masked slab; the per-record path
-            # computes them here.
-            key = mask_mutable_fields(data)
-            ttl = data[8]
+        key = mask_mutable_fields(data)
+        ttl = data[8]
 
         streams = self._open_streams.get(key)
         if streams is not None:
@@ -703,7 +741,7 @@ class StreamingLoopDetector:
                     stream.replicas.append(
                         Replica(index=index, timestamp=timestamp, ttl=ttl)
                     )
-                    self._add_member(index)
+                    self._add_members((index,))
                     self._push_stream_deadline(stream)
                     return
 
@@ -725,15 +763,11 @@ class StreamingLoopDetector:
                         Replica(index=index, timestamp=timestamp, ttl=ttl),
                     ],
                 )
-                self._open_streams.setdefault(key, []).append(stream)
                 del self._singletons[key]
                 prefix_net = self._prefix_net(prev_data)
                 self._drop_singleton_key(prefix_net, key)
-                self._open_stream_count[prefix_net] = (
-                    self._open_stream_count.get(prefix_net, 0) + 1
-                )
-                self._add_member(prev_index)
-                self._add_member(index)
+                self._open_stream(stream, prefix_net)
+                self._add_members((prev_index, index))
                 self._push_stream_deadline(stream)
                 return
 
@@ -741,7 +775,6 @@ class StreamingLoopDetector:
         self._singleton_prefixes.setdefault(
             self._prefix_net(data), set()
         ).add(key)
-        self._deadline_seq += 1
         heapq.heappush(
             self._singleton_deadlines,
             (timestamp + config.max_replica_gap, key, index),
@@ -750,20 +783,34 @@ class StreamingLoopDetector:
     def _prefix_net(self, data: bytes) -> int:
         return int.from_bytes(data[16:20], "big") >> self._shift
 
-    def _add_member(self, index: int) -> None:
-        # Records join streams within the chaining gap, so the member's
-        # slice is nearly always the newest or the one before.
+    def _open_stream(self, stream: _OpenStream, prefix_net: int) -> None:
+        self._open_streams.setdefault(stream.key, []).append(stream)
+        self._open_stream_count[prefix_net] = (
+            self._open_stream_count.get(prefix_net, 0) + 1
+        )
+
+    def _add_members(self, indices) -> None:
+        """Mark records ``indices`` as stream members in their history
+        slices.  Records join streams within the chaining gap, so their
+        slice is nearly always the newest or the one before."""
+        if not indices:
+            return
         for piece in reversed(self._slices):
-            if piece.base <= index:
-                piece.members.add(index)
+            base = piece.base
+            if min(indices) >= base:
+                piece.members.update(indices)
                 return
+            piece.members.update([i for i in indices if i >= base])
+            indices = [i for i in indices if i < base]
 
     def _push_stream_deadline(self, stream: _OpenStream) -> None:
-        self._deadline_seq += 1
+        # Ties break by the last replica's record index: the order in
+        # which the per-record feed pushes them.
+        last = stream.last
         heapq.heappush(
             self._stream_deadlines,
-            (stream.last.timestamp + self.config.max_replica_gap,
-             self._deadline_seq, stream),
+            (last.timestamp + self.config.max_replica_gap, last.index,
+             stream),
         )
 
     # -- deadline processing ------------------------------------------------------
@@ -832,17 +879,14 @@ class StreamingLoopDetector:
         loop cannot close yet.  (Singletons past the window can only seed
         streams that start a new loop — those never block emission.)
 
-        Checks the exact per-record state first, then the batched tier's
-        sidecar, whose entries are live while their deadline is still
-        ahead of ``now``.
+        Mid-slice, the batched tier's singletons answer instead.
         """
         horizon = loop.end + self.config.merge_gap
-        if any(self._singletons[key][1] < horizon
-               for key in self._singleton_prefixes.get(prefix_net, ())):
-            return True
-        if self._bulk_batches or self._chunk_scan is not None:
-            return self._bulk_singleton_may_merge(prefix_net, horizon, now)
-        return False
+        if self._live is not None:
+            return self._live.may_merge(prefix_net, self._visible, now,
+                                        horizon)
+        return any(self._singletons[key][1] < horizon
+                   for key in self._singleton_prefixes.get(prefix_net, ()))
 
     def _push_loop_deadline(self, prefix_net: int, now: float) -> None:
         loop = self._open_loops.get(prefix_net)

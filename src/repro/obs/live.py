@@ -278,12 +278,14 @@ def feed_pairs(streaming, monitor: LiveMonitor, pairs) -> list:
 
 
 #: Most records one ``process_chunk`` call receives from :func:`feed_chunk`.
-#: The batched tier's per-call transient grows at ~370 B/record
-#: (tracemalloc medians: 0.34 MB at 880 records, 3.0 MB at 8,192,
-#: 22.9 MB at 65,536), and uncapped 65k-record source chunks raised a
-#: two-link fleet's peak RSS from 118 to 157 MB.  8k records keeps the
-#: transient at a few MB while still making ~8x fewer calls than
-#: slicing at every second.
+#: The batched tier's per-call transient grows at 200-450 B/record
+#: (tracemalloc medians on perfbench's seed-7 fleet links, sparse /
+#: storm: 1.0 / 0.9 MB at 880 records, 2.2 / 3.6 MB at 8,192, 13.7 /
+#: 14.6 MB at 65,536; below ~1k records the copy of the carried
+#: singletons dominates), and uncapped 65k-record source chunks once
+#: raised a two-link fleet's peak RSS from 118 to 157 MB.  8k records
+#: keeps the transient at a few MB while still making ~8x fewer calls
+#: than slicing at every second.
 _FEED_SLICE = 8192
 
 

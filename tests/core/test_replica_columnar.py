@@ -1,6 +1,6 @@
-"""Equivalence tests: batched columnar step-1 kernel vs the oracle.
+"""Equivalence tests: the step-1 kernel over columnar chunks vs the oracle.
 
-The columnar kernel must be *behaviourally indistinguishable* from the
+The kernel must be *behaviourally indistinguishable* from the
 reference oracle ``reference_replicas`` (``tests/oracles.py``) fed
 the same records — same streams, same replica indices, same keys, same
 first_data bytes — on synthetic loop traces, pcap round trips, and
@@ -15,7 +15,7 @@ from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.replica import (
     ReplicaError,
     ReplicaScanStats,
-    detect_replicas_columnar,
+    detect_replicas_vectorized,
 )
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
@@ -52,7 +52,7 @@ class TestColumnarKernelEquivalence:
     def test_matches_reference_on_synthetic_trace(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
         _assert_streams_equal(
-            detect_replicas_columnar(ctrace.chunks),
+            detect_replicas_vectorized(ctrace.chunks),
             reference_replicas(loop_trace),
         )
 
@@ -62,7 +62,7 @@ class TestColumnarKernelEquivalence:
             ctrace = ColumnarTrace.from_trace(loop_trace,
                                               chunk_records=chunk_records)
             _assert_streams_equal(
-                detect_replicas_columnar(ctrace.chunks), reference
+                detect_replicas_vectorized(ctrace.chunks), reference
             )
 
     def test_matches_through_pcap_mmap_reader(self, loop_trace, tmp_path):
@@ -71,7 +71,7 @@ class TestColumnarKernelEquivalence:
         ctrace = read_pcap_columnar(path)
         trace = read_pcap(path)
         _assert_streams_equal(
-            detect_replicas_columnar(ctrace.chunks),
+            detect_replicas_vectorized(ctrace.chunks),
             reference_replicas(trace),
         )
 
@@ -80,35 +80,35 @@ class TestColumnarKernelEquivalence:
         builder.add_background(200, 0.0, 30.0)
         trace = builder.build()
         ctrace = ColumnarTrace.from_trace(trace)
-        streams = detect_replicas_columnar(ctrace.chunks)
-        assert streams == reference_replicas(trace) == []
+        streams = detect_replicas_vectorized(ctrace.chunks)
+        assert list(streams) == reference_replicas(trace) == []
 
     def test_accepts_columnar_trace_directly(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
         _assert_streams_equal(
-            detect_replicas_columnar(ctrace),
-            detect_replicas_columnar(ctrace.chunks),
+            detect_replicas_vectorized(ctrace),
+            detect_replicas_vectorized(ctrace.chunks),
         )
 
     def test_parameters_forwarded(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
         for kwargs in ({"min_ttl_delta": 3}, {"max_replica_gap": 0.005}):
             _assert_streams_equal(
-                detect_replicas_columnar(ctrace.chunks, **kwargs),
+                detect_replicas_vectorized(ctrace.chunks, **kwargs),
                 reference_replicas(loop_trace, **kwargs),
             )
 
     def test_negative_eviction_interval_rejected(self, loop_trace):
         chunks = ColumnarTrace.from_trace(loop_trace).chunks
         with pytest.raises(ReplicaError):
-            detect_replicas_columnar(chunks, eviction_interval=-997)
+            detect_replicas_vectorized(chunks, eviction_interval=-997)
 
     def test_scan_stats_match(self, loop_trace):
         ctrace = ColumnarTrace.from_trace(loop_trace)
         ref_stats = ReplicaScanStats()
         col_stats = ReplicaScanStats()
         reference_replicas(loop_trace, stats=ref_stats)
-        detect_replicas_columnar(ctrace.chunks, stats=col_stats)
+        detect_replicas_vectorized(ctrace.chunks, stats=col_stats)
         assert col_stats.records_scanned == ref_stats.records_scanned
         assert col_stats.records_skipped_short == \
             ref_stats.records_skipped_short
@@ -120,7 +120,7 @@ class TestColumnarKernelEquivalence:
             ref_stats = ReplicaScanStats()
             col_stats = ReplicaScanStats()
             _assert_streams_equal(
-                detect_replicas_columnar(ctrace.chunks,
+                detect_replicas_vectorized(ctrace.chunks,
                                          eviction_interval=interval,
                                          stats=col_stats),
                 reference_replicas(loop_trace, eviction_interval=interval,
@@ -131,9 +131,7 @@ class TestColumnarKernelEquivalence:
 
     def test_mixed_regular_and_irregular_chunks(self, loop_trace):
         # Strip the stride declaration from every other chunk so the
-        # same stream keys chain across the bulk-masked path and the
-        # per-record fallback — a singleton stored by one path must be
-        # promotable by the other.
+        # same stream keys chain across strided and per-record masking.
         import dataclasses
 
         reference = reference_replicas(loop_trace)
@@ -144,7 +142,7 @@ class TestColumnarKernelEquivalence:
                 dataclasses.replace(chunk, stride=None) if i % 2 else chunk
                 for i, chunk in enumerate(ctrace.chunks)
             ]
-            _assert_streams_equal(detect_replicas_columnar(mixed), reference)
+            _assert_streams_equal(detect_replicas_vectorized(mixed), reference)
 
 
 class TestFullPipelineEquivalence:

@@ -5,17 +5,16 @@ masked key rather than in scan order, classifies each key's group as
 chain-all, chain-none or mixed, and counts evictions with
 ``searchsorted``.  Each test here drives one of the cases that argument
 has to get right and compares the streams, their ``first_data`` and all
-four scan stats against the reference oracle (``tests/oracles.py``) and
-the per-record columnar scan:
+four scan stats against the reference oracle (``tests/oracles.py``):
 
 * forced hash collisions (``hash_rows`` patched to a low-entropy hash),
   so collision groups and mixed groups take the per-group replay;
 * a chain-break group (TTLs 60, 58, 58, 56, 70, 68);
 * short records, and survivors sitting exactly on eviction boundaries;
 * timestamps that regress, with entries below an earlier boundary's
-  horizon, which the replay answers itself, and the two ways a boundary
-  can evict an entry the replay chained to (a regression across it, and
-  a float corner of its horizon), which must take the columnar fallback.
+  horizon, and the two ways a boundary can evict an entry a replay
+  that ignores eviction would chain to (a regression across it, and a
+  float corner of its horizon), which the replay settles itself.
 """
 
 import math
@@ -25,13 +24,8 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.core import replica as replica_mod
 from repro.core import vectorize
-from repro.core.replica import (
-    ReplicaScanStats,
-    detect_replicas_columnar,
-    detect_replicas_vectorized,
-)
+from repro.core.replica import ReplicaScanStats, detect_replicas_vectorized
 from repro.net.columnar import ColumnarChunk
 from tests.oracles import chunk_triples, detect_replicas_indexed
 
@@ -89,25 +83,10 @@ def _oracle(chunks, **params):
 
 
 def _assert_exact(chunks, **params):
-    """All three tiers agree; returns the oracle's answer."""
+    """The kernel agrees with the oracle; returns the oracle's answer."""
     expected = _run(_oracle, chunks, **params)
-    assert _run(detect_replicas_columnar, chunks, **params) == expected
     assert _run(detect_replicas_vectorized, chunks, **params) == expected
     return expected
-
-
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """Count the vectorized kernel's calls into the columnar tier."""
-    calls = []
-    columnar = replica_mod.detect_replicas_columnar
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return columnar(*args, **kwargs)
-
-    monkeypatch.setattr(replica_mod, "detect_replicas_columnar", spy)
-    return calls
 
 
 def _storm(n_flows=12, replicas=6, background=60, spacing=0.01):
@@ -254,32 +233,32 @@ class TestForcedCollisions:
 
 class TestEvictionCheck:
     """Eviction only matters where it drops an entry a later record
-    chains to; the replay checks each chain it makes for that and falls
-    back to the columnar tier only then."""
+    chains to; the replay checks each chain it makes for that and, where
+    a boundary cuts one, replays with eviction until the boundaries that
+    fire settle."""
 
-    def test_regressing_timestamps(self, fallback_calls):
+    def test_regressing_timestamps(self):
         # A swapped pair regresses by far less than the gap, so no
         # boundary can evict an entry the replay chains to.
         bodies, stamps = _storm()
         stamps[10], stamps[11] = stamps[11], stamps[10]
         _assert_exact(_chunks(bodies, stamps), max_replica_gap=0.05,
                       eviction_interval=3)
-        assert not fallback_calls
 
     @pytest.mark.parametrize("jitter", [0.02, 0.1, 0.2])
     @pytest.mark.parametrize("eviction_interval", [2, 5, 11])
     @pytest.mark.parametrize("seed", range(4))
     def test_jittered_timestamps(self, seed, eviction_interval, jitter):
         # Jitter against a 0.05 s gap: boundaries fire out of horizon
-        # order; at 0.1 entries sit below earlier horizons and the
-        # replay still answers, at 0.2 chains are cut and it falls back.
+        # order; at 0.1 entries sit below earlier horizons, at 0.2
+        # chains are cut and the replay settles the boundaries.
         rng = random.Random(seed)
         bodies, stamps = _storm()
         stamps = [t + rng.uniform(-jitter, jitter) for t in stamps]
         _assert_exact(_chunks(bodies, stamps), max_replica_gap=0.05,
                       eviction_interval=eviction_interval)
 
-    def test_entries_below_an_earlier_horizon(self, fallback_calls):
+    def test_entries_below_an_earlier_horizon(self):
         # The boundary at 2 (t = 10) sets horizon 5.0 before flow 1's
         # and flow 2's records arrive, regressed below it.  Flow 1 still
         # chains across the boundary at 4 (horizon -2.0); flow 2's first
@@ -296,10 +275,9 @@ class TestEvictionCheck:
         )
         assert [[r[0] for r in s[2]] for s in streams] == [[3, 5]]
         assert stats[2] == 4
-        assert not fallback_calls
 
     def test_regression_across_a_boundary_cuts_a_chain(
-            self, fallback_calls):
+            self):
         # The boundary at 2 (t = 7) evicts flow 1's singleton (t = 1)
         # before its regressed replica (t = 1.5) could chain to it.
         bodies = [_body(100, 40), _body(1, 64), _body(101, 40),
@@ -310,15 +288,13 @@ class TestEvictionCheck:
             max_replica_gap=5.0,
         )
         assert streams == [] and stats[2] == 2
-        assert len(fallback_calls) == 1
 
-    def test_monotone_storm_stays_vectorized(self, fallback_calls):
+    def test_monotone_storm_stays_vectorized(self):
         bodies, stamps = _storm()
         _assert_exact(_chunks(bodies, stamps), max_replica_gap=0.05,
                       eviction_interval=3)
-        assert not fallback_calls
 
-    def test_float_corner_of_the_horizon(self, fallback_calls):
+    def test_float_corner_of_the_horizon(self):
         # gap 5.0, boundary record at t = 5.1: the horizon is 5.1 - 5.0,
         # and the entry one float below it is evicted there although
         # 5.1 - t rounds to exactly 5.0, which would chain.
@@ -333,4 +309,3 @@ class TestEvictionCheck:
             max_replica_gap=5.0,
         )
         assert streams == [] and stats[2] == 2
-        assert len(fallback_calls) == 1

@@ -5,9 +5,8 @@ Three contracts:
 * the vectorize primitives keep their contracts (equal rows hash
   equal; the hash weight table is prefix-stable as it grows);
 * ``detect_replicas_vectorized`` returns byte-identical streams AND
-  scan stats to the reference oracle (``tests/oracles.py``) and the
-  per-record columnar scan on every layout — regular, padded
-  strides, irregular, mixed, heavy eviction;
+  scan stats to the reference oracle (``tests/oracles.py``) on every
+  layout — regular, padded strides, irregular, mixed, heavy eviction;
 * tier dispatch: ``resolve_kernel`` / ``detect_replicas_with_kernel``
   route correctly and ``auto`` always resolves to ``vectorized``.
 """
@@ -22,7 +21,6 @@ from repro.core import vectorize
 from repro.core.replica import (
     ReplicaError,
     ReplicaScanStats,
-    detect_replicas_columnar,
     detect_replicas_vectorized,
     detect_replicas_with_kernel,
     resolve_kernel,
@@ -90,11 +88,10 @@ def _oracle(chunks, **kwargs):
 
 
 def _all_tiers(chunks, **kwargs):
-    """Run the oracle and both kernel tiers with fresh stats; return
+    """Run the oracle and the kernel with fresh stats; return
     [(fps, stats)]."""
     out = []
-    for impl in (_oracle, detect_replicas_columnar,
-                 detect_replicas_vectorized):
+    for impl in (_oracle, detect_replicas_vectorized):
         stats = ReplicaScanStats()
         streams = impl(chunks, stats=stats, **kwargs)
         out.append((_fps(streams), (stats.records_scanned,
@@ -105,8 +102,7 @@ def _all_tiers(chunks, **kwargs):
 
 
 def _assert_tiers_identical(chunks, **kwargs):
-    reference, columnar, vectorized = _all_tiers(chunks, **kwargs)
-    assert columnar == reference
+    reference, vectorized = _all_tiers(chunks, **kwargs)
     assert vectorized == reference
 
 
@@ -218,17 +214,17 @@ class TestVectorizedKernelEquivalence:
 class TestTierDispatch:
     def test_resolve_auto_prefers_vectorized(self):
         assert resolve_kernel("auto") == "vectorized"
-        for tier in ("columnar", "vectorized"):
-            assert resolve_kernel(tier) == tier
+        assert resolve_kernel("vectorized") == "vectorized"
 
     def test_resolve_rejects_unknown(self):
-        with pytest.raises(ReplicaError):
-            resolve_kernel("simd")
+        for tier in ("simd", "columnar"):
+            with pytest.raises(ReplicaError):
+                resolve_kernel(tier)
 
     def test_with_kernel_accepts_trace_and_chunk_list(self):
         trace = _loop_trace(seed=19, background=100)
         ctrace = ColumnarTrace.from_trace(trace, chunk_records=64)
         by_trace = detect_replicas_vectorized(ctrace)
-        by_list = detect_replicas_columnar(ctrace.chunks)
+        by_list = detect_replicas_vectorized(ctrace.chunks)
         assert _fps(by_trace) == _fps(by_list)
         assert _fps(detect_replicas_with_kernel(ctrace)) == _fps(by_trace)

@@ -2,14 +2,16 @@
 
 ``process_chunk`` must be byte-identical to a record-by-record
 ``process`` feed — same loops, stats, eviction cadence, and state
-snapshots — whether a chunk takes the vectorized fast tier or degrades
-to the per-record fallback.
+snapshots — whether a chunk takes the batched tier (one call of the
+step-1 engine per slice, no per-record chaining) or is fed record by
+record.
 """
 
 import random
 from dataclasses import asdict
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig, LoopDetector
@@ -50,6 +52,32 @@ def _feed_chunked(trace, chunk_records, config=None):
     for chunk in ColumnarTrace.from_trace(trace, chunk_records).chunks:
         loops.extend(detector.process_chunk(chunk))
     return detector, loops
+
+
+def _chain_calls(monkeypatch):
+    """Count calls of the per-record chaining step."""
+    calls = []
+    chain = StreamingLoopDetector._chain
+
+    def spy(self, *args):
+        calls.append(args[0])
+        return chain(self, *args)
+
+    monkeypatch.setattr(StreamingLoopDetector, "_chain", spy)
+    return calls
+
+
+def _storm_trace(seed=0):
+    """Dozens of concurrent loops on a few /24s, with background
+    traffic on the same prefixes: streams straddle every slice size."""
+    builder = SyntheticTraceBuilder(rng=random.Random(seed))
+    prefixes = [IPv4Prefix((192 << 24) | (i << 8), 24) for i in range(6)]
+    builder.add_background(600, 0.0, 40.0, prefixes=prefixes + [OTHER])
+    for i in range(24):
+        builder.add_loop(1.0 + i * 1.5, prefixes[i % 6], n_packets=4,
+                         replicas_per_packet=8, spacing=0.05,
+                         packet_gap=0.03, entry_ttl=60)
+    return builder.build()
 
 
 def _assert_identical(trace, chunk_records, config=None):
@@ -101,23 +129,52 @@ class TestEquivalence:
         loops = _assert_identical(_loop_trace(), 256, config)
         assert len(loops) == 1  # 150 s apart: merged under the big gap
 
+    @pytest.mark.parametrize("buckets", [1, 5])
+    def test_forced_hash_collisions(self, monkeypatch, buckets):
+        # A low-entropy hash puts many keys in one group, carried
+        # singletons and open streams included: chained per exact key.
+        from repro.core import vectorize
+
+        monkeypatch.setattr(
+            vectorize, "hash_rows",
+            lambda rows: rows.sum(axis=1, dtype=np.uint64)
+            % np.uint64(buckets),
+        )
+        _assert_identical(_storm_trace(seed=3), 97)
+
+    @pytest.mark.parametrize("chunk_records", [1, 2, 31, 32, 33, 100])
+    def test_storm_streams_straddle_slices(self, chunk_records):
+        # Slices of 31 records and fewer are fed record by record, 32
+        # and up take the batched tier, so 31/32/33 also switch stores.
+        loops = _assert_identical(_storm_trace(), chunk_records)
+        assert len(loops) >= 6
+
 
 class TestTierSelection:
-    def test_batched_tier_parks_singletons(self):
-        trace = _loop_trace(seed=1, loops=0, background=200, span=60.0)
-        detector = StreamingLoopDetector()
-        detector.process_chunk(ColumnarTrace.from_trace(trace).chunks[0])
-        assert detector._bulk_batches  # sidecar engaged, not _singletons
+    def test_batched_tier_parks_singletons(self, monkeypatch):
+        # A batched storm feed chains without one per-record call, and
+        # its singletons live in the carry, not the per-record store.
+        calls = _chain_calls(monkeypatch)
+        trace = _storm_trace(seed=1)
+        fast, _ = _feed_chunked(trace, 1024)
+        assert not calls
+        ref, _ = _feed_per_record(trace)
+        assert len(calls) == len(trace.records)
+        assert fast.state_snapshot() == ref.state_snapshot()
+        assert fast.state_snapshot()["singletons"] > 0
+        assert not fast._singletons
 
-    def test_tiny_chunks_take_the_fallback(self):
+    def test_tiny_chunks_take_the_fallback(self, monkeypatch):
+        calls = _chain_calls(monkeypatch)
         trace = _loop_trace(seed=1, loops=0, background=31, span=10.0)
         detector = StreamingLoopDetector()
         chunk = ColumnarTrace.from_trace(trace).chunks[0]
         assert len(chunk) < 32
         detector.process_chunk(chunk)
-        assert not detector._bulk_batches
+        assert len(calls) == len(chunk)
 
-    def test_irregular_chunks_take_the_fallback(self):
+    def test_irregular_chunks_take_the_fallback(self, monkeypatch):
+        calls = _chain_calls(monkeypatch)
         trace = _loop_trace(seed=1, loops=0, background=64, span=20.0)
         chunk = ColumnarTrace.from_trace(trace).chunks[0]
         irregular = ColumnarChunk(
@@ -127,21 +184,24 @@ class TestTierSelection:
         )
         detector = StreamingLoopDetector()
         detector.process_chunk(irregular)
-        assert not detector._bulk_batches
+        assert len(calls) == len(chunk)
         ref, _ = _feed_per_record(trace)
         assert detector.state_snapshot() == ref.state_snapshot()
 
-    def test_sidecar_cap_materializes(self):
-        # >64 live batches would make the per-chunk hash probes
-        # super-linear; the safety valve folds the sidecar back.
-        trace = _loop_trace(seed=2, loops=0, background=70 * 40,
+    def test_many_short_slices_match_per_record(self):
+        # Slices far shorter than the chaining gap: the carry spans
+        # dozens of them, and every snapshot along the way matches.
+        trace = _loop_trace(seed=2, loops=1, background=70 * 40,
                             span=50.0)
         detector = StreamingLoopDetector()
+        ref = StreamingLoopDetector()
+        records = iter(trace.records)
         for chunk in ColumnarTrace.from_trace(trace, 40).chunks:
             detector.process_chunk(chunk)
-            assert len(detector._bulk_batches) <= 65
-        ref, _ = _feed_per_record(trace)
-        assert detector.state_snapshot() == ref.state_snapshot()
+            for _ in range(len(chunk)):
+                record = next(records)
+                ref.process(record.timestamp, record.data)
+            assert detector.state_snapshot() == ref.state_snapshot()
 
 
 class TestInterleaving:
@@ -152,12 +212,11 @@ class TestInterleaving:
         loops = []
         columnar = ColumnarTrace.from_trace(trace, split)
         loops.extend(detector.process_chunk(columnar.chunks[0]))
-        # A per-record feed after a batched chunk folds the sidecar
-        # back into exact state before probing it.
+        # A per-record feed after a batched chunk folds the carry into
+        # the per-record state before probing it.
         for record in trace.records[split:]:
             loops.extend(detector.process(record.timestamp, record.data))
         loops.extend(detector.flush())
-        assert not detector._bulk_batches
         ref, ref_loops = _feed_per_record(trace)
         ref_loops.extend(ref.flush())
         assert list(map(_loop_key, loops)) \

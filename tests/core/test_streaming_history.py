@@ -72,7 +72,7 @@ def _feed(records, cuts, config=None, tail=3):
 
 def _add_members(detector, reference, members):
     for index in members:
-        detector._add_member(index)
+        detector._add_members((index,))
         reference.add_member(index)
 
 
@@ -121,7 +121,7 @@ class TestWindowHasNonMember:
         for cuts in ([], [1, 1, 1], [2]):
             detector, _ = _feed(records, cuts)
             for index in (0, 1, 3):
-                detector._add_member(index)
+                detector._add_members((index,))
             assert detector._window_has_non_member(PREFIX, 2.0, 2.0)
             assert detector._window_has_non_member(PREFIX, 0.0, 2.0)
             assert not detector._window_has_non_member(PREFIX, 2.5, 3.0)
@@ -230,13 +230,14 @@ class TestPruneHistory:
         horizon = (detector.config.merge_gap
                    + detector.config.max_replica_gap)
         reference = ReferenceStreamingHistory()
-        add_member = detector._add_member
+        add_members = detector._add_members
 
-        def spy(index):
-            reference.add_member(index)
-            add_member(index)
+        def spy(indices):
+            for index in indices:
+                reference.add_member(index)
+            add_members(indices)
 
-        detector._add_member = spy
+        detector._add_members = spy
         rng = random.Random(5)
         loops = 0
         with mock.patch.object(streaming, "_TAIL_RECORDS", 16):

@@ -3,10 +3,10 @@
 :func:`detect_replicas_indexed` is the paper's step 1 written as plainly
 as possible: one pass over ``(index, timestamp, data)`` triples, one
 masked ``bytes`` key per record, dictionary chaining.  The product
-kernels (:func:`~repro.core.replica.detect_replicas_columnar` and
-:func:`~repro.core.replica.detect_replicas_vectorized`) must return
-byte-identical streams and scan stats on every input; the equivalence
-and hypothesis suites compare them against this oracle.
+kernel (:func:`~repro.core.replica.detect_replicas_vectorized`) must
+return byte-identical streams and scan stats on every input, in any
+timestamp order; the equivalence and hypothesis suites compare it
+against this oracle.
 
 :class:`ReferencePrefixIndex` is the step-2/3 window index as one
 ``(timestamp, index)`` tuple per record in per-prefix lists; the
@@ -41,7 +41,7 @@ compare the two.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -55,8 +55,6 @@ from repro.core.replica import (
     ReplicaScanStats,
     ReplicaStream,
     StreamTable,
-    _finalize,
-    _OpenStream,
     mask_mutable_fields,
     stream_sort_key,
 )
@@ -74,6 +72,31 @@ from repro.routing.forwarding import (
 from repro.routing.topology import Link
 
 _DST_STRUCT = Struct(">I")
+
+
+@dataclass(slots=True)
+class _OpenStream:
+    """Builder state for a stream still accepting replicas."""
+
+    key: bytes
+    first_data: bytes
+    replicas: list[Replica]
+
+    @property
+    def last(self) -> Replica:
+        return self.replicas[-1]
+
+
+def _finalize(stream: _OpenStream) -> ReplicaStream:
+    data = stream.first_data
+    return ReplicaStream(
+        key=stream.key,
+        replicas=stream.replicas,
+        src=IPv4Address.from_bytes(data[12:16]),
+        dst=IPv4Address.from_bytes(data[16:20]),
+        protocol=data[9],
+        first_data=data,
+    )
 
 
 def detect_replicas_indexed(

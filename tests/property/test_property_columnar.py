@@ -4,7 +4,7 @@ Two contracts, checked over Hypothesis-generated inputs:
 
 * ``mask_mutable_fields`` (single patched bytearray) is byte-for-byte
   the four-slice concatenation it replaced, for every buffer type;
-* the batched columnar kernel returns byte-identical streams to the
+* the step-1 kernel returns byte-identical streams to the
   reference oracle ``detect_replicas_indexed`` (``tests/oracles.py``)
   for every record set and chunking.
 """
@@ -15,7 +15,7 @@ from array import array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.replica import detect_replicas_columnar, mask_mutable_fields
+from repro.core.replica import detect_replicas_vectorized, mask_mutable_fields
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.traffic.synthetic import SyntheticTraceBuilder
@@ -109,7 +109,7 @@ class TestColumnarKernelProperty:
         ctrace = ColumnarTrace.from_trace(
             trace, chunk_records=params["chunk_records"]
         )
-        columnar = detect_replicas_columnar(ctrace.chunks)
+        columnar = detect_replicas_vectorized(ctrace.chunks)
         reference = reference_replicas(trace)
         assert ([_stream_fp(s) for s in columnar]
                 == [_stream_fp(s) for s in reference])
@@ -147,6 +147,6 @@ class TestColumnarKernelProperty:
                 lengths=lengths,
                 base_index=start,
             ))
-        columnar = detect_replicas_columnar(chunks)
+        columnar = detect_replicas_vectorized(chunks)
         assert ([_stream_fp(s) for s in columnar]
                 == [_stream_fp(s) for s in reference])

@@ -1,6 +1,9 @@
 """Property-based tests for pcap round-trips and pipeline composition."""
 
 import random
+import struct
+import tracemalloc
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,13 @@ from repro.core.detector import LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.net.anonymize import PrefixPreservingAnonymizer
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import (
+    PcapError,
+    PcapWarning,
+    read_pcap,
+    read_pcap_columnar,
+    write_pcap,
+)
 from repro.net.trace import Trace, TraceRecord
 from repro.traffic.synthetic import SyntheticTraceBuilder
 from tests.net.test_pcap import (
@@ -81,6 +90,65 @@ class TestColumnarDecodeProperty:
                        magic=pcap["magic"], linktype=pcap["linktype"],
                        tail=pcap["tail"])
         assert_decoders_agree(path, pcap["chunk_records"])
+
+
+@st.composite
+def hostile_pcaps(draw):
+    """A valid global header followed by arbitrary bytes: record
+    headers whose captured length runs up to 2**32 - 1, bodies of any
+    size, and junk between them."""
+    endian = draw(st.sampled_from("<>"))
+    blob = bytearray(struct.pack(f"{endian}IHHiIII",
+                                 draw(st.sampled_from([MAGIC, MAGIC_NS])),
+                                 2, 4, 0, 0, 65535, 101))
+    for _ in range(draw(st.integers(0, 12))):
+        captured = draw(st.one_of(st.integers(0, 80),
+                                  st.integers(0, 2 ** 32 - 1),
+                                  st.just(2 ** 32 - 1)))
+        blob += struct.pack(f"{endian}IIII",
+                            draw(st.integers(0, 2 ** 32 - 1)),
+                            draw(st.integers(0, 2 ** 32 - 1)), captured,
+                            draw(st.integers(0, 2 ** 32 - 1)))
+        blob += draw(st.binary(max_size=96))
+    return bytes(blob)
+
+
+#: Reading and detecting a hostile file of at most a few KB must stay
+#: far below what an honoured 4 GB captured length would take.
+_HOSTILE_PEAK_BYTES = 8 << 20
+
+
+class TestHostilePcapProperty:
+    @given(data=hostile_pcaps(), chunk_records=st.integers(1, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_read_and_detect_raise_or_return(self, data, chunk_records,
+                                             tmp_path_factory):
+        """Reading the file and detecting on it either raises
+        :class:`PcapError` or returns, the two decoders agree, and
+        memory stays bounded."""
+        path = tmp_path_factory.mktemp("hostile") / "h.pcap"
+        path.write_bytes(data)
+        try:
+            expected = assert_decoders_agree(path, chunk_records)
+        except PcapError as error:
+            expected = error
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PcapWarning)
+                result = LoopDetector().detect_columnar(
+                    read_pcap_columnar(path))
+        except PcapError as error:
+            assert isinstance(expected, PcapError)
+            assert str(error) == str(expected)
+        else:
+            assert not isinstance(expected, PcapError)
+            assert result.scan_stats.records_scanned == sum(
+                len(chunk[2]) for chunk in expected[0])
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < _HOSTILE_PEAK_BYTES
 
 
 scenario = st.fixed_dictionaries({

@@ -9,8 +9,8 @@ every generated trace, the same ordered records go through
 * the offline :class:`~repro.core.detector.LoopDetector`,
 
 and all three must agree: same loop set, and for the two streaming
-feeds identical stats and ``state_snapshot`` documents both before and
-after the flush.
+feeds identical stats and ``state_snapshot`` documents after every
+chunk and after the flush.
 """
 
 import random
@@ -38,8 +38,9 @@ params = st.fixed_dictionaries(
         "background": st.integers(0, 300),
         "span": st.sampled_from([50.0, 500.0, 5000.0]),
         "merge_gap": st.floats(5.0, 120.0),
-        # Chunk sizes straddle the n >= 32 fast-tier gate and force
-        # cross-chunk promotion when smaller than a loop's footprint.
+        # Chunk sizes straddle the n >= 32 batched-tier gate and carry
+        # streams and singletons across chunks when smaller than a
+        # loop's footprint.
         "chunk_records": st.sampled_from([1, 16, 31, 32, 33, 64, 500,
                                           65_536]),
     }
@@ -73,31 +74,25 @@ def _key(loop):
             loop.stream_count, loop.replica_count)
 
 
-def _feed_reference(trace, config):
-    detector = StreamingLoopDetector(config)
-    loops = []
-    for record in trace:
-        loops.extend(detector.process(record.timestamp, record.data))
-    return detector, loops
-
-
-def _feed_chunks(trace, chunk_records, config):
-    detector = StreamingLoopDetector(config)
-    loops = []
-    for chunk in ColumnarTrace.from_trace(trace, chunk_records).chunks:
-        loops.extend(detector.process_chunk(chunk))
-    return detector, loops
-
-
 def _check_example(p):
     trace = _build(p)
     config = DetectorConfig(merge_gap=p["merge_gap"])
 
-    ref, ref_loops = _feed_reference(trace, config)
-    fast, fast_loops = _feed_chunks(trace, p["chunk_records"], config)
+    # Both feeds advance chunk by chunk, and their snapshots must agree
+    # after every chunk, not only at the end.
+    ref = StreamingLoopDetector(config)
+    fast = StreamingLoopDetector(config)
+    ref_loops, fast_loops = [], []
+    records = iter(trace)
+    for chunk in ColumnarTrace.from_trace(trace, p["chunk_records"]).chunks:
+        fast_loops.extend(fast.process_chunk(chunk))
+        for _ in range(len(chunk)):
+            record = next(records)
+            ref_loops.extend(ref.process(record.timestamp, record.data))
+        assert fast.state_snapshot() == ref.state_snapshot()
+        assert list(map(_key, fast_loops)) == list(map(_key, ref_loops))
 
     assert asdict(fast.stats) == asdict(ref.stats)
-    assert fast.state_snapshot() == ref.state_snapshot()
 
     ref_loops.extend(ref.flush())
     fast_loops.extend(fast.flush())
