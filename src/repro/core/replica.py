@@ -39,6 +39,7 @@ from repro.net.trace import Trace
 #: Wire offsets of the fields a loop legitimately changes.
 _TTL_OFFSET = 8
 _CHECKSUM_OFFSET = 10
+_MUTABLE = [_TTL_OFFSET, _CHECKSUM_OFFSET, _CHECKSUM_OFFSET + 1]
 
 #: Minimum captured bytes for a record to be considered (a full IP header).
 _MIN_CAPTURE = 20
@@ -231,7 +232,8 @@ class StreamTable(Sequence):
     ``k``: ``start``, ``end``, ``size``, ``first_ttl``, ``last_ttl``,
     ``first_index`` (its first record's index), ``dst`` (its destination
     address as an int; :meth:`prefixes` gives the /N) and
-    ``first_data[k]`` (its first record's bytes).  Its replicas are rows
+    ``first_data[k]`` (its first record's bytes; ``first_data`` is any
+    sequence that makes them).  Its replicas are rows
     ``bounds[k]`` to ``bounds[k + 1] - 1`` of the replica columns
     ``index`` (record index), ``timestamp`` and ``ttl``.
 
@@ -240,7 +242,7 @@ class StreamTable(Sequence):
     once, on first access.
     """
 
-    def __init__(self, bounds, index, timestamp, ttl, first_data: list,
+    def __init__(self, bounds, index, timestamp, ttl, first_data,
                  dst, streams: list | None = None) -> None:
         self.bounds = bounds
         self.index = index
@@ -472,21 +474,23 @@ def detect_replicas_vectorized(
     (``tests/oracles.py``) on the same records, in any timestamp order,
     and the per-record Python work collapses to two passes:
 
-    **Pass 1 (vectorized).**  Each regular chunk's slab is masked by
-    :func:`~repro.core.vectorize.masked_rows`; irregular chunks are
-    masked per record.  Every masked record is hashed in bulk
-    (:func:`~repro.core.vectorize.hash_rows`), and a group-by over the
-    hashes (``np.unique``) finds the *survivors*: the records whose
-    masked key may appear more than once.  Only they can ever chain.
-    A hash collision can only add a false survivor, never lose a real
-    one: equal keys always hash equal.
+    **Pass 1 (vectorized).**  Every record's masked key is hashed
+    straight off its chunk's slab
+    (:func:`~repro.core.vectorize.hash_rows`): one strided pass per
+    regular chunk, one gather per record length for the others.  One
+    sort of the truncated hashes (:func:`~repro.core.vectorize.shared`)
+    finds the *survivors*: the records whose masked key may appear more
+    than once.  Only they can ever chain.  A hash collision, truncated
+    or not, can only add a false survivor, never lose a real one: equal
+    keys always hash equal.
 
     **Pass 2 (grouped exact replay).**  The survivors are chained per
     masked key rather than in scan order (:func:`_replay_survivors`): a
     group whose consecutive pairs all chain is one stream, a group where
     none chains makes none, and only mixed groups and hash collisions
-    run the per-record chaining (:func:`_replay_group`).  The scan's
-    eviction is settled inside the replay (:func:`_replay_evicting`).
+    run the per-record chaining (:func:`_replay_group`).  A false
+    survivor alone in its group makes no stream.  The scan's eviction
+    is settled inside the replay (:func:`_replay_evicting`).
     """
     _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
     if hasattr(chunks, "chunks"):
@@ -502,16 +506,11 @@ def detect_replicas_vectorized(
         for chunk in chunks
     ])
 
-    infos, hashes, ok_all, skipped_short = _hash_chunks(chunks)
-    _, inverse, counts = np.unique(
-        hashes, return_inverse=True, return_counts=True
-    )
-    keep = (counts[inverse] > 1) & ok_all
-    survivors = _sort_survivors(chunks, infos, np.flatnonzero(keep),
-                                hashes, ts_all)
-    # The masked slabs are dead from here on; drop them before the
-    # replay and the stream table add to peak memory.
-    del infos, hashes, inverse, counts
+    hashes, ok_all, skipped_short = _hash_chunks(chunks)
+    keep = vectorize.shared(hashes) & ok_all
+    survivors = _sort_survivors(chunks, np.flatnonzero(keep), hashes,
+                                ts_all)
+    del hashes
     streams, evicted = _replay_evicting(
         survivors, ok_all, keep, ts_all, min_ttl_delta, max_replica_gap,
         eviction_interval,
@@ -525,72 +524,66 @@ def detect_replicas_vectorized(
     return finished
 
 
-def _hash_chunks(chunks):
-    """Pass 1: mask and hash every record.
+def _column(values):
+    """A chunk's ``offsets`` or ``lengths`` column as a zero-copy numpy
+    array."""
+    return np.frombuffer(values, dtype=_LENGTH_DTYPES[values.itemsize])
 
-    Returns ``(infos, hashes, ok, skipped_short)``: per chunk
-    ``(masked matrix, TTL column)`` when regular and ``(masked key
-    list, None)`` when not; one hash per record; whether each record
-    is long enough to scan; and how many are not.
+
+def _by_length(lengths, rows):
+    """The int array ``rows`` split by record length ``lengths[row]``:
+    ``(rows, length)`` per distinct length, ``rows`` in the order
+    given."""
+    if not len(rows):
+        return
+    lens = lengths[rows]
+    if lens.min() == lens.max():
+        yield rows, int(lens[0])
+        return
+    order = vectorize.stable_order(lens)
+    rows, lens = rows[order], lens[order]
+    cuts = (np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(rows)]):
+        yield rows[a:b], int(lens[a])
+
+
+def _hash_chunks(chunks):
+    """Pass 1: hash every record's masked key off its chunk's slab.
+
+    Returns ``(hashes, ok, skipped_short)``: one hash per record (0 for
+    a record too short to scan), whether each record is long enough to
+    scan, and how many are not.  A regular chunk is hashed in one
+    strided pass; the records of any other chunk are gathered, one
+    matrix per record length, and that matrix is hashed.
     """
     hash_parts = []
     ok_parts = []
-    infos: list[tuple] = []
-    #: record length -> ([global position], [key bytes]) for bulk
-    #: hashing of irregular records after the chunk loop.
-    pending: dict[int, tuple[list, list]] = {}
-    total = 0
-    skipped_short = 0
     for chunk in chunks:
         n = len(chunk.timestamps)
-        offsets = chunk.offsets
-        lengths = chunk.lengths
         length = _regular_length(chunk)
         if length is not None:
-            _, masked, ttls = vectorize.masked_rows(
-                chunk.data, offsets[0], n, chunk.stride, length
-            )
-            hash_parts.append(vectorize.hash_rows(masked))
+            hash_parts.append(vectorize.hash_rows(
+                chunk.data, chunk.offsets[0], n, chunk.stride, length))
             ok_parts.append(np.ones(n, dtype=bool))
-            infos.append((masked, ttls))
-        else:
-            view = memoryview(chunk.data)
-            keys: list = [None] * n
-            ok = np.zeros(n, dtype=bool)
-            scratch = bytearray(40)
-            for i in range(n):
-                length = lengths[i]
-                if length < _MIN_CAPTURE:
-                    skipped_short += 1
-                    continue
-                offset = offsets[i]
-                if len(scratch) != length:
-                    scratch = bytearray(length)
-                scratch[:] = view[offset:offset + length]
-                scratch[_TTL_OFFSET] = 0
-                scratch[_CHECKSUM_OFFSET] = 0
-                scratch[_CHECKSUM_OFFSET + 1] = 0
-                key = bytes(scratch)
-                keys[i] = key
-                ok[i] = True
-                bucket = pending.get(length)
-                if bucket is None:
-                    bucket = pending[length] = ([], [])
-                bucket[0].append(total + i)
-                bucket[1].append(key)
-            hash_parts.append(np.zeros(n, dtype=np.uint64))
-            ok_parts.append(ok)
-            infos.append((keys, None))
-        total += n
+            continue
+        lengths = _column(chunk.lengths)
+        ok = lengths >= _MIN_CAPTURE
+        hashes = np.zeros(n, dtype=np.uint64)
+        offsets = _column(chunk.offsets)
+        for rows, length in _by_length(lengths, np.flatnonzero(ok)):
+            keys = vectorize.gather(chunk.data, offsets[rows], length)
+            hashes[rows] = vectorize.hash_rows(keys, 0, len(rows), length,
+                                               length)
+        hash_parts.append(hashes)
+        ok_parts.append(ok)
+    ok = np.concatenate(ok_parts)
+    return (np.concatenate(hash_parts), ok,
+            len(ok) - int(np.count_nonzero(ok)))
 
-    hashes = np.concatenate(hash_parts)
-    for length, (positions, keys) in pending.items():
-        key_rows = np.frombuffer(
-            b"".join(keys), dtype=np.uint8
-        ).reshape(len(keys), length)
-        hashes[np.asarray(positions, dtype=np.intp)] = \
-            vectorize.hash_rows(key_rows)
-    return infos, hashes, np.concatenate(ok_parts), skipped_short
+
+#: Survivor rows gathered at a time to check their keys: bounds the
+#: transient of that check whatever the number of survivors.
+_BLOCK = 4096
 
 
 class _Survivors(NamedTuple):
@@ -611,26 +604,29 @@ class _Survivors(NamedTuple):
     collision_keys: dict
 
 
-def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
-    """Gather the survivor columns and group them by masked key."""
+def _sort_survivors(chunks, survivors, hashes, ts_all):
+    """Gather the survivor columns and group them by masked key.
+
+    Only survivor records are read from the slabs: their TTLs, and
+    their masked rows, gathered chunk by chunk, to check each group's
+    rows against its first.
+    """
     n_surv = len(survivors)
     starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
     surv_chunk = np.searchsorted(starts, survivors, side="right") - 1
     surv_row = survivors - starts[surv_chunk]
+    surv_off = np.empty(n_surv, dtype=np.int64)
+    surv_len = np.empty(n_surv, dtype=np.int64)
     surv_ttl = np.empty(n_surv, dtype=np.int16)
-    surv_len = np.empty(n_surv, dtype=np.int32)
     cuts = np.searchsorted(survivors, starts).tolist()
-    for ci, (chunk, (_, ttls)) in enumerate(zip(chunks, infos)):
+    for ci, chunk in enumerate(chunks):
         lo, hi = cuts[ci], cuts[ci + 1]
-        rows = surv_row[lo:hi]
-        if ttls is not None:
-            surv_ttl[lo:hi] = ttls[rows]
-            surv_len[lo:hi] = chunk.lengths[0]
-        elif lo < hi:
-            at = np.asarray(chunk.offsets, dtype=np.int64)[rows]
-            surv_ttl[lo:hi] = np.frombuffer(
-                chunk.data, dtype=np.uint8)[at + _TTL_OFFSET]
-            surv_len[lo:hi] = np.asarray(chunk.lengths)[rows]
+        if lo < hi:
+            rows = surv_row[lo:hi]
+            surv_off[lo:hi] = _column(chunk.offsets)[rows]
+            surv_len[lo:hi] = _column(chunk.lengths)[rows]
+            surv_ttl[lo:hi] = np.frombuffer(chunk.data, dtype=np.uint8)[
+                surv_off[lo:hi] + _TTL_OFFSET]
 
     # The stable sort keeps scan order inside a group.
     order = np.lexsort((hashes[survivors], surv_len))
@@ -642,13 +638,26 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
     group_end = (np.append(group_start[1:], n_surv) if n_surv
                  else group_start)
 
+    def parts(slots):
+        """``(chunk, slots, length)`` per chunk and record length of the
+        ascending survivor slots ``slots``, at most :data:`_BLOCK` slots
+        each."""
+        bounds = np.searchsorted(slots, cuts).tolist()
+        for ci in range(len(chunks)):
+            for part, length in _by_length(
+                    surv_len, slots[bounds[ci]:bounds[ci + 1]]):
+                for at in range(0, len(part), _BLOCK):
+                    yield chunks[ci], part[at:at + _BLOCK], length
+
+    def masked(chunk, slots, length):
+        rows = vectorize.gather(chunk.data, surv_off[slots], length)
+        rows[:, _MUTABLE] = 0
+        return rows
+
     # Exact keys: every row must equal its group's first row.  Those
-    # first rows are gathered into one matrix per record length, with
-    # one fancy index per regular chunk; the comparison runs chunk by
-    # chunk, on masked rows already in memory.
+    # first rows are gathered into one matrix per record length.
     group = np.empty(n_surv, dtype=np.intp)
     group[order] = np.cumsum(is_start) - 1
-    first_slot = order[group_start]
     group_len = s_len[group_start]
     first_rows = {}
     at_length = np.empty(len(group_start), dtype=np.intp)
@@ -656,46 +665,25 @@ def _sort_survivors(chunks, infos, survivors, hashes, ts_all):
         groups = np.flatnonzero(group_len == length)
         at_length[groups] = np.arange(len(groups))
         first_rows[length] = np.empty((len(groups), length), dtype=np.uint8)
-    first_chunk = surv_chunk[first_slot]
-    by_chunk = np.argsort(first_chunk, kind="stable")
-    chunk_cuts = np.searchsorted(first_chunk[by_chunk],
-                                 np.arange(len(chunks) + 1)).tolist()
-    for ci, (masked, ttls) in enumerate(infos):
-        groups = by_chunk[chunk_cuts[ci]:chunk_cuts[ci + 1]]
-        rows = surv_row[first_slot[groups]]
-        if ttls is not None:
-            if len(groups):
-                first_rows[masked.shape[1]][at_length[groups]] = \
-                    masked[rows]
-        else:
-            for g, row in zip(groups.tolist(), rows.tolist()):
-                key = masked[row]
-                first_rows[len(key)][at_length[g]] = \
-                    np.frombuffer(key, dtype=np.uint8)
+    for chunk, slots, length in parts(np.sort(order[group_start])):
+        first_rows[length][at_length[group[slots]]] = masked(chunk, slots,
+                                                             length)
     exact_row = np.empty(n_surv, dtype=bool)
-    for ci, (masked, ttls) in enumerate(infos):
-        lo, hi = cuts[ci], cuts[ci + 1]
-        if ttls is not None and lo < hi:
-            exact_row[lo:hi] = (
-                masked[surv_row[lo:hi]]
-                == first_rows[masked.shape[1]][at_length[group[lo:hi]]]
-            ).all(axis=1)
-        elif lo < hi:
-            for slot in range(lo, hi):
-                key = masked[surv_row[slot]]
-                g = group[slot]
-                exact_row[slot] = \
-                    key == first_rows[len(key)][at_length[g]].tobytes()
+    for chunk, slots, length in parts(np.arange(n_surv)):
+        exact_row[slots] = (
+            masked(chunk, slots, length)
+            == first_rows[length][at_length[group[slots]]]
+        ).all(axis=1)
     exact = (np.logical_and.reduceat(exact_row[order], group_start)
              if n_surv else np.empty(0, dtype=bool))
 
-    def masked_row(slot):
-        masked, ttls = infos[surv_chunk[slot]]
-        row = surv_row[slot]
-        return masked[row].tobytes() if ttls is not None else masked[row]
+    def masked_key(slot):
+        offset = surv_off[slot]
+        return mask_mutable_fields(memoryview(chunks[surv_chunk[slot]].data)[
+            offset:offset + surv_len[slot]])
 
     collision_keys = {
-        g: list(map(masked_row,
+        g: list(map(masked_key,
                     order[group_start[g]:group_end[g]].tolist()))
         for g in np.flatnonzero(~exact).tolist()
     }
@@ -977,18 +965,51 @@ def _build_table(chunks, survivors, streams):
     positions = s.position[rows[bounds[:-1]]]
     starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
     at_chunk = np.searchsorted(starts, positions, side="right") - 1
-    views = [memoryview(chunk.data) for chunk in chunks]
-    first_data = []
-    for ci, li in zip(at_chunk.tolist(),
-                      (positions - starts[at_chunk]).tolist()):
-        chunk = chunks[ci]
-        offset = chunk.offsets[li]
-        first_data.append(bytes(views[ci][offset:offset
-                                          + chunk.lengths[li]]))
-    dst = np.frombuffer(b"".join([data[16:20] for data in first_data]),
-                        dtype=">u4").astype(np.int64)
+    first_data = _first_records(chunks, at_chunk, positions - starts[at_chunk])
+    dst = np.ascontiguousarray(first_data.rows[:, 16:20]).view(">u4")
     return StreamTable(bounds, s.index[rows], s.timestamp[rows],
-                       s.ttl[rows], first_data, dst)
+                       s.ttl[rows], first_data, dst.ravel().astype(np.int64))
+
+
+class _PackedRecords:
+    """Records packed as the rows of a uint8 matrix, row ``k`` cut to
+    ``lengths[k]`` bytes.  Item ``k`` is its ``bytes``, sliced when
+    asked for: a table's streams' ``first_data``."""
+
+    __slots__ = ("rows", "lengths")
+
+    def __init__(self, rows, lengths) -> None:
+        self.rows = rows
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, k: int) -> bytes:
+        return self.rows[k, :self.lengths[k]].tobytes()
+
+
+def _first_records(chunks, at_chunk, rows) -> _PackedRecords:
+    """Record ``rows[k]`` of chunk ``at_chunk[k]`` for each ``k``,
+    gathered with one fancy index per chunk and record length."""
+    k = len(rows)
+    offsets = np.empty(k, dtype=np.int64)
+    lengths = np.empty(k, dtype=np.int64)
+    order = vectorize.stable_order(at_chunk)
+    cuts = np.searchsorted(at_chunk[order],
+                           np.arange(len(chunks) + 1)).tolist()
+    for ci, chunk in enumerate(chunks):
+        picked = order[cuts[ci]:cuts[ci + 1]]
+        offsets[picked] = _column(chunk.offsets)[rows[picked]]
+        lengths[picked] = _column(chunk.lengths)[rows[picked]]
+    packed = np.zeros((k, max(int(lengths.max(initial=0)), _MIN_CAPTURE)),
+                      dtype=np.uint8)
+    for ci, chunk in enumerate(chunks):
+        for picked, length in _by_length(lengths,
+                                         order[cuts[ci]:cuts[ci + 1]]):
+            packed[picked, :length] = vectorize.gather(
+                chunk.data, offsets[picked], length)
+    return _PackedRecords(packed, lengths.tolist())
 
 
 #: Step 1 as every entry point runs it (the ``auto`` tier).

@@ -44,6 +44,7 @@ from repro.core import vectorize
 from repro.core.detector import DetectorConfig
 from repro.core.merge import RoutingLoop
 from repro.core.replica import (
+    _TTL_OFFSET,
     Replica,
     ReplicaStream,
     _new_replica,
@@ -191,7 +192,7 @@ class _LiveSingletons:
             self.parts
         at = np.flatnonzero(stored)
         prefix = np.concatenate((carry.prefix, prefixes[at]))
-        order = np.argsort(prefix, kind="stable")
+        order = vectorize.stable_order(prefix)
         columns = (
             np.concatenate((carry.ts, ts[at])),
             # Record index each entry is stored at (-1: carried in) and
@@ -218,12 +219,12 @@ class _LiveSingletons:
                      & (ts + self.gap > now) & (ts < horizon)).any())
 
 
-def _seeds(s, masked, carry, singles, streams, stream_hashes):
+def _seeds(s, rows, carry, singles, streams, stream_hashes):
     """The engine's ``seeds`` for a slice: the carried singletons
     ``singles`` (carry entries) and open ``streams`` whose key a survivor
     group has, as extra rows starting that group's state.  Returns
     ``(seeds, owners)``, ``owners`` naming the carry entry or the stream
-    behind each extra row."""
+    behind each extra row.  ``rows`` are the slice's records."""
     n_surv = len(s.position)
     times: list[float] = []
     ttls: list[int] = []
@@ -236,7 +237,7 @@ def _seeds(s, masked, carry, singles, streams, stream_hashes):
             return None
         keys = s.collision_keys.get(g)
         if keys is None:
-            if masked[s.position[s.group_start[g]]].tobytes() != key:
+            if mask_mutable_fields(rows[s.position[s.group_start[g]]]) != key:
                 return None
             key = None
         elif key not in keys:
@@ -417,13 +418,15 @@ class StreamingLoopDetector:
     def _process_chunk_batched(self, chunk) -> list[RoutingLoop] | None:
         """The batched tier; ``None`` means "feed record by record".
 
-        The slice is masked and hashed in bulk.  Its *survivors* are the
-        records whose masked hash repeats in the slice or is that of a
-        carried singleton or an open stream (equal keys always hash
-        equal, so no record that could chain is missed).  One call of
-        the step-1 engine (:func:`~repro.core.replica._replay_survivors`,
-        live eviction rule) chains them per key, starting from the
-        carried state of their keys.  Every other record is a singleton
+        The slice's masked keys are hashed in bulk, straight off its
+        slab.  Its *survivors* are the records whose hash may repeat in
+        the slice or be that of a carried singleton or an open stream
+        (one sort, :func:`~repro.core.vectorize.shared`; equal keys
+        always hash equal, so no record that could chain is missed).
+        One call of the step-1 engine
+        (:func:`~repro.core.replica._replay_survivors`, live eviction
+        rule) chains them per key, starting from the carried state of
+        their keys.  Every other record is a singleton
         and goes to the carry as a column entry.
 
         What is left per record is the events, in record order:
@@ -459,11 +462,11 @@ class StreamingLoopDetector:
         config = self.config
         gap = config.max_replica_gap
 
-        rows, masked, ttls = vectorize.masked_rows(
-            chunk.data, chunk.offsets[0], n, chunk.stride, length
-        )
-        hashes = vectorize.hash_rows(masked)
-        prefixes = vectorize.dst_prefixes(masked, self._shift)
+        first, stride = chunk.offsets[0], chunk.stride
+        rows = vectorize.records(chunk.data, first, n, stride, length)
+        hashes = vectorize.hash_rows(chunk.data, first, n, stride, length)
+        prefixes = vectorize.dst_prefixes(chunk.data, first, n, stride,
+                                          self._shift)
         index0 = self._index
         self._index = index0 + n
 
@@ -471,27 +474,24 @@ class StreamingLoopDetector:
                   for stream in streams if len(stream.key) == length]
         opened_hashes = vectorize.hash_rows(np.frombuffer(
             b"".join([stream.key for stream in opened]), dtype=np.uint8,
-        ).reshape(len(opened), length))
+        ), 0, len(opened), length, length)
         m, k = len(carry), len(opened)
-        _, inverse, counts = np.unique(
-            np.concatenate((carry.hash, opened_hashes, hashes)),
-            return_inverse=True, return_counts=True,
-        )
-        shared = counts[inverse] > 1
-        s = _sort_survivors([chunk], [(masked, ttls)],
-                            np.flatnonzero(shared[m + k:]), hashes, ts_np)
+        shared = vectorize.shared(
+            np.concatenate((carry.hash, opened_hashes, hashes)))
+        s = _sort_survivors([chunk], np.flatnonzero(shared[m + k:]), hashes,
+                            ts_np)
         s = s._replace(index=s.position + index0)
         hit = np.flatnonzero(shared[m:m + k]).tolist()
         seeds, owners = _seeds(
-            s, masked, carry,
+            s, rows, carry,
             np.flatnonzero(shared[:m] & (carry.length == length)),
             [opened[j] for j in hit], opened_hashes[hit],
         )
         streams, inserted, removal, _ = _replay_survivors(
             s, n, config.min_ttl_delta, gap, live=True, seeds=seeds,
         )
-        formed, members = self._take_streams(chunk, s, masked, prefixes,
-                                             carry, streams, owners)
+        formed, members = self._take_streams(s, rows, prefixes, carry,
+                                             streams, owners)
 
         n_surv = len(s.position)
         stored = np.ones(n, dtype=bool)
@@ -510,7 +510,7 @@ class StreamingLoopDetector:
         if self._tail is not None:
             self._seal_tail()
         ts_list = ts_np.tolist()
-        order = np.argsort(prefixes, kind="stable")
+        order = vectorize.stable_order(prefixes)
         self._slices.append(_Slice(
             index0, ts_list[0], ts_list[-1],
             array("q", prefixes[order].tobytes()),
@@ -552,13 +552,13 @@ class StreamingLoopDetector:
         self._carry = carry.then(
             (carry_removed == n) & (carry.ts + gap > now),
             hashes[fresh], np.flatnonzero(fresh) + index0, ts_np[fresh],
-            ttls[fresh], prefixes[fresh], rows[fresh],
+            rows[fresh, _TTL_OFFSET], prefixes[fresh], rows[fresh],
         )
         if now > self._prune_at:
             self._prune_history(now)
         return emitted
 
-    def _take_streams(self, chunk, s, masked, prefixes, carry, streams,
+    def _take_streams(self, s, records, prefixes, carry, streams,
                       owners) -> list[tuple]:
         """Apply the engine's streams: extend the open streams it
         extended and push their deadlines and those of the new ones.
@@ -587,8 +587,6 @@ class StreamingLoopDetector:
         replicas = list(map(_new_replica, zip(
             indices, s.timestamp[rows].tolist(), s.ttl[rows].tolist())))
         members = indices
-        view = memoryview(chunk.data)
-        first, stride, length = chunk.offsets[0], chunk.stride, masked.shape[1]
         formed = []
         at = 0
         for head, size in zip(heads, sizes):
@@ -600,9 +598,8 @@ class StreamingLoopDetector:
                 continue
             if head is None:
                 p = positions[at]
-                offset = first + p * stride
-                data = bytes(view[offset:offset + length])
-                key = masked[p].tobytes()
+                data = records[p].tobytes()
+                key = mask_mutable_fields(data)
                 since = positions[at + 1]
                 prefix_net = int(prefixes[p])
             else:  # a carried singleton starts the stream
@@ -639,13 +636,13 @@ class StreamingLoopDetector:
             index, ts, ttl, data = zip(*group)
             rows = np.frombuffer(b"".join(map(bytes, data)),
                                  dtype=np.uint8).reshape(len(group), length)
-            masked = rows.copy()
-            masked[:, [8, 10, 11]] = 0
+            slab = (rows, 0, len(group), length)
             carry = carry.then(
-                np.ones(len(carry), dtype=bool), vectorize.hash_rows(masked),
+                np.ones(len(carry), dtype=bool),
+                vectorize.hash_rows(*slab, length),
                 np.array(index, dtype=np.int64), np.array(ts),
                 np.array(ttl, dtype=np.int16),
-                vectorize.dst_prefixes(masked, self._shift), rows,
+                vectorize.dst_prefixes(*slab, self._shift), rows,
             )
         self._carry = carry
 

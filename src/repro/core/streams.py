@@ -82,8 +82,9 @@ class PrefixIndex:
     ``searchsorted(times, start, "left")`` and plus
     ``searchsorted(times, end, "right")``: the ranks of ``start`` and
     ``end`` among the chunk's timestamps make the float comparison
-    exact.  Each chunk is ordered by one stable argsort on the prefix
-    column; a chunk whose timestamps regress is sorted by time first,
+    exact.  Each chunk is ordered by one sort of packed (prefix,
+    position) words (:func:`~repro.core.vectorize.stable_order`); a
+    chunk whose timestamps regress is sorted by time first,
     so answers stay exact on any capture.  Records
     shorter than 20 bytes carry no destination address and are not
     indexed.
@@ -121,32 +122,25 @@ class PrefixIndex:
             if not len(keep):
                 return
         if chunk.stride is not None and keep is None:
-            region = np.frombuffer(
-                chunk.data, dtype=np.uint8, offset=chunk.offsets[0],
-                count=(n - 1) * chunk.stride + _MIN_INDEXED,
-            )
-            rows = np.lib.stride_tricks.as_strided(
-                region, shape=(n, _MIN_INDEXED), strides=(chunk.stride, 1)
-            )
-            prefixes = vectorize.dst_prefixes(rows, self._shift)
+            prefixes = vectorize.dst_prefixes(
+                chunk.data, chunk.offsets[0], n, chunk.stride, self._shift)
         else:
             # Gather the 4 destination bytes of every kept record.
             dst_at = np.asarray(chunk.offsets, dtype=np.int64) + 16
             if keep is not None:
                 dst_at = dst_at[keep]
                 stamps = stamps[keep]
-            slab = np.frombuffer(chunk.data, dtype=np.uint8)
-            dst = slab[dst_at[:, None] + np.arange(4)].view(">u4").ravel()
+            dst = vectorize.gather(chunk.data, dst_at, 4).view(">u4").ravel()
             prefixes = (dst >> np.uint32(self._shift)).astype(np.int64)
         if (stamps[1:] >= stamps[:-1]).all():
             # A record's capture position is its timestamp's rank.
             times = stamps
-            order = np.argsort(prefixes, kind="stable")
+            order = vectorize.stable_order(prefixes)
             rank = order
         else:
             by_time = np.argsort(stamps, kind="stable")
             times = stamps[by_time]
-            order = by_time[np.argsort(prefixes[by_time], kind="stable")]
+            order = by_time[vectorize.stable_order(prefixes[by_time])]
             rank = np.empty_like(by_time)
             rank[by_time] = np.arange(len(by_time))
             rank = rank[order]

@@ -201,9 +201,10 @@ class TestForcedCollisions:
     def test_low_entropy_hash(self, monkeypatch, buckets,
                               eviction_interval):
 
-        def weak_hash(rows):
-            return (rows.sum(axis=1, dtype=np.uint64)
-                    % np.uint64(buckets))
+        real_hash = vectorize.hash_rows
+
+        def weak_hash(*slab):
+            return real_hash(*slab) % np.uint64(buckets)
 
         monkeypatch.setattr(vectorize, "hash_rows", weak_hash)
         bodies, stamps = _storm(n_flows=6, replicas=5, background=30)
@@ -216,7 +217,8 @@ class TestForcedCollisions:
             self, monkeypatch):
         monkeypatch.setattr(
             vectorize, "hash_rows",
-            lambda rows: np.zeros(len(rows), dtype=np.uint64),
+            lambda data, first, n, stride, length: np.zeros(
+                n, dtype=np.uint64),
         )
         # Three regular chunks, then irregular ones mixing lengths.
         bodies, stamps = [], []

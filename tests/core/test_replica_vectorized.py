@@ -117,7 +117,7 @@ class TestVectorizePrimitives:
         rng = np.random.default_rng(2)
         rows = rng.integers(0, 256, (8, 37), dtype=np.uint8)
         doubled = np.vstack([rows, rows])
-        hashes = vectorize.hash_rows(doubled)
+        hashes = vectorize.hash_rows(doubled, 0, 16, 37, 37)
         assert (hashes[:8] == hashes[8:]).all()
 
 

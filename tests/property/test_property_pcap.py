@@ -118,37 +118,78 @@ def hostile_pcaps(draw):
 _HOSTILE_PEAK_BYTES = 8 << 20
 
 
+def _read_and_detect(data, chunk_records, tmp_path_factory):
+    """Reading the file ``data`` and detecting on it either raises
+    :class:`PcapError` or returns, the two decoders agree, and memory
+    stays bounded."""
+    path = tmp_path_factory.mktemp("hostile") / "h.pcap"
+    path.write_bytes(data)
+    try:
+        expected = assert_decoders_agree(path, chunk_records)
+    except PcapError as error:
+        expected = error
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PcapWarning)
+            result = LoopDetector().detect_columnar(
+                read_pcap_columnar(path))
+    except PcapError as error:
+        assert isinstance(expected, PcapError)
+        assert str(error) == str(expected)
+    else:
+        assert not isinstance(expected, PcapError)
+        assert result.scan_stats.records_scanned == sum(
+            len(chunk[2]) for chunk in expected[0])
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < _HOSTILE_PEAK_BYTES
+
+
+def _mostly(valid, anything):
+    """Valid values three draws in four, so that many files decode."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda pick: st.sampled_from(valid) if pick else anything)
+
+
+@st.composite
+def garbage_global_headers(draw):
+    """An arbitrary 24-byte global header — magic, version, time zone,
+    snaplen and link type, valid or not — followed by valid records."""
+    endian = draw(st.sampled_from("<>"))
+    word = st.integers(0, 2 ** 32 - 1)
+    half = st.integers(0, 2 ** 16 - 1)
+    major, minor = draw(_mostly([(2, 4)], st.tuples(half, half)))
+    blob = bytearray(struct.pack(
+        f"{endian}IHHiIII",
+        draw(_mostly([MAGIC, MAGIC_NS, 0xD4C3B2A1, 0x4D3CB2A1], word)),
+        major, minor,
+        draw(st.integers(-2 ** 31, 2 ** 31 - 1)),
+        draw(word),
+        draw(_mostly([0, 40, 65535], word)),
+        draw(_mostly([1, 101], word)),
+    ))
+    for i in range(draw(st.integers(0, 12))):
+        body = draw(st.binary(max_size=80))
+        blob += struct.pack(f"{endian}IIII", 1000 + i, 0, len(body),
+                            len(body))
+        blob += body
+    return bytes(blob)
+
+
 class TestHostilePcapProperty:
     @given(data=hostile_pcaps(), chunk_records=st.integers(1, 40))
     @settings(max_examples=120, deadline=None)
     def test_read_and_detect_raise_or_return(self, data, chunk_records,
                                              tmp_path_factory):
-        """Reading the file and detecting on it either raises
-        :class:`PcapError` or returns, the two decoders agree, and
-        memory stays bounded."""
-        path = tmp_path_factory.mktemp("hostile") / "h.pcap"
-        path.write_bytes(data)
-        try:
-            expected = assert_decoders_agree(path, chunk_records)
-        except PcapError as error:
-            expected = error
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PcapWarning)
-                result = LoopDetector().detect_columnar(
-                    read_pcap_columnar(path))
-        except PcapError as error:
-            assert isinstance(expected, PcapError)
-            assert str(error) == str(expected)
-        else:
-            assert not isinstance(expected, PcapError)
-            assert result.scan_stats.records_scanned == sum(
-                len(chunk[2]) for chunk in expected[0])
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        assert peak < _HOSTILE_PEAK_BYTES
+        _read_and_detect(data, chunk_records, tmp_path_factory)
+
+    @given(data=garbage_global_headers(), chunk_records=st.integers(1, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_garbage_global_header_raises_or_decodes(
+            self, data, chunk_records, tmp_path_factory):
+        _read_and_detect(data, chunk_records, tmp_path_factory)
 
 
 scenario = st.fixed_dictionaries({
