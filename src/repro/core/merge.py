@@ -17,13 +17,20 @@ last replica (Table II counts these; Fig. 9 plots their durations).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import mode
 
 import numpy as np
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
-from repro.core.replica import ReplicaStream, table_rows
+from repro.core.replica import (
+    ReplicaStream,
+    StreamRows,
+    _table_ttl_deltas,
+    table_rows,
+)
 from repro.core.streams import PrefixIndex, prefix_index_for
 
 
@@ -33,17 +40,25 @@ class MergeError(ValueError):
 
 @dataclass(slots=True)
 class RoutingLoop:
-    """A detected routing loop: merged replica streams to one prefix."""
+    """A detected routing loop: merged replica streams to one prefix.
+
+    ``streams`` is a list, or, as :func:`merge_streams` hands them out,
+    a :class:`~repro.core.replica.StreamRows` whose columns the scalar
+    properties read without making a stream."""
 
     prefix: IPv4Prefix
-    streams: list[ReplicaStream]
+    streams: Sequence[ReplicaStream]
 
     @property
     def start(self) -> float:
+        if isinstance(self.streams, StreamRows):
+            return self.streams.column("start").min().item()
         return min(stream.start for stream in self.streams)
 
     @property
     def end(self) -> float:
+        if isinstance(self.streams, StreamRows):
+            return self.streams.column("end").max().item()
         return max(stream.end for stream in self.streams)
 
     @property
@@ -57,13 +72,16 @@ class RoutingLoop:
 
     @property
     def replica_count(self) -> int:
+        if isinstance(self.streams, StreamRows):
+            return int(self.streams.size.sum())
         return sum(stream.size for stream in self.streams)
 
     @property
     def ttl_delta(self) -> int:
         """The loop's hop count: modal TTL delta across member streams."""
-        from statistics import mode
-
+        if isinstance(self.streams, StreamRows):
+            return mode(_table_ttl_deltas(self.streams.table,
+                                          self.streams.rows))
         return mode(stream.ttl_delta for stream in self.streams)
 
 
@@ -96,7 +114,9 @@ def merge_streams(
     no non-member in it.
 
     Returns loops sorted by start time, ties in the order their prefix
-    first appears in ``streams``.
+    first appears in ``streams``.  Each loop's ``streams`` are rows of
+    the streams' table (a :class:`~repro.core.replica.StreamRows`): no
+    stream is made until they are read.
     """
     if merge_gap < 0:
         raise MergeError(f"merge_gap must be non-negative: {merge_gap}")
@@ -138,7 +158,6 @@ def merge_streams(
     # Ties in start between prefixes keep the prefix's first appearance.
     seen = np.minimum.reduceat(order, np.flatnonzero(new_prefix))
     by_start = np.lexsort((seen[group[firsts]], start[firsts]))
-    members_of = list(map(table.stream, rows.tolist()))
     cuts = [*firsts.tolist(), n]
     shift = 32 - prefix_length
     loops: list[RoutingLoop] = []
@@ -146,6 +165,6 @@ def merge_streams(
         a, b = cuts[k], cuts[k + 1]
         loops.append(RoutingLoop(
             prefix=IPv4Prefix(int(prefix[a]) << shift, prefix_length),
-            streams=members_of[a:b],
+            streams=StreamRows(table, rows[a:b]),
         ))
     return loops

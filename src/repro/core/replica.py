@@ -39,7 +39,6 @@ from repro.net.trace import Trace
 #: Wire offsets of the fields a loop legitimately changes.
 _TTL_OFFSET = 8
 _CHECKSUM_OFFSET = 10
-_MUTABLE = [_TTL_OFFSET, _CHECKSUM_OFFSET, _CHECKSUM_OFFSET + 1]
 
 #: Minimum captured bytes for a record to be considered (a full IP header).
 _MIN_CAPTURE = 20
@@ -192,7 +191,10 @@ class ReplicaStream:
     def ttl_delta(self) -> int:
         """The stream's characteristic TTL delta — the number of routers
         in the loop (Fig. 2's x-axis).  The modal per-step decrement, so a
-        loop that changes size mid-stream reports its dominant size."""
+        loop that changes size mid-stream reports its dominant size;
+        ties go to the decrement seen first."""
+        if self._table is not None:
+            return _table_ttl_deltas(self._table, [self._row])[0]
         deltas = self.ttl_deltas()
         if not deltas:
             raise ReplicaError("singleton stream has no TTL delta")
@@ -235,7 +237,8 @@ class StreamTable(Sequence):
     ``first_data[k]`` (its first record's bytes; ``first_data`` is any
     sequence that makes them).  Its replicas are rows
     ``bounds[k]`` to ``bounds[k + 1] - 1`` of the replica columns
-    ``index`` (record index), ``timestamp`` and ``ttl``.
+    ``index`` (record index), ``timestamp`` and ``ttl``.  The column
+    :attr:`ttl_delta` is made on first access.
 
     As a read-only sequence (``len()``, iteration, indexing; a slice is
     a list) the table yields :class:`ReplicaStream` objects, each made
@@ -258,6 +261,7 @@ class StreamTable(Sequence):
         self.last_ttl = ttl[lasts]
         self.first_index = index[firsts]
         self._streams = streams or [None] * len(first_data)
+        self._ttl_delta = None
 
     @classmethod
     def from_streams(cls, streams) -> "StreamTable":
@@ -300,6 +304,15 @@ class StreamTable(Sequence):
             stream = self._streams[row] = ReplicaStream._from_table(self, row)
         return stream
 
+    @property
+    def ttl_delta(self):
+        """Each stream's :attr:`ReplicaStream.ttl_delta` (0 for a stream
+        of one replica, which has none), from one sort of every step's
+        TTL decrement by stream and value."""
+        if self._ttl_delta is None:
+            self._ttl_delta = _modal_decrements(self.bounds, self.ttl)
+        return self._ttl_delta
+
     def prefixes(self, length: int):
         """Each stream's destination /``length`` prefix as an int."""
         return self.dst >> (32 - length)
@@ -323,16 +336,29 @@ class StreamTable(Sequence):
 
 class StreamRows(Sequence):
     """A read-only sequence of some rows of a :class:`StreamTable`, in
-    the order of ``rows``."""
+    the order of ``rows``.  Streams are made only when read; it equals
+    any list or :class:`StreamRows` of equal streams."""
+
+    __hash__ = None
 
     def __init__(self, table: StreamTable, rows) -> None:
         self.table = table
         self.rows = rows
 
+    def column(self, name: str):
+        """The table's per-stream column ``name``, one value per row."""
+        return getattr(self.table, name)[self.rows]
+
     @property
     def size(self):
         """The streams' sizes, one per row."""
-        return self.table.size[self.rows]
+        return self.column("size")
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, StreamRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -347,6 +373,48 @@ class StreamRows(Sequence):
 
     def __repr__(self) -> str:
         return f"<StreamRows: {len(self)} of {len(self.table)} streams>"
+
+
+def _modal_decrements(bounds, ttl):
+    """Per stream ``k`` (replicas ``bounds[k]`` to ``bounds[k + 1] -
+    1`` of the ``ttl`` column): the most common TTL decrement between
+    consecutive replicas, ties to the one seen first, as
+    ``statistics.mode`` resolves them; 0 for a stream of one replica.
+
+    One stable sort of the steps by (stream, decrement) makes runs of
+    equal decrements, each run's first step its first occurrence; per
+    stream, the run with the most steps wins, then the earliest.
+    """
+    steps = np.maximum(np.diff(bounds) - 1, 0)
+    modes = np.zeros(len(steps), dtype=np.int64)
+    at = vectorize.ranges(bounds[:-1], steps)
+    n = len(at)
+    if not n:
+        return modes
+    delta = ttl[at].astype(np.int64) - ttl[at + 1]
+    stream = np.repeat(np.arange(len(steps), dtype=np.int64), steps)
+    low = int(delta.min())
+    key = stream * (int(delta.max()) - low + 1) + (delta - low)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = order[runs]
+    # Most steps first, then the earliest step: one score per run.
+    score = np.diff(np.append(runs, n)) * (n + 1) + (n - first)
+    stream = stream[first]
+    cuts = np.flatnonzero(np.concatenate(([True],
+                                          stream[1:] != stream[:-1])))
+    best = np.maximum.reduceat(score, cuts)
+    modes[stream[cuts]] = delta[n - best % (n + 1)]
+    return modes
+
+
+def _table_ttl_deltas(table: StreamTable, rows) -> list[int]:
+    """The :attr:`ReplicaStream.ttl_delta` of the streams ``rows`` of
+    ``table``, read off its column."""
+    if (table.size[rows] < 2).any():
+        raise ReplicaError("singleton stream has no TTL delta")
+    return table.ttl_delta[rows].tolist()
 
 
 def table_rows(streams) -> tuple[StreamTable, object]:
@@ -479,18 +547,21 @@ def detect_replicas_vectorized(
     (:func:`~repro.core.vectorize.hash_rows`): one strided pass per
     regular chunk, one gather per record length for the others.  One
     sort of the truncated hashes (:func:`~repro.core.vectorize.shared`)
-    finds the *survivors*: the records whose masked key may appear more
-    than once.  Only they can ever chain.  A hash collision, truncated
-    or not, can only add a false survivor, never lose a real one: equal
-    keys always hash equal.
+    finds the *survivors*, the records whose masked key may appear more
+    than once, already grouped by truncated hash and in scan order
+    within a group.  Only they can ever chain.  A hash collision,
+    truncated or not, can only add a false survivor or mix keys in a
+    group, never lose a real one: equal keys always hash equal.
 
-    **Pass 2 (grouped exact replay).**  The survivors are chained per
-    masked key rather than in scan order (:func:`_replay_survivors`): a
-    group whose consecutive pairs all chain is one stream, a group where
-    none chains makes none, and only mixed groups and hash collisions
-    run the per-record chaining (:func:`_replay_group`).  A false
-    survivor alone in its group makes no stream.  The scan's eviction
-    is settled inside the replay (:func:`_replay_evicting`).
+    **Pass 2 (grouped exact replay).**  Each group's masked keys are
+    checked word by word (:func:`_sort_survivors`), and the survivors
+    are chained per group rather than in scan order
+    (:func:`_replay_survivors`): an exact group whose consecutive pairs
+    all chain is one stream, one where none chains makes none, and only
+    mixed groups and groups that mix keys run the per-record chaining,
+    per masked key (:func:`_replay_group`).  A false survivor alone in
+    its group makes no stream.  The scan's eviction is settled inside
+    the replay (:func:`_replay_evicting`).
     """
     _check_parameters(min_ttl_delta, max_replica_gap, eviction_interval)
     if hasattr(chunks, "chunks"):
@@ -507,10 +578,15 @@ def detect_replicas_vectorized(
     ])
 
     hashes, ok_all, skipped_short = _hash_chunks(chunks)
-    keep = vectorize.shared(hashes) & ok_all
-    survivors = _sort_survivors(chunks, np.flatnonzero(keep), hashes,
-                                ts_all)
+    order, keys = vectorize.shared(hashes)
     del hashes
+    if skipped_short:
+        scanned = ok_all[order]
+        order, keys = order[scanned], keys[scanned]
+    keep = np.zeros(len(ts_all), dtype=bool)
+    keep[order] = True
+    survivors = _sort_survivors(chunks, order, keys, ts_all)
+    del order, keys
     streams, evicted = _replay_evicting(
         survivors, ok_all, keep, ts_all, min_ttl_delta, max_replica_gap,
         eviction_interval,
@@ -581,15 +657,15 @@ def _hash_chunks(chunks):
             len(ok) - int(np.count_nonzero(ok)))
 
 
-#: Survivor rows gathered at a time to check their keys: bounds the
-#: transient of that check whatever the number of survivors.
-_BLOCK = 4096
+#: Survivor rows compared at a time in the key check: bounds that
+#: check's transient whatever the number of survivors.
+_BLOCK = 1 << 15
 
 
 class _Survivors(NamedTuple):
-    """The survivors sorted by (record length, hash, scan position),
-    one column each, and their groups: rows ``group_start[g]`` to
-    ``group_end[g] - 1`` share a length and a hash."""
+    """The survivors grouped by truncated hash and in scan order within
+    a group, one column each: rows ``group_start[g]`` to
+    ``group_end[g] - 1`` share the truncated hash ``group_key[g]``."""
 
     position: object  # scan position
     timestamp: object
@@ -597,105 +673,110 @@ class _Survivors(NamedTuple):
     index: object  # record index (base_index + row in chunk)
     group_start: object
     group_end: object
-    group_hash: object
-    #: Per group: whether all its masked rows are byte-equal.
+    group_key: object
+    #: Per group: whether all its masked keys are equal.
     exact: object
     #: Per group that is not exact: its rows' masked keys.
     collision_keys: dict
 
 
-def _sort_survivors(chunks, survivors, hashes, ts_all):
-    """Gather the survivor columns and group them by masked key.
+def _sort_survivors(chunks, order, keys, ts_all):
+    """Gather the survivor columns and check each group's keys.
 
-    Only survivor records are read from the slabs: their TTLs, and
-    their masked rows, gathered chunk by chunk, to check each group's
-    rows against its first.
+    ``order`` and ``keys`` are :func:`~repro.core.vectorize.shared`'s
+    grouping of the survivors: their scan positions, group by group and
+    ascending within a group, and each one's truncated hash.  A group is
+    exact when all its masked keys are equal; records of different
+    lengths, or of different keys whose truncated hashes agree, make it
+    a collision group, chained per masked key by the replay.
+
+    Only survivor records are read from the slabs, in ascending scan
+    position per chunk: their TTLs and lengths, and their masked keys a
+    word at a time (:func:`~repro.core.vectorize.key_word`), each row's
+    compared with its predecessor's in group order.
     """
-    n_surv = len(survivors)
-    starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
-    surv_chunk = np.searchsorted(starts, survivors, side="right") - 1
-    surv_row = survivors - starts[surv_chunk]
-    surv_off = np.empty(n_surv, dtype=np.int64)
-    surv_len = np.empty(n_surv, dtype=np.int64)
-    surv_ttl = np.empty(n_surv, dtype=np.int16)
-    cuts = np.searchsorted(survivors, starts).tolist()
-    for ci, chunk in enumerate(chunks):
-        lo, hi = cuts[ci], cuts[ci + 1]
-        if lo < hi:
-            rows = surv_row[lo:hi]
-            surv_off[lo:hi] = _column(chunk.offsets)[rows]
-            surv_len[lo:hi] = _column(chunk.lengths)[rows]
-            surv_ttl[lo:hi] = np.frombuffer(chunk.data, dtype=np.uint8)[
-                surv_off[lo:hi] + _TTL_OFFSET]
-
-    # The stable sort keeps scan order inside a group.
-    order = np.lexsort((hashes[survivors], surv_len))
-    s_len = surv_len[order]
-    s_hash = hashes[survivors[order]]
+    n_surv = len(order)
     is_start = np.ones(n_surv, dtype=bool)
-    is_start[1:] = (s_len[1:] != s_len[:-1]) | (s_hash[1:] != s_hash[:-1])
+    is_start[1:] = keys[1:] != keys[:-1]
     group_start = np.flatnonzero(is_start)
     group_end = (np.append(group_start[1:], n_surv) if n_surv
                  else group_start)
 
-    def parts(slots):
-        """``(chunk, slots, length)`` per chunk and record length of the
-        ascending survivor slots ``slots``, at most :data:`_BLOCK` slots
-        each."""
-        bounds = np.searchsorted(slots, cuts).tolist()
-        for ci in range(len(chunks)):
-            for part, length in _by_length(
-                    surv_len, slots[bounds[ci]:bounds[ci + 1]]):
-                for at in range(0, len(part), _BLOCK):
-                    yield chunks[ci], part[at:at + _BLOCK], length
+    # Scan-order columns, read chunk by chunk; ``rank`` takes them to
+    # group order.
+    kept = np.zeros(len(ts_all), dtype=bool)
+    kept[order] = True
+    survivors = np.flatnonzero(kept)
+    del kept
+    slot = np.empty(len(ts_all), dtype=np.int32)
+    slot[survivors] = np.arange(n_surv, dtype=np.int32)
+    rank = slot[order].astype(np.intp)
+    del slot
+    starts = np.cumsum([0] + [len(chunk.timestamps) for chunk in chunks])
+    cuts = np.searchsorted(survivors, starts).tolist()
+    surv_off = np.empty(n_surv, dtype=np.int64)
+    surv_len = np.empty(n_surv, dtype=np.int64)
+    surv_ttl = np.empty(n_surv, dtype=np.int16)
+    surv_index = np.empty(n_surv, dtype=np.int64)
+    slabs = []  # (chunk, slab, rows of the slab, survivor slots, length)
+    for ci, chunk in enumerate(chunks):
+        lo, hi = cuts[ci], cuts[ci + 1]
+        if lo == hi:
+            continue
+        rows = survivors[lo:hi] - starts[ci]
+        surv_off[lo:hi] = _column(chunk.offsets)[rows]
+        surv_len[lo:hi] = _column(chunk.lengths)[rows]
+        surv_ttl[lo:hi] = np.frombuffer(chunk.data, dtype=np.uint8)[
+            surv_off[lo:hi] + _TTL_OFFSET]
+        surv_index[lo:hi] = rows + chunk.base_index
+        length = _regular_length(chunk)
+        if length is not None:
+            slabs.append((chunk, (chunk.offsets[0], len(chunk.timestamps),
+                                  chunk.stride), rows, slice(lo, hi), length))
+            continue
+        # Records at any offsets are the rows of the stride-1 slab.
+        for slots, length in _by_length(surv_len, np.arange(lo, hi)):
+            slabs.append((chunk, (0, len(chunk.data) - length + 1, 1),
+                          surv_off[slots], slots, length))
 
-    def masked(chunk, slots, length):
-        rows = vectorize.gather(chunk.data, surv_off[slots], length)
-        rows[:, _MUTABLE] = 0
-        return rows
+    # Each row is compared with its predecessor in its group.
+    differ = np.zeros(n_surv, dtype=bool)
 
-    # Exact keys: every row must equal its group's first row.  Those
-    # first rows are gathered into one matrix per record length.
-    group = np.empty(n_surv, dtype=np.intp)
-    group[order] = np.cumsum(is_start) - 1
-    group_len = s_len[group_start]
-    first_rows = {}
-    at_length = np.empty(len(group_start), dtype=np.intp)
-    for length in np.unique(group_len).tolist():
-        groups = np.flatnonzero(group_len == length)
-        at_length[groups] = np.arange(len(groups))
-        first_rows[length] = np.empty((len(groups), length), dtype=np.uint8)
-    for chunk, slots, length in parts(np.sort(order[group_start])):
-        first_rows[length][at_length[group[slots]]] = masked(chunk, slots,
-                                                             length)
-    exact_row = np.empty(n_surv, dtype=bool)
-    for chunk, slots, length in parts(np.arange(n_surv)):
-        exact_row[slots] = (
-            masked(chunk, slots, length)
-            == first_rows[length][at_length[group[slots]]]
-        ).all(axis=1)
-    exact = (np.logical_and.reduceat(exact_row[order], group_start)
-             if n_surv else np.empty(0, dtype=bool))
+    def check(column):
+        """Mark the rows whose value in the scan-order ``column``
+        differs from their predecessor's in group order."""
+        for a in range(1, n_surv, _BLOCK):
+            values = np.take(column, rank[a - 1:a + _BLOCK])
+            differ[a:a + _BLOCK] |= values[1:] != values[:-1]
+
+    check(surv_len)
+    word = np.empty(n_surv, dtype=np.uint64)
+    for w in range(-(-int(surv_len.max(initial=0)) // 8)):
+        for chunk, slab, rows, slots, length in slabs:
+            word[slots] = vectorize.key_word(chunk.data, *slab, length, w,
+                                             rows)
+        check(word)
+    del word
+    differ[group_start] = False
+    exact = (~np.logical_or.reduceat(differ, group_start) if n_surv
+             else np.empty(0, dtype=bool))
 
     def masked_key(slot):
-        offset = surv_off[slot]
-        return mask_mutable_fields(memoryview(chunks[surv_chunk[slot]].data)[
-            offset:offset + surv_len[slot]])
+        at = rank[slot]
+        offset = surv_off[at]
+        chunk = chunks[np.searchsorted(starts, survivors[at],
+                                       side="right") - 1]
+        return mask_mutable_fields(memoryview(chunk.data)[
+            offset:offset + surv_len[at]])
 
     collision_keys = {
-        g: list(map(masked_key,
-                    order[group_start[g]:group_end[g]].tolist()))
+        g: list(map(masked_key, range(group_start[g], group_end[g])))
         for g in np.flatnonzero(~exact).tolist()
     }
-
-    bases = np.asarray([chunk.base_index for chunk in chunks],
-                       dtype=np.int64)
-    s_pos = survivors[order]
     return _Survivors(
-        position=s_pos, timestamp=ts_all[s_pos], ttl=surv_ttl[order],
-        index=(bases - starts[:-1])[surv_chunk[order]] + s_pos,
-        group_start=group_start, group_end=group_end,
-        group_hash=s_hash[group_start], exact=exact,
+        position=order, timestamp=ts_all[order], ttl=np.take(surv_ttl, rank),
+        index=np.take(surv_index, rank), group_start=group_start,
+        group_end=group_end, group_key=keys[group_start], exact=exact,
         collision_keys=collision_keys,
     )
 

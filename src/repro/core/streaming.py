@@ -219,21 +219,23 @@ class _LiveSingletons:
                      & (ts + self.gap > now) & (ts < horizon)).any())
 
 
-def _seeds(s, rows, carry, singles, streams, stream_hashes):
+def _seeds(s, rows, carry, singles, single_keys, streams, stream_keys):
     """The engine's ``seeds`` for a slice: the carried singletons
     ``singles`` (carry entries) and open ``streams`` whose key a survivor
-    group has, as extra rows starting that group's state.  Returns
-    ``(seeds, owners)``, ``owners`` naming the carry entry or the stream
-    behind each extra row.  ``rows`` are the slice's records."""
+    group has, as extra rows starting that group's state.  Each is found
+    by its truncated hash in the slice's sort (``single_keys``,
+    ``stream_keys``), then by its masked key.  Returns ``(seeds,
+    owners)``, ``owners`` naming the carry entry or the stream behind
+    each extra row.  ``rows`` are the slice's records."""
     n_surv = len(s.position)
     times: list[float] = []
     ttls: list[int] = []
     states: dict[int, dict] = {}
     owners: list = []
 
-    def state_of(key_hash, key):
-        g = int(np.searchsorted(s.group_hash, key_hash))
-        if g == len(s.group_hash) or s.group_hash[g] != key_hash:
+    def state_of(truncated, key):
+        g = int(np.searchsorted(s.group_key, truncated))
+        if g == len(s.group_key) or s.group_key[g] != truncated:
             return None
         keys = s.collision_keys.get(g)
         if keys is None:
@@ -248,15 +250,15 @@ def _seeds(s, rows, carry, singles, streams, stream_hashes):
             entry = group[key] = [None, []]
         return entry
 
-    for stream, key_hash in zip(streams, stream_hashes):
-        entry = state_of(key_hash, stream.key)
+    for stream, truncated in zip(streams, stream_keys):
+        entry = state_of(truncated, stream.key)
         if entry is not None:
             entry[1].append([n_surv + len(owners)])
             owners.append(stream)
             times.append(stream.last.timestamp)
             ttls.append(stream.last.ttl)
-    for c in singles.tolist():
-        entry = state_of(carry.hash[c], mask_mutable_fields(carry.record(c)))
+    for c, truncated in zip(singles.tolist(), single_keys):
+        entry = state_of(truncated, mask_mutable_fields(carry.record(c)))
         if entry is not None:
             entry[0] = n_surv + len(owners)
             owners.append(c)
@@ -476,16 +478,24 @@ class StreamingLoopDetector:
             b"".join([stream.key for stream in opened]), dtype=np.uint8,
         ), 0, len(opened), length, length)
         m, k = len(carry), len(opened)
-        shared = vectorize.shared(
+        order, keys = vectorize.shared(
             np.concatenate((carry.hash, opened_hashes, hashes)))
-        s = _sort_survivors([chunk], np.flatnonzero(shared[m + k:]), hashes,
+        mine = order >= m + k
+        s = _sort_survivors([chunk], order[mine] - (m + k), keys[mine],
                             ts_np)
         s = s._replace(index=s.position + index0)
-        hit = np.flatnonzero(shared[m:m + k]).tolist()
+        # The carried entries and open streams in a group, each with the
+        # truncated hash that group is found by.
+        theirs = ~mine
+        seeded = np.zeros(m + k, dtype=bool)
+        seeded[order[theirs]] = True
+        truncated = np.zeros(m + k, dtype=np.uint64)
+        truncated[order[theirs]] = keys[theirs]
+        singles = np.flatnonzero(seeded[:m] & (carry.length == length))
+        hit = np.flatnonzero(seeded[m:])
         seeds, owners = _seeds(
-            s, rows, carry,
-            np.flatnonzero(shared[:m] & (carry.length == length)),
-            [opened[j] for j in hit], opened_hashes[hit],
+            s, rows, carry, singles, truncated[singles],
+            [opened[j] for j in hit.tolist()], truncated[m + hit],
         )
         streams, inserted, removal, _ = _replay_survivors(
             s, n, config.min_ttl_delta, gap, live=True, seeds=seeds,

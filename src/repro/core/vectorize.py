@@ -4,19 +4,21 @@ index and the batched streaming tier.
 Records are read where they lie: a *slab* is any buffer holding ``n``
 records of ``length`` bytes, record ``i`` at byte ``first + i *
 stride`` (a contiguous ``(n, length)`` matrix is the slab whose stride
-is its length).  Each primitive reads its columns straight off the slab
-as strided views, so no pass over all records copies them.
+is its length, and records at arbitrary byte offsets are rows of the
+slab whose stride is 1).  Each primitive reads its columns straight off
+the slab as strided views, so no pass over all records copies them.
 
-The central primitive is :func:`hash_rows`, a per-record 64-bit hash of
-the *masked* record (TTL and header checksum zeroed), used by the
+A record's *masked key* (TTL and header checksum zeroed) is read as
+little-endian ``uint64`` words, the last one zero-padded
+(:func:`key_word`).  :func:`hash_rows` dots those words with a fixed
+table of odd weights (mod 2**64): a per-record 64-bit hash, used by the
 duplicate filter of the step-1 kernel and of the batched streaming
-tier.  Each record is read as little-endian ``uint64`` words, the last
-one zero-padded, and dotted with a fixed table of random odd weights
-(mod 2**64).  Equal masked records always hash equal — that is the
-property the filter's correctness rests on; collisions merely cost a
-little pass-2 work (see
+tier.  Equal masked records always hash equal — that is the property
+the filter's correctness rests on; collisions merely cost a little
+pass-2 work (see
 :func:`~repro.core.replica.detect_replicas_vectorized`).
-:func:`shared` finds the hashes that repeat with one sort.
+:func:`shared` finds the hashes that may repeat, and groups them, with
+one sort.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import numpy as np
 #: tooling.
 _WEIGHT_SEED = 0x51F15EED
 
-#: Weights are grown in fixed blocks, each derived from its own seeded
-#: generator, so extending the table for a longer record NEVER changes
-#: the weights already handed out — two hashes of the same bytes must
-#: agree even when one was computed before the table grew.
+#: The weight table grows a block at a time.  Weight ``i`` is a
+#: function of ``i`` alone, so growing the table NEVER changes the
+#: weights already handed out — two hashes of the same bytes must agree
+#: even when one was computed before the table grew.
 _WEIGHT_BLOCK = 64
 
 _weights = np.empty(0, dtype=np.uint64)
@@ -43,16 +45,23 @@ _weights = np.empty(0, dtype=np.uint64)
 _WORD1_MASK = np.uint64(0xFFFF_FFFF_0000_FF00)
 
 
+def _splitmix64(x):
+    """The splitmix64 finalizer of the uint64 array ``x``."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58_476D_1CE4_E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D0_49BB_1331_11EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def hash_weights(words: int):
-    """The first ``words`` hash weights (odd uint64s), growing the
-    shared table block by block as needed."""
+    """The first ``words`` hash weights: odd uint64s, weight ``i`` the
+    splitmix64 output number ``i + 1`` from :data:`_WEIGHT_SEED`."""
     global _weights
-    while len(_weights) < words:
-        block_id = len(_weights) // _WEIGHT_BLOCK
-        rng = np.random.default_rng(_WEIGHT_SEED + block_id)
-        block = rng.integers(0, 1 << 63, _WEIGHT_BLOCK, dtype=np.uint64)
-        _weights = np.concatenate([_weights, block * np.uint64(2)
-                                   + np.uint64(1)])
+    if len(_weights) < words:
+        size = -(-words // _WEIGHT_BLOCK) * _WEIGHT_BLOCK
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        _weights = _splitmix64(
+            np.uint64(_WEIGHT_SEED) + steps * np.uint64(0x9E37_79B9_7F4A_7C15)
+        ) | np.uint64(1)
     return _weights[:words]
 
 
@@ -63,35 +72,50 @@ def column(data, offset: int, n: int, stride: int, dtype):
                       strides=(stride,))
 
 
+def key_word(data, first: int, n: int, stride: int, length: int, w: int,
+             rows=None, out=None):
+    """Word ``w`` of the masked key of each of a slab's ``n`` records of
+    ``length`` bytes (at least 16), as a little-endian uint64: word 1
+    without the TTL and checksum, the last word zero-padded, 0 past the
+    key.
+
+    With ``rows``, of those records only, in that order (one gather);
+    otherwise a word that needs no mask is a view of the slab, and one
+    that does is written to ``out`` when given.
+    """
+    full, rest = divmod(length, 8)
+    if 8 * w >= length:
+        return np.zeros(n if rows is None else len(rows), dtype=np.uint64)
+    # The word ending at the record's last byte holds the tail in its
+    # top bytes; shifted down, it is the zero-padded last word.
+    words = column(data, first + min(8 * w, length - 8), n, stride, "<u8")
+    if rows is not None:
+        words = out = words[rows]
+    if w == 1:
+        return np.bitwise_and(words, _WORD1_MASK, out=out)
+    if w == full:
+        return np.right_shift(words, np.uint64(64 - 8 * rest), out=out)
+    return words
+
+
 def hash_rows(data, first: int, n: int, stride: int, length: int):
     """Per-record 64-bit hashes of the masked keys of a slab's ``n``
     records of ``length`` bytes (at least 16).
 
     Equal masked records hash equal, and an already-masked record
     hashes like the record it came from.  The record length takes part
-    via the word count; records of different lengths are never compared
-    by the callers anyway (different lengths mean different keys).
+    via the word count only: records of different lengths may hash
+    equal, and the callers' exact key check tells them apart.
     """
     out = np.zeros(n, dtype=np.uint64)
     if not n:
         return out
-    full, rest = divmod(length, 8)
-    weights = hash_weights(full + (rest > 0))
+    words = -(-length // 8)
+    weights = hash_weights(words)
     term = np.empty(n, dtype=np.uint64)
-    for w in range(full):
-        words = column(data, first + 8 * w, n, stride, "<u8")
-        if w == 1:
-            np.bitwise_and(words, _WORD1_MASK, out=term)
-            term *= weights[w]
-        else:
-            np.multiply(words, weights[w], out=term)
-        out += term
-    if rest:
-        # The word ending at the record's last byte holds the tail in
-        # its top bytes; shifted down, it is the zero-padded last word.
-        words = column(data, first + length - 8, n, stride, "<u8")
-        np.right_shift(words, np.uint64(64 - 8 * rest), out=term)
-        term *= weights[full]
+    for w in range(words):
+        np.multiply(key_word(data, first, n, stride, length, w, out=term),
+                    weights[w], out=term)
         out += term
     return out
 
@@ -102,18 +126,20 @@ def _position_bits(n: int) -> int:
 
 
 def shared(hashes):
-    """Per entry of the uint64 array ``hashes``: whether another entry
-    may hold the same value.
+    """The entries of the uint64 array ``hashes`` whose value may
+    repeat, grouped: ``(order, keys)``.
 
     One in-place sort of ``(hash & ~low) | position`` words, ``low`` the
-    bits positions need: an entry is marked when a neighbour has the
-    same high bits.  Every repeated value is marked; truncating the
-    hashes can only mark more.
+    bits positions need.  ``order`` are the positions of the entries
+    whose high bits (``hash & ~low``) another entry has, sorted by those
+    bits and, within them, by position; ``keys`` are each one's high
+    bits, so a group of entries sharing them is a run of equal ``keys``.
+    Every repeated value is in one group; truncating the hashes can only
+    put more entries, and more values, in a group.
     """
     n = len(hashes)
-    marked = np.zeros(n, dtype=bool)
     if n < 2:
-        return marked
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
     low = np.uint64((1 << _position_bits(n)) - 1)
     words = hashes & ~low
     words |= np.arange(n, dtype=np.uint64)
@@ -122,8 +148,10 @@ def shared(hashes):
     pair = np.zeros(n, dtype=bool)
     pair[1:] = same
     pair[:-1] |= same
-    marked[(words[pair] & low).astype(np.intp)] = True
-    return marked
+    words = words[pair]
+    order = (words & low).astype(np.intp)
+    words &= ~low
+    return order, words
 
 
 def stable_order(keys):

@@ -3,8 +3,12 @@
 import json
 import pickle
 import random
+from statistics import mode
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace, TraceRecord
@@ -14,9 +18,14 @@ from repro.core.replica import (
     Replica,
     ReplicaError,
     ReplicaScanStats,
+    ReplicaStream,
+    StreamRows,
+    StreamTable,
     detect_replicas,
     mask_mutable_fields,
 )
+from repro.core.merge import RoutingLoop
+from repro.net.addr import IPv4Address
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
@@ -193,6 +202,72 @@ class TestStreamProperties:
         stream = detect_replicas(trace)[0]
         assert stream.dst_prefix(16) == stream.dst.prefix(16)
         assert stream.dst_prefix(24) == PREFIX
+
+
+def _stream(ttls, first_index=0):
+    return ReplicaStream(
+        key=bytes(20), first_data=bytes(20),
+        replicas=[Replica(first_index + i, 0.1 * i, ttl)
+                  for i, ttl in enumerate(ttls)],
+        src=IPv4Address.parse("1.1.1.1"), dst=IPv4Address.parse("2.2.2.2"),
+        protocol=6,
+    )
+
+
+#: TTL sequences whose decrements tie often: few distinct small steps,
+#: increases included.
+_TTLS = st.lists(st.integers(min_value=0, max_value=255), min_size=1,
+                 max_size=12).map(lambda steps: np.cumsum(
+                     [200] + [-(v % 4) for v in steps[1:]]).tolist())
+
+
+class TestModalDeltaColumn:
+    """``StreamTable.ttl_delta`` is one array pass over every stream; it
+    must pick what ``statistics.mode`` picks, first-seen on ties."""
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=255),
+                             min_size=1, max_size=10), max_size=8),
+           st.lists(_TTLS, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_statistics_mode(self, random_ttls, tied_ttls):
+        streams = [_stream(ttls, 100 * k)
+                   for k, ttls in enumerate(random_ttls + tied_ttls)]
+        table = StreamTable.from_streams(streams)
+        for k, stream in enumerate(streams):
+            if len(stream.replicas) < 2:
+                assert table.ttl_delta[k] == 0
+                continue
+            assert table.ttl_delta[k] == mode(stream.ttl_deltas())
+        # Streams a table makes from its rows read the column.
+        handed = StreamTable(table.bounds, table.index, table.timestamp,
+                             table.ttl, table.first_data, table.dst)
+        for k, stream in enumerate(streams):
+            if len(stream.replicas) >= 2:
+                assert handed.stream(k).ttl_delta == stream.ttl_delta
+
+    def test_ties_go_to_the_first_seen(self):
+        table = StreamTable.from_streams([
+            _stream([9, 6, 4, 1, -1]),  # 3, 2, 3, 2: 3 first
+            _stream([9, 7, 4, 2, -1]),  # 2, 3, 2, 3: 2 first
+            _stream([9, 8]),
+        ])
+        assert table.ttl_delta.tolist() == [3, 2, 1]
+
+    def test_loop_of_rows_reads_the_column(self):
+        streams = [_stream([9, 7, 5]), _stream([9, 6, 3], 10),
+                   _stream([8, 5, 2], 20), _stream([9], 30)]
+        table = StreamTable.from_streams(streams)
+        rows = StreamRows(table, np.array([0, 1, 2]))
+        loop = RoutingLoop(prefix=PREFIX, streams=rows)
+        listed = RoutingLoop(prefix=PREFIX, streams=streams[:3])
+        assert loop == listed and listed == loop
+        assert (loop.ttl_delta, loop.start, loop.end, loop.stream_count,
+                loop.replica_count) == (3, 0.0, 0.2, 3, 9)
+        assert loop.ttl_delta == listed.ttl_delta
+        with pytest.raises(ReplicaError):
+            _ = RoutingLoop(prefix=PREFIX,
+                            streams=StreamRows(table, np.array([3]))
+                            ).ttl_delta
 
 
 class TestReplicaType:

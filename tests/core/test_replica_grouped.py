@@ -9,6 +9,9 @@ four scan stats against the reference oracle (``tests/oracles.py``):
 
 * forced hash collisions (``hash_rows`` patched to a low-entropy hash),
   so collision groups and mixed groups take the per-group replay;
+* groups keyed by the truncated hash: keys of two record lengths and
+  of two full hashes in one group, which the exact key check sends to
+  the collision replay;
 * a chain-break group (TTLs 60, 58, 58, 56, 70, 68);
 * short records, and survivors sitting exactly on eviction boundaries;
 * timestamps that regress, with entries below an earlier boundary's
@@ -24,7 +27,7 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.core import vectorize
+from repro.core import replica, vectorize
 from repro.core.replica import ReplicaScanStats, detect_replicas_vectorized
 from repro.net.columnar import ColumnarChunk
 from tests.oracles import chunk_triples, detect_replicas_indexed
@@ -232,6 +235,51 @@ class TestForcedCollisions:
                                    max_replica_gap=0.1)
         assert streams
 
+
+def _source_byte_hash(data, first, n, stride, length):
+    """``hash_rows`` cut to below 8: the low bits of each record's source
+    address byte (its flow).  Equal keys still hash equal, all high bits
+    agree, and the low bits differ between flows."""
+    if not n:
+        return np.zeros(0, dtype=np.uint64)
+    return (vectorize.column(data, first + 15, n, stride, np.uint8)
+            .astype(np.uint64) & np.uint64(7))
+
+
+class TestTruncatedGroups:
+    """A group is keyed by the truncated hash, not by (length, hash):
+    records of different lengths or full hashes can share one.  The
+    group then fails the exact key check and is chained per masked
+    key."""
+
+    def test_lengths_and_full_hashes_share_a_group(self, monkeypatch):
+        monkeypatch.setattr(vectorize, "hash_rows", _source_byte_hash)
+        grouped = []
+        sort_survivors = replica._sort_survivors
+
+        def spy(*args):
+            grouped.append(sort_survivors(*args))
+            return grouped[-1]
+
+        monkeypatch.setattr(replica, "_sort_survivors", spy)
+        # Flows 1 and 2 at 40 bytes (two full hashes of one length),
+        # and flow 1 at 28 bytes too (one full hash, two lengths): a
+        # regular chunk first, then irregular ones.
+        bodies, stamps = [], []
+        for step in range(6):
+            for flow, length in ((1, 40), (2, 40), (1, 28)):
+                if step < 2 and length == 28:
+                    continue
+                bodies.append(_body(flow, 64 - 2 * step, length))
+                stamps.append(0.01 * len(stamps))
+        chunks = _chunks(bodies, stamps, chunk_records=4)
+        assert chunks[0].stride == 40 and chunks[-1].stride is None
+        streams, _ = _assert_exact(chunks, max_replica_gap=0.2,
+                                   eviction_interval=5)
+        assert len(streams) == 3
+        s = grouped[-1]
+        assert len(s.group_start) == 1 and not s.exact[0]
+        assert len(set(s.collision_keys[0])) == 3
 
 class TestEvictionCheck:
     """Eviction only matters where it drops an entry a later record

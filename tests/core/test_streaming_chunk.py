@@ -16,9 +16,12 @@ import pytest
 
 from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
+from repro.core import vectorize
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarChunk, ColumnarTrace
+from repro.net.trace import Trace, TraceRecord
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.core.test_replica_grouped import _source_byte_hash
 
 PREFIX = IPv4Prefix.parse("192.0.2.0/24")
 OTHER = IPv4Prefix.parse("198.51.100.0/24")
@@ -148,6 +151,48 @@ class TestEquivalence:
         # and up take the batched tier, so 31/32/33 also switch stores.
         loops = _assert_identical(_storm_trace(), chunk_records)
         assert len(loops) >= 6
+
+
+def _record(flow: int, ttl: int, net: int) -> bytes:
+    """A 40-byte IPv4-shaped record: source byte ``flow``, destination
+    in ``192.0.net.0/24``."""
+    data = bytearray(40)
+    data[0] = 0x45
+    data[8] = ttl
+    data[9] = 6
+    data[10] = (ttl * 7) & 0xFF  # the checksum moves with the TTL
+    data[12:16] = (10, 0, 0, flow)
+    data[16:20] = (192, 0, net, flow)
+    return bytes(data)
+
+
+class TestTruncatedSeeds:
+    def test_carried_keys_seed_their_truncated_group(self, monkeypatch):
+        # Slice 1 opens flow 3's stream and leaves flow 2 a singleton.
+        # Slice 2 starts with flow 1, so its one group's first row has
+        # neither carried key's full hash: both must still seed it.
+        monkeypatch.setattr(vectorize, "hash_rows", _source_byte_hash)
+        calls = _chain_calls(monkeypatch)
+        slices = [
+            [(3, 60), (3, 58), (2, 60)],
+            [(1, 60), (2, 58), (3, 56), (1, 58), (2, 56), (3, 54),
+             (1, 56), (2, 54)],
+        ]
+        trace = Trace(link_name="seeds", snaplen=40)
+        t = 0.0
+        for planted in slices:
+            rows = [_record(flow, ttl, 2) for flow, ttl in planted]
+            rows += [_record(100 + i, 60, 3) for i in range(40 - len(rows))]
+            for data in rows:
+                trace.append(TraceRecord(t, data, 40))
+                t += 0.01
+        loops = _assert_identical(trace, 40)
+        # Only the per-record reference feed chains record by record:
+        # both slices took the batched tier.
+        assert len(calls) == len(trace.records)
+        assert [(loop.stream_count, loop.replica_count)
+                for loop in loops if str(loop.prefix) == "192.0.2.0/24"] \
+            == [(3, 11)]
 
 
 class TestTierSelection:
