@@ -1,8 +1,9 @@
 """Saturation — the batched streaming tier.
 
-``test_batched_streaming_speedup`` times one link's detector fed
-record-by-record vs. chunk-by-chunk (the batched tier) over the same
-trace, asserts exactness, and asserts the >= 2x single-link floor.
+``test_batched_streaming_speedup`` times the per-record reference
+detector (``tests/oracles.py``) vs. the product fed chunk by chunk (one
+step-1 engine call per chunk) over the same trace, asserts exactness,
+and asserts the >= 2x single-link floor.
 It emits the ``repro-bench/1`` document ``BENCH_streaming_batched``
 for the bench-provenance trajectory.
 """
@@ -18,6 +19,7 @@ from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import ReferenceStreamingDetector
 
 ROUNDS = 3
 
@@ -66,7 +68,7 @@ def test_batched_streaming_speedup(big_trace, emit):
     records = [(r.timestamp, r.data) for r in big_trace.records]
 
     def per_record():
-        detector = StreamingLoopDetector()
+        detector = ReferenceStreamingDetector()
         loops = []
         process = detector.process
         for timestamp, data in records:

@@ -154,16 +154,12 @@ def _stream_plain(records):
     would land at different points and masquerade as overhead).
     """
     detector = StreamingLoopDetector(DetectorConfig())
-    loops = []
-    extend = loops.extend
-    process = detector.process
+    trace = Trace(records=records)
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        for record in records:
-            extend(process(record.timestamp, record.data))
-        extend(detector.flush())
+        loops = detector.process_trace(trace)
         wall = time.perf_counter() - t0
     finally:
         gc.enable()

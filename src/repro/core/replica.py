@@ -16,8 +16,8 @@ over the records that evicts singletons older than the chaining gap
 every ``eviction_interval`` records (the oracle in ``tests/oracles.py``).
 Its one implementation here is a chaining engine over the records whose
 masked key repeats (:func:`_replay_survivors`), with that eviction
-exact inside it; the streaming detector's batched tier runs the same
-engine on each slice it is fed.
+exact inside it; the streaming detector runs the same engine once on
+each chunk it is fed.
 """
 
 from __future__ import annotations
@@ -1073,24 +1073,33 @@ class _PackedRecords:
 def _first_records(chunks, at_chunk, rows) -> _PackedRecords:
     """Record ``rows[k]`` of chunk ``at_chunk[k]`` for each ``k``,
     gathered with one fancy index per chunk and record length."""
-    k = len(rows)
-    offsets = np.empty(k, dtype=np.int64)
-    lengths = np.empty(k, dtype=np.int64)
     order = vectorize.stable_order(at_chunk)
     cuts = np.searchsorted(at_chunk[order],
                            np.arange(len(chunks) + 1)).tolist()
-    for ci, chunk in enumerate(chunks):
-        picked = order[cuts[ci]:cuts[ci + 1]]
-        offsets[picked] = _column(chunk.offsets)[rows[picked]]
-        lengths[picked] = _column(chunk.lengths)[rows[picked]]
-    packed = np.zeros((k, max(int(lengths.max(initial=0)), _MIN_CAPTURE)),
-                      dtype=np.uint8)
-    for ci, chunk in enumerate(chunks):
-        for picked, length in _by_length(lengths,
-                                         order[cuts[ci]:cuts[ci + 1]]):
-            packed[picked, :length] = vectorize.gather(
-                chunk.data, offsets[picked], length)
+    parts = [(order[a:b], *_chunk_records(chunk, rows[order[a:b]]))
+             for chunk, a, b in zip(chunks, cuts, cuts[1:]) if a < b]
+    lengths = np.zeros(len(rows), dtype=np.int64)
+    packed = np.zeros((len(rows), max([_MIN_CAPTURE] + [
+        matrix.shape[1] for _, matrix, _ in parts])), dtype=np.uint8)
+    for picked, matrix, part in parts:
+        packed[picked, :matrix.shape[1]] = matrix
+        lengths[picked] = part
     return _PackedRecords(packed, lengths.tolist())
+
+
+def _chunk_records(chunk, rows) -> tuple:
+    """Records ``rows`` of ``chunk``, as the zero-padded rows of one
+    uint8 matrix, and their lengths: one gather per record length."""
+    offsets = _column(chunk.offsets)[rows]
+    lengths = _column(chunk.lengths)[rows].astype(np.int64)
+    width = int(lengths.max(initial=0))
+    if lengths.min(initial=width) == width:
+        return vectorize.gather(chunk.data, offsets, width), lengths
+    matrix = np.zeros((len(rows), width), dtype=np.uint8)
+    for at, length in _by_length(lengths, np.arange(len(rows))):
+        matrix[at, :length] = vectorize.gather(chunk.data, offsets[at],
+                                               length)
+    return matrix, lengths
 
 
 #: Step 1 as every entry point runs it (the ``auto`` tier).

@@ -121,17 +121,9 @@ class PrefixIndex:
             keep = np.flatnonzero(lengths >= _MIN_INDEXED)
             if not len(keep):
                 return
-        if chunk.stride is not None and keep is None:
-            prefixes = vectorize.dst_prefixes(
-                chunk.data, chunk.offsets[0], n, chunk.stride, self._shift)
-        else:
-            # Gather the 4 destination bytes of every kept record.
-            dst_at = np.asarray(chunk.offsets, dtype=np.int64) + 16
-            if keep is not None:
-                dst_at = dst_at[keep]
-                stamps = stamps[keep]
-            dst = vectorize.gather(chunk.data, dst_at, 4).view(">u4").ravel()
-            prefixes = (dst >> np.uint32(self._shift)).astype(np.int64)
+        prefixes = vectorize.chunk_prefixes(chunk, self._shift, keep)
+        if keep is not None:
+            stamps = stamps[keep]
         if (stamps[1:] >= stamps[:-1]).all():
             # A record's capture position is its timestamp's rank.
             times = stamps

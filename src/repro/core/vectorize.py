@@ -195,6 +195,21 @@ def dst_prefixes(data, first: int, n: int, stride: int, shift: int):
     return (dst >> np.uint32(shift)).astype(np.int64)
 
 
+def chunk_prefixes(chunk, shift: int, rows=None):
+    """:func:`dst_prefixes` of the records of a
+    :class:`~repro.net.columnar.ColumnarChunk` (of its records ``rows``
+    only, when given), each at least 20 bytes long: off a strided view
+    when the chunk declares a stride, else one 4-byte gather."""
+    if chunk.stride is not None and rows is None:
+        return dst_prefixes(chunk.data, chunk.offsets[0], len(chunk),
+                            chunk.stride, shift)
+    offsets = np.asarray(chunk.offsets, dtype=np.int64)
+    if rows is not None:
+        offsets = offsets[rows]
+    dst = gather(chunk.data, offsets + 16, 4).view(">u4").ravel()
+    return (dst >> np.uint32(shift)).astype(np.int64)
+
+
 def ranges(starts, sizes):
     """The concatenated ranges ``starts[k] .. starts[k] + sizes[k] - 1``
     as one int64 array, in order of ``k``."""

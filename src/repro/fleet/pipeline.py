@@ -6,8 +6,8 @@ recorder/alerts, using the exact same monitored feed as ``repro-loops
 monitor`` (:func:`~repro.obs.live.attach_detector` /
 :func:`~repro.obs.live.feed_chunk`), so a fleet link's loop counts are
 byte-identical to an independent ``detect`` run over the same records.
-Columnar source batches engage the streaming detector's batched tier;
-irregular batches degrade to the per-record feed with identical output.
+Every batch, columnar or a plain iterable of pairs, reaches the
+streaming detector as chunks, one step-1 engine call each.
 
 Every (re)start builds the whole chain fresh — registry, recorder,
 alert engine, detector.  That is what makes restarts sound: the
@@ -59,11 +59,11 @@ def _feed_batch(streaming, monitor, batch) -> tuple[list, int]:
 
     Runs on the executor, never the event loop: both the detection work
     and the per-record byte accounting happen here, so the loop only
-    schedules.  Columnar chunks take the batched tier via
+    schedules.  Columnar chunks go through
     :func:`~repro.obs.live.feed_chunk` and read their byte count from
     the length column in one C-speed ``sum``; anything else (a plain
-    iterable of pairs — kept for tests and custom sources) falls back to
-    the per-record feed.
+    iterable of pairs — kept for tests and custom sources) is packed
+    into one chunk by :func:`~repro.obs.live.feed_pairs`.
     """
     if isinstance(batch, ColumnarChunk):
         return (feed_chunk(streaming, monitor, batch),

@@ -9,7 +9,7 @@ Every source exposes one coroutine-friendly surface::
 Batches are :class:`~repro.net.columnar.ColumnarChunk` objects — one
 contiguous slab plus parallel columns — so the per-record async
 overhead is amortized over tens of thousands of records and the
-streaming detector's batched tier can consume the chunk without ever
+streaming detector can consume the chunk without ever
 materializing per-record pairs (``chunk.iter_views()`` recovers the
 pair form when a consumer wants it).  All blocking work (pcap parsing,
 simulator execution, directory listing) runs on the default executor;

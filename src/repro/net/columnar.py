@@ -34,7 +34,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
+
+import numpy as np
 
 from repro.net.trace import SNAPLEN_40, Trace, TraceRecord
 
@@ -61,10 +64,10 @@ class ColumnarChunk:
     base_index: int = 0
     #: Producer's guarantee of a regular layout: when not ``None``,
     #: ``offsets[i] == offsets[0] + i * stride`` for every record.  The
-    #: vectorized step-1 kernel and the streaming batched tier use it to
-    #: view the whole chunk as one strided record matrix instead of
-    #: masking record by record.  Never set it on a chunk whose offsets
-    #: you have not laid out yourself — ``None`` always stays correct.
+    #: step-1 kernel, offline and live, uses it to view the whole chunk
+    #: as one strided record matrix instead of gathering the records
+    #: per length.  Never set it on a chunk whose offsets you have not
+    #: laid out yourself — ``None`` always stays correct.
     stride: int | None = None
 
     def __post_init__(self) -> None:
@@ -107,6 +110,17 @@ class ColumnarChunk:
             stride=self.stride,
         )
 
+    def ordered(self, after: float = float("-inf")) -> int:
+        """How many leading records are in time order, after a record at
+        time ``after``: the position of the first record earlier than
+        its predecessor (or than ``after``)."""
+        n = len(self)
+        ts = np.frombuffer(self.timestamps, dtype=np.float64, count=n)
+        if not n or ts[0] < after:
+            return 0
+        drops = np.flatnonzero(ts[1:] < ts[:-1])
+        return int(drops[0]) + 1 if len(drops) else n
+
     def record_view(self, i: int) -> memoryview:
         """Zero-copy view of record ``i``'s captured bytes."""
         offset = self.offsets[i]
@@ -140,6 +154,22 @@ class ColumnarChunk:
                 data=bytes(view[offset:offset + length]),
                 wire_length=wire_lengths[i],
             )
+
+    @classmethod
+    def from_pairs(cls, pairs, base_index: int = 0) -> "ColumnarChunk":
+        """Pack ``(timestamp, data)`` pairs into one compact chunk with
+        no wire lengths (copies each body into a fresh slab)."""
+        pairs = list(pairs)
+        lengths = array("I", [len(data) for _, data in pairs])
+        return cls(
+            data=b"".join([data for _, data in pairs]),
+            timestamps=array("d", [timestamp for timestamp, _ in pairs]),
+            offsets=array("Q", accumulate(lengths, initial=0))[:-1],
+            lengths=lengths,
+            base_index=base_index,
+            stride=(lengths[0] if lengths and min(lengths) == max(lengths)
+                    else None),
+        )
 
     @classmethod
     def from_records(

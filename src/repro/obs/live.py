@@ -29,6 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.net.columnar import ColumnarChunk
 from repro.obs.alerts import Alert, AlertEngine
 from repro.obs.recorder import WindowedRecorder
 from repro.obs.tracing import NULL_TRACER
@@ -258,72 +259,56 @@ def feed_pairs(streaming, monitor: LiveMonitor, pairs) -> list:
     """Feed ``(timestamp, data)`` pairs through the detector with
     window-boundary sampling; returns the loops that closed.
 
-    The per-record monitoring cost is one float compare — record counts
-    come from differencing the detector's own counter on second
-    boundaries (see :meth:`LiveMonitor.sample`).  Safe to call
-    repeatedly with successive batches of one ordered feed; call
+    The pairs are packed into one
+    :class:`~repro.net.columnar.ColumnarChunk` and fed by
+    :func:`feed_chunk`.  Safe to call repeatedly with successive batches
+    of one ordered feed; call
     :meth:`~repro.core.streaming.StreamingLoopDetector.flush` and
     :meth:`LiveMonitor.finish` after the last batch.
     """
-    boundary = monitor.next_boundary
-    sample = monitor.sample
-    process = streaming.process
-    loops: list = []
-    extend = loops.extend
-    for timestamp, data in pairs:
-        if timestamp >= boundary:
-            boundary = sample(timestamp)
-        extend(process(timestamp, data))
-    return loops
+    return feed_chunk(streaming, monitor, ColumnarChunk.from_pairs(pairs))
 
 
 #: Most records one ``process_chunk`` call receives from :func:`feed_chunk`.
-#: The batched tier's per-call transient grows at 200-450 B/record
-#: (tracemalloc medians on perfbench's seed-7 fleet links, sparse /
-#: storm: 1.0 / 0.9 MB at 880 records, 2.2 / 3.6 MB at 8,192, 13.7 /
-#: 14.6 MB at 65,536; below ~1k records the copy of the carried
-#: singletons dominates), and uncapped 65k-record source chunks once
-#: raised a two-link fleet's peak RSS from 118 to 157 MB.  8k records
-#: keeps the transient at a few MB while still making ~8x fewer calls
-#: than slicing at every second.
+#: A call's transient grows at 200-450 B/record (tracemalloc medians on
+#: perfbench's seed-7 fleet links, sparse / storm: 2.2 / 3.6 MB at
+#: 8,192 records, 13.7 / 14.6 MB at 65,536), and uncapped 65k-record
+#: source chunks once raised a two-link fleet's peak RSS from 118 to
+#: 157 MB.  8k records keeps the transient at a few MB while still
+#: making ~8x fewer calls than slicing at every second.
 _FEED_SLICE = 8192
 
 
 def feed_chunk(streaming, monitor: LiveMonitor, chunk) -> list:
-    """Chunk-native :func:`feed_pairs`: feed one
-    :class:`~repro.net.columnar.ColumnarChunk` with window-boundary
-    sampling; returns the loops that closed.
+    """Feed one :class:`~repro.net.columnar.ColumnarChunk` with
+    window-boundary sampling; returns the loops that closed.
 
-    Keeps the sampling calls of the per-record loop — one
-    :meth:`LiveMonitor.sample` per second crossing, with the first
+    One :meth:`LiveMonitor.sample` per second crossing, with the first
     record timestamp at or past the boundary (a ``searchsorted`` per
-    crossing) — but not its feeding: records not yet fed to the
-    detector are passed to ``sample`` as ``pending``, and the detector
-    is fed only before a sample that crosses a minute (the only
-    sampling step that reads detector state) and at the end of the
-    chunk.  Fed ranges are cut into zero-copy slices of at most
-    :data:`_FEED_SLICE` records for
-    :meth:`~repro.core.streaming.StreamingLoopDetector.process_chunk`,
-    so the detector's batched tier runs on large slices.  Loops,
-    monitor state and every minute-boundary snapshot are identical to
-    :func:`feed_pairs`; mid-chunk, the recorder's windows may run ahead
-    of the detector by the records of this chunk not fed yet.
+    crossing).  Records not yet fed to the detector are passed to
+    ``sample`` as ``pending``, and the detector is fed only before a
+    sample that crosses a minute (the only sampling step that reads
+    detector state) and at the end of the chunk.  Fed ranges are cut
+    into zero-copy slices of at most :data:`_FEED_SLICE` records for
+    :meth:`~repro.core.streaming.StreamingLoopDetector.process_chunk`.
+    Loops, monitor state and every minute-boundary snapshot are those
+    of a feed that samples and feeds record by record; mid-chunk, the
+    recorder's windows may run ahead of the detector by the records of
+    this chunk not fed yet.
 
-    Unsorted chunks, chunks that start before the detector's last
-    record (which it rejects — the per-record feed samples exactly the
-    seconds before the offending record) delegate to
-    :func:`feed_pairs`.
+    A record earlier than its predecessor (or than the detector's last
+    record) ends the feed: the records before it are sampled and fed,
+    then the detector rejects it with ``ValueError``.
     """
     n = len(chunk)
     if n == 0:
         return []
-    ts = np.frombuffer(chunk.timestamps, dtype=np.float64, count=n)
-    if ts[0] < streaming.now or (n > 1 and bool((np.diff(ts) < 0).any())):
-        return feed_pairs(streaming, monitor, chunk.iter_views())
+    ordered = chunk.ordered(streaming.now)
+    ts = np.frombuffer(chunk.timestamps, dtype=np.float64, count=ordered)
     boundary = monitor.next_boundary
     loops: list = []
     done = pos = 0
-    while pos < n:
+    while pos < ordered:
         first = float(ts[pos])
         if first >= boundary:
             if pos > done and monitor.boundary_due():
@@ -331,15 +316,16 @@ def feed_chunk(streaming, monitor: LiveMonitor, chunk) -> list:
                 done = pos
             boundary = monitor.sample(first, pos - done)
         pos = max(int(np.searchsorted(ts, boundary, side="left")), pos + 1)
-    _feed_range(streaming, chunk, done, n, loops)
+    _feed_range(streaming, chunk, done, ordered, loops)
+    if ordered < n:
+        streaming.process_chunk(chunk.slice(ordered, n))  # raises
     return loops
 
 
 def _feed_range(streaming, chunk, start: int, stop: int,
                 loops: list) -> None:
     """Feed records ``start:stop`` of ``chunk`` in equal slices of at
-    most :data:`_FEED_SLICE` records (no short tail slice drops under
-    the batched tier's 32-record gate)."""
+    most :data:`_FEED_SLICE` records."""
     size = stop - start
     parts = -(-size // _FEED_SLICE)
     for i in range(parts):

@@ -22,7 +22,8 @@ from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
-from tests.oracles import reference_detect, reference_replicas
+from tests.oracles import (ReferenceStreamingDetector, reference_detect,
+                           reference_replicas)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +173,7 @@ class TestFullPipelineEquivalence:
 
 class TestStreamingColumnarEquivalence:
     def test_chunks_match_record_feed(self, loop_trace):
-        per_record = StreamingLoopDetector()
+        per_record = ReferenceStreamingDetector()
         reference = []
         for record in loop_trace:
             reference.extend(per_record.process(record.timestamp,

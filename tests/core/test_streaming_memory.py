@@ -5,19 +5,26 @@ step-2 history covers the retention horizon (``merge_gap +
 max_replica_gap``) plus at most a slice or two, singletons live one
 chaining gap, and stream state lives as long as its stream.  Each feed
 below is built before tracing starts; what the detector still holds
-afterwards is divided by the records inside the horizon.  The same
-bounds hold on the batched tier and on the per-record path that
-irregular chunks take.
+afterwards is divided by the records inside the horizon.  Every chunk
+takes the one step-1 engine call, regular or not.
+
+What one call allocates on its way must follow the slice it is fed,
+not the singletons carried from earlier slices: a small slice after a
+busy stretch costs about what it costs after a quiet one.
 """
 
 import gc
 import random
+import statistics
 import tracemalloc
+from array import array
 from bisect import bisect_left
+
+import numpy as np
 
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
-from repro.net.columnar import ColumnarTrace
+from repro.net.columnar import ColumnarChunk, ColumnarTrace
 from repro.net.trace import Trace
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
@@ -101,3 +108,54 @@ class TestStreamingMemory:
         assert detector.stats.streams_completed == 0
         assert sum(map(len, detector._open_streams.values())) == 600
         assert retained / in_horizon <= 384
+
+
+def _flood(n, rate, length=40):
+    """``n`` distinct ``length``-byte IPv4 records at ``rate`` per
+    second, to 256 /24s: nothing chains, so every record is carried as
+    a singleton for one chaining gap."""
+    rows = np.zeros((n, length), dtype=np.uint8)
+    rows[:, 0] = 0x45
+    rows[:, 4:8] = np.arange(n, dtype=">u4").view(np.uint8).reshape(n, 4)
+    rows[:, 8] = 64
+    rows[:, 9] = 17
+    rows[:, 16] = 10
+    rows[:, 18] = np.arange(n) % 256
+    rows[:, 19] = 1
+    return ColumnarChunk(rows.tobytes(), array("d", np.arange(n) / rate),
+                         array("Q", range(0, n * length, length)),
+                         array("I", [length]) * n, stride=length)
+
+
+class TestSliceTransient:
+    def _peaks(self, rate, slice_records=880, calls=10):
+        """Per-call peak of ``calls`` slices of ``slice_records`` fed
+        after six seconds of a ``rate``-per-second flood, and the
+        carried singletons before the first."""
+        warm = int(6 * rate)
+        flood = _flood(warm + calls * slice_records, rate)
+        detector = StreamingLoopDetector()
+        for start in range(0, warm, SLICE):
+            detector.process_chunk(flood.slice(start, min(start + SLICE,
+                                                          warm)))
+        carried = detector.state_snapshot()["singletons"]
+        peaks = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for start in range(warm, len(flood), slice_records):
+                piece = flood.slice(start, start + slice_records)
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                detector.process_chunk(piece)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        return carried, statistics.median(peaks)
+
+    def test_small_slice_peak_follows_the_slice(self):
+        quiet_carry, quiet = self._peaks(2_000)
+        busy_carry, busy = self._peaks(14_600)
+        assert 9_000 < quiet_carry < 11_000
+        assert 70_000 < busy_carry < 76_000
+        assert busy <= 3 * quiet

@@ -18,11 +18,11 @@ from repro.cli import _print_figures, main
 from repro.core.detector import DetectorConfig
 from repro.core.report import render_summary
 from repro.core.serialize import result_to_dict
-from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.net.pcap import read_pcap, write_pcap
 from repro.traffic.synthetic import SyntheticTraceBuilder
-from tests.oracles import reference_detect
+from tests.oracles import (ReferenceStreamingDetector, reference_detect,
+                           reference_feed_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,9 @@ def _oracle(path, link_name="", **config):
 
 
 def _streaming_oracle(path, monitor=None):
-    """The per-record streaming feed over a materialized trace."""
-    streaming = StreamingLoopDetector(DetectorConfig())
+    """The per-record reference streaming feed over a materialized
+    trace."""
+    streaming = ReferenceStreamingDetector(DetectorConfig())
     pairs = ((record.timestamp, record.data)
              for record in read_pcap(path))
     if monitor is None:
@@ -59,10 +60,10 @@ def _streaming_oracle(path, monitor=None):
         for timestamp, data in pairs:
             loops.extend(streaming.process(timestamp, data))
     else:
-        from repro.obs.live import attach_detector, feed_pairs
+        from repro.obs.live import attach_detector
 
         attach_detector(monitor, streaming)
-        loops = feed_pairs(streaming, monitor, pairs)
+        loops = reference_feed_pairs(streaming, monitor, pairs)
     loops.extend(streaming.flush())
     return streaming, loops
 
@@ -146,3 +147,65 @@ class TestBatchColumnarParity:
             return re.sub(r"\d+\.\d\d", "X", text)
 
         assert normalize(out) == normalize(expected.render() + "\n")
+
+
+class TestTimeOrderContract:
+    """A simulated capture with one record moved 1 s past its successor:
+    every live entry point feeds the records before the first
+    regressing one, then rejects it, in the state the per-record
+    reference has there.  Offline detection is exact in any order."""
+
+    @pytest.fixture(scope="class")
+    def regressing(self, shared_run, tmp_path_factory):
+        from repro.net.trace import Trace, TraceRecord
+
+        records = list(shared_run.trace.records)
+        at = len(records) * 3 // 4  # past the first minute
+        moved = records[at]
+        records[at] = TraceRecord(records[at + 1].timestamp + 1.0,
+                                  moved.data, moved.wire_length)
+        path = tmp_path_factory.mktemp("time_order") / "regress.pcap"
+        write_pcap(Trace(records=records), path)
+        return path, at + 1
+
+    def _feed_until_raise(self, path, feed, detector):
+        from repro.net.pcap import read_pcap_columnar
+        from tests.obs.test_live import monitored_chain
+
+        streaming, monitor, log = monitored_chain(detector=detector)
+        with pytest.raises(ValueError, match="time-ordered"):
+            for chunk in read_pcap_columnar(path, chunk_records=1000).chunks:
+                feed(streaming, monitor, chunk)
+        return streaming, monitor.state(), log
+
+    def test_live_entry_points_stop_at_the_regression(self, regressing):
+        from repro.core.streaming import StreamingLoopDetector
+        from repro.net.pcap import read_pcap_columnar
+        from repro.obs.live import feed_chunk
+        from tests.obs.test_live import pair_feed, reference_feed
+
+        path, first_bad = regressing
+        ref, ref_state, ref_log = self._feed_until_raise(
+            path, reference_feed, ReferenceStreamingDetector)
+        assert ref.stats.records == first_bad
+        assert ref_log
+        for feed in (feed_chunk, pair_feed):
+            streaming, state, log = self._feed_until_raise(
+                path, feed, StreamingLoopDetector)
+            assert (state, log) == (ref_state, ref_log)
+            assert streaming.state_snapshot() == ref.state_snapshot()
+            assert streaming.stats == ref.stats
+        detector = StreamingLoopDetector()
+        with pytest.raises(ValueError, match="time-ordered"):
+            for chunk in read_pcap_columnar(path, chunk_records=1000).chunks:
+                detector.process_chunk(chunk)
+        assert detector.state_snapshot() == ref.state_snapshot()
+        assert detector.stats == ref.stats
+
+    def test_cli_live_commands_exit_1_offline_detects(self, regressing,
+                                                      capsys):
+        path, _ = regressing
+        assert main(["detect", str(path), "--streaming"]) == 1
+        assert main(["monitor", str(path), "--no-dashboard"]) == 1
+        assert "time-ordered" in capsys.readouterr().err
+        assert main(["detect", str(path)]) == 0

@@ -16,6 +16,11 @@ every window query identically on time-ordered input.
 detector's step-2 history, member indices and pruning included; the
 detector's deque of columnar slices must answer every window query
 inside its retention floor identically.
+:class:`ReferenceStreamingDetector` is the streaming detector fed
+record by record, with a dictionary of singletons and a deadline heap
+(:func:`reference_feed_pairs` drives it with the live monitor's
+per-record sampling); the product's one engine call per chunk must
+leave the same loops, stats and state after every chunk.
 
 :func:`reference_validate` and :func:`reference_merge` are steps 2 and
 3 as plain loops over :class:`~repro.core.replica.ReplicaStream`
@@ -40,6 +45,8 @@ compare the two.
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from struct import Struct
@@ -58,6 +65,8 @@ from repro.core.replica import (
     mask_mutable_fields,
     stream_sort_key,
 )
+from repro.core.streaming import StreamingLoopDetector, _Slice
+from repro.core.streaming import _OpenStream as _StreamingOpen
 from repro.core.streams import ValidationResult
 from repro.net.addr import IPv4Address, IPv4Prefix
 from repro.net.packet import Packet
@@ -358,6 +367,118 @@ class ReferenceStreamingHistory:
         """Distinct prefixes with a record at or after ``horizon``."""
         return sum(bucket[-1][0] >= horizon
                    for bucket in self._by_prefix.values())
+
+
+class ReferenceStreamingDetector(StreamingLoopDetector):
+    """The streaming detector fed record by record: the per-record
+    reference the product's one engine call per chunk is tested against.
+
+    Only step-1 chaining and the history append differ from the
+    product.  Each record is chained against a ``{masked key:
+    singleton}`` dict with a deadline heap and the open streams, and
+    appended to the history as a slice of its own; stream completion,
+    validation, merging and emission are the product's.  Loops, stats
+    and :meth:`state_snapshot` must equal the product's after every
+    chunk, and a regressing record is rejected before it changes
+    anything.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._singletons: dict[bytes, tuple[int, float, int, bytes]] = {}
+        self._singleton_deadlines: list[tuple[float, bytes, int]] = []
+
+    def process_chunk(self, chunk) -> list[RoutingLoop]:
+        loops = []
+        for timestamp, view in chunk.iter_views():
+            loops.extend(self.process(timestamp, view))
+        return loops
+
+    def process(self, timestamp: float, data: bytes) -> list[RoutingLoop]:
+        if timestamp < self._now:
+            raise ValueError(
+                f"records must be time-ordered: {timestamp} < {self._now}"
+            )
+        data = bytes(data)
+        self._now = timestamp
+        self._emitted = []
+        self.stats.records += 1
+        self._expire(timestamp)
+        if timestamp > self._prune_at:
+            self._prune_history(timestamp)
+        if len(data) < _MIN_CAPTURE:
+            self.stats.skipped_short += 1
+            return self._emitted
+        index = self._index
+        self._index += 1
+        self._slices.append(_Slice(
+            index, timestamp, timestamp, array("q", [self._prefix_net(data)]),
+            array("d", [timestamp]), array("q", [index]), set(),
+        ))
+        self._chain(index, timestamp, data)
+        return self._emitted
+
+    def _chain(self, index: int, timestamp: float, data: bytes) -> None:
+        config = self.config
+        key = mask_mutable_fields(data)
+        ttl = data[_TTL_OFFSET]
+        for stream in reversed(self._open_streams.get(key, ())):
+            last = stream.last
+            if (last.ttl - ttl >= config.min_ttl_delta
+                    and timestamp - last.timestamp <= config.max_replica_gap):
+                stream.replicas.append(Replica(index, timestamp, ttl))
+                self._add_members((index,))
+                self._push_stream_deadline(stream)
+                return
+        previous = self._singletons.pop(key, None)
+        if previous is not None:
+            prev_index, prev_time, prev_ttl, prev_data = previous
+            if (prev_ttl - ttl >= config.min_ttl_delta
+                    and timestamp - prev_time <= config.max_replica_gap):
+                stream = _StreamingOpen(
+                    key, prev_data,
+                    [Replica(prev_index, prev_time, prev_ttl),
+                     Replica(index, timestamp, ttl)], 0)
+                self._open_stream(stream, self._prefix_net(prev_data))
+                self._add_members((prev_index, index))
+                self._push_stream_deadline(stream)
+                return
+        self._singletons[key] = (index, timestamp, ttl, data)
+        heapq.heappush(self._singleton_deadlines,
+                       (timestamp + config.max_replica_gap, key, index))
+
+    def _expire(self, now: float) -> None:
+        deadlines = self._singleton_deadlines
+        while deadlines and deadlines[0][0] <= now:
+            _, key, index = heapq.heappop(deadlines)
+            current = self._singletons.get(key)
+            if current is not None and current[0] == index:
+                del self._singletons[key]
+        super()._expire(now)
+
+    def _singleton_may_merge(self, prefix_net: int, loop, now: float) -> bool:
+        horizon = loop.end + self.config.merge_gap
+        return any(timestamp < horizon
+                   for _, timestamp, _, data in self._singletons.values()
+                   if self._prefix_net(data) == prefix_net)
+
+    def state_snapshot(self) -> dict:
+        snapshot = super().state_snapshot()
+        snapshot["singletons"] = len(self._singletons)
+        return snapshot
+
+
+def reference_feed_pairs(streaming, monitor, pairs) -> list:
+    """:func:`~repro.obs.live.feed_pairs` record by record: one
+    :meth:`~repro.obs.live.LiveMonitor.sample` per second crossing,
+    then one ``process`` call per record."""
+    boundary = monitor.next_boundary
+    loops: list = []
+    for timestamp, data in pairs:
+        if timestamp >= boundary:
+            boundary = monitor.sample(timestamp)
+        loops.extend(streaming.process(timestamp, data))
+    return loops
 
 
 def member_set(streams) -> set[int]:

@@ -8,8 +8,9 @@ detector state) and at the end of each chunk, in slices of at most
 ``test_property_streaming_chunk`` — loop geometry, background volume,
 spans whose sparse backgrounds leave multi-minute idle gaps — together
 with the source chunking and the slice cap, and every example must give
-the per-record :func:`~repro.obs.live.feed_pairs` loops, monitor state,
-Prometheus text and minute-boundary log.
+the per-record reference feed's loops, monitor state, Prometheus text
+and minute-boundary log, fed chunk by chunk and as packed pairs
+(:func:`~repro.obs.live.feed_pairs`).
 """
 
 from unittest import mock
@@ -22,7 +23,7 @@ from repro.net.columnar import ColumnarTrace
 from repro.obs import live
 from repro.obs.live import feed_chunk
 
-from tests.obs.test_live import pair_feed, run_feed
+from tests.obs.test_live import pair_feed, reference_feed, run_feed
 from tests.property.test_property_streaming_chunk import _build, params
 
 
@@ -33,6 +34,8 @@ class TestLiveFeedEquivalence:
         config = DetectorConfig(merge_gap=p["merge_gap"])
         chunks = ColumnarTrace.from_trace(
             _build(p), p["chunk_records"]).chunks
-        expected = run_feed(chunks, [pair_feed], config)
+        expected = run_feed(chunks, [reference_feed], config)
         with mock.patch.object(live, "_FEED_SLICE", feed_slice):
             assert run_feed(chunks, [feed_chunk], config) == expected
+            assert run_feed(chunks, [pair_feed, feed_chunk],
+                            config) == expected

